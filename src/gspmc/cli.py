@@ -6,6 +6,7 @@ commands take the target state and count from ``--target``/``--count``
 (falling back to the file's ``property`` block). Exit codes: 0 when the
 property was refuted or the analysis passed, 1 when a witness or
 violation was found, 2 on any parse, validation or resource error.
+A reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -26,19 +27,16 @@ EXIT_ERROR = 2
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gspmc",
-        description="Model checker for globally synchronizing protocols.",
-        epilog="GSP_THREADS caps internal parallelism (0 = auto); "
-               "the current engines are sequential.")
+        description="Model checker for globally synchronizing protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, *, target=False, count=False):
+    def cmd(name, help_text, *, query=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="protocol model file (JSON)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
-        if target:
+        if query:
             p.add_argument("--target", help="target state name")
-        if count:
             p.add_argument("--count", type=int,
                            help="required number of processes in the target")
         return p
@@ -47,46 +45,27 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("desugar", "expand sugar and emit an equivalent core-only model")
     cmd("certify", "run the guard-compatibility certification")
 
-    p = cmd("cutoff", "look for a cutoff lemma and decide at the cutoff",
-            target=True, count=True)
+    p = cmd("cutoff", "look for a cutoff lemma and decide at the cutoff", query=True)
     p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
     p.add_argument("--path-budget", type=int, default=cutoff.DEFAULT_PATH_BUDGET)
 
-    p = cmd("mc", "explicit check with a fixed number of processes",
-            target=True, count=True)
+    p = cmd("mc", "explicit check with a fixed number of processes", query=True)
     p.add_argument("--n", type=int, required=True, help="number of processes")
     p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
 
-    p = cmd("verify", "parameterized check over all system sizes",
-            target=True, count=True)
+    p = cmd("verify", "parameterized check over all system sizes", query=True)
     p.add_argument("--force-unsound", action="store_true",
                    help="run the guard-refined engine even if certification fails")
 
-    p = cmd("sweep", "find the minimal system size reaching the target",
-            target=True, count=True)
+    p = cmd("sweep", "find the minimal system size reaching the target", query=True)
     p.add_argument("--max", type=int, required=True, dest="max_n",
                    help="largest system size to try")
     p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
     return parser
 
 
-def _threads() -> int:
-    raw = os.environ.get("GSP_THREADS")
-    if raw is None:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise model.ValidationError(
-            f"GSP_THREADS must be a non-negative integer, got {raw!r}")
-    return n
-
-
 def _resolve_query(protocol, mf, args):
-    target = getattr(args, "target", None)
-    count = getattr(args, "count", None)
+    target, count = args.target, args.count
     prop = mf.property_block or {}
     if target is None:
         target = prop.get("target")
@@ -95,7 +74,7 @@ def _resolve_query(protocol, mf, args):
     if target is None or count is None:
         raise model.ValidationError(
             "no target/count given (use --target/--count or a property block)")
-    return protocol.state_index(target), int(count)
+    return protocol.state_index(target), count
 
 
 def _vec(protocol, q):
@@ -137,7 +116,7 @@ def _certify_payload(report: wellbehaved.GuardCompatReport) -> dict:
     }
 
 
-def _run_command(args, out, mf, protocol) -> tuple[int, dict, list[str]]:
+def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
     """Execute one command; returns (exit code, result payload, text lines)."""
     if args.command == "validate":
         payload = {
@@ -152,10 +131,7 @@ def _run_command(args, out, mf, protocol) -> tuple[int, dict, list[str]]:
 
     if args.command == "desugar":
         doc = modelfile.core_document(protocol, mf.property_block)
-        if not args.json:
-            out.write(modelfile.render(doc))
-            return EXIT_CLEAN, {}, []
-        return EXIT_CLEAN, {"model": doc}, []
+        return EXIT_CLEAN, {"model": doc}, [modelfile.render(doc).rstrip("\n")]
 
     if args.command == "certify":
         report = wellbehaved.certify(protocol)
@@ -279,12 +255,11 @@ def run(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        threads = _threads()
         mf = modelfile.parse_model(args.model)
         protocol = model.validate(mf.raw)
-        code, payload, lines = _run_command(args, out, mf, protocol)
+        code, payload, lines = _run_command(args, mf, protocol)
     except (modelfile.ParseError, modelfile.IoError, model.ValidationError,
-            wsts.NotCertifiedWellBehaved, wsts.DimensionMismatch,
+            wsts.NotCertifiedWellBehaved,
             explicit.StateBudgetExceeded, cutoff.PathBudgetExceeded,
             ValueError) as e:
         module = type(e).__module__.rsplit(".", 1)[-1]
@@ -295,22 +270,29 @@ def run(argv=None, out=None) -> int:
         report = {
             "command": args.command,
             "model": args.model,
-            "threads": threads,
             "digest": {"states": protocol.n_states,
                        "actions": len(protocol.actions),
                        "guards": len(protocol.guards) - 1},
             "result": payload,
             "duration_s": round(time.monotonic() - started, 6),
         }
-        out.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
-    else:
+        lines = [json.dumps(report, indent=2, ensure_ascii=False)]
+    try:
         for line in lines:
             out.write(line + "\n")
+    except BrokenPipeError:
+        pass  # the reader is gone; the verdict and its exit code stand
     return code
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the interpreter's own flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

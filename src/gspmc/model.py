@@ -1,4 +1,4 @@
-"""Protocol data model: validation, synchronization matrices, desugaring.
+"""Protocol data model: validation and desugaring.
 
 A protocol is one process template. Global actions come in two core kinds:
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 SENDER = "sender"
 MAXIMAL = "maximal"
@@ -65,34 +66,27 @@ class Send:
 
 
 @dataclass(frozen=True)
-class SyncMatrix:
-    """Receive matrix plus sender tallies for one action.
-
-    ``matrix[t][s]`` is 1 iff receivers in state s move to state t; every
-    column is a unit vector because receives are deterministic.
-    ``senders_from[s]`` counts send indices leaving s, ``senders_to[t]``
-    counts send indices arriving in t; both sum to the arity.
-    """
-
-    matrix: tuple[tuple[int, ...], ...]
-    senders_from: tuple[int, ...]
-    senders_to: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Action:
     name: str
     kind: str  # SENDER or MAXIMAL
     sends: tuple[Send, ...]
     receive_map: tuple[int, ...]  # total: source state index -> target index
     guard: Guard
-    internal: bool = False  # provenance tag: produced by internal-step sugar
     group: str | None = None  # family name shared by sugar-generated siblings
-    sync: SyncMatrix | None = None
 
     @property
     def arity(self) -> int:
         return len(self.sends)
+
+    @cached_property
+    def senders_from(self) -> tuple[int, ...]:
+        """``senders_from[s]`` counts the send indices leaving state s."""
+        return tally(len(self.receive_map), (s.src for s in self.sends))
+
+    @cached_property
+    def senders_to(self) -> tuple[int, ...]:
+        """``senders_to[t]`` counts the send indices arriving in state t."""
+        return tally(len(self.receive_map), (s.dst for s in self.sends))
 
     @property
     def family(self) -> str:
@@ -156,19 +150,12 @@ def is_internal(action: Action) -> bool:
     return len(action.sends) == 1 and action.receive_map == identity
 
 
-def build_sync(action: Action, n_states: int) -> SyncMatrix:
-    """Tally the receive matrix and sender vectors for a validated action."""
-    rmap = action.receive_map
-    matrix = tuple(
-        tuple(1 if rmap[s] == t else 0 for s in range(n_states))
-        for t in range(n_states)
-    )
-    senders_from = [0] * n_states
-    senders_to = [0] * n_states
-    for send in action.sends:
-        senders_from[send.src] += 1
-        senders_to[send.dst] += 1
-    return SyncMatrix(matrix, tuple(senders_from), tuple(senders_to))
+def tally(n_states: int, states) -> tuple[int, ...]:
+    """Count vector of the given state indices."""
+    counts = [0] * n_states
+    for s in states:
+        counts[s] += 1
+    return tuple(counts)
 
 
 def _complete_receives(pairs, n_states):
@@ -185,72 +172,96 @@ def _complete_receives(pairs, n_states):
     return tuple(rmap)
 
 
-def desugar(decl: dict, state_names: tuple[str, ...], guards: dict,
-            actions: dict) -> list[Action]:
-    """Expand one sugar declaration into core actions (without sync info).
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
 
-    ``guards`` maps guard names to Guard records, ``actions`` maps already
+
+def _typed(value, kind, what: str):
+    """``value`` itself when it has JSON type ``kind``, else a ValidationError."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ValidationError(f"{what} must be {_JSON_TYPES[kind]}, "
+                          f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+
+
+def _field(spec: dict, key: str, kind, what: str):
+    """Required entry ``key`` of the object ``spec``, type-checked."""
+    if key not in spec:
+        raise ValidationError(f"{what}: missing {key!r}")
+    return _typed(spec[key], kind, f"{what}: {key!r}")
+
+
+def _names(value, what: str) -> list[str]:
+    return [_typed(s, str, f"{what} entries") for s in _typed(value, list, what)]
+
+
+def _pair(value, what: str) -> tuple[str, str]:
+    names = _names(value, what)
+    if len(names) != 2:
+        raise ValidationError(f"{what} must be a [from, to] pair, got {len(names)} names")
+    return names[0], names[1]
+
+
+def _pairs(value, what: str, *, mapping: bool = False) -> list[tuple[str, str]]:
+    """A list of [from, to] pairs, or (when ``mapping``) an object from -> to."""
+    if mapping and isinstance(value, dict):
+        return [(s, _typed(t, str, f"{what} entries")) for s, t in value.items()]
+    return [_pair(p, f"{what} entries") for p in _typed(value, list, what)]
+
+
+def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Action]:
+    """Expand one sugar declaration into core actions.
+
+    ``state`` and ``guard`` resolve state and guard names (``guard`` also
+    takes the context for its error message), ``actions`` maps already
     defined action names to Action records (needed by disjunctive-guard
     declarations, which return a raised-arity replacement for the action
     they reference; callers substitute it by name).
     """
-    n = len(state_names)
-    index = {s: i for i, s in enumerate(state_names)}
-
-    def state(name):
-        if name not in index:
-            raise UnknownState(f"unknown state {name!r}")
-        return index[name]
-
-    def guard(decl_guard):
-        gname = decl_guard if decl_guard is not None else TRIVIAL_GUARD_NAME
-        if gname not in guards:
-            raise ValidationError(f"unknown guard {gname!r}")
-        return guards[gname]
-
     kind = decl.get("type")
-    identity = tuple(range(n))
-
-    if kind == "internal":
-        src, dst = state(decl["from"]), state(decl["to"])
-        return [Action(decl["name"], SENDER, (Send(src, dst),), identity,
-                       guard(decl.get("guard")), internal=True,
-                       group=decl["name"])]
-
-    if kind in ("pairwise", "async"):
-        s_from, s_to = (state(x) for x in decl["send"])
-        r_from, r_to = (state(x) for x in decl["recv"])
-        core_kind = SENDER if kind == "pairwise" else MAXIMAL
-        return [Action(decl["name"], core_kind,
-                       (Send(s_from, s_to), Send(r_from, r_to)), identity,
-                       guard(decl.get("guard")), group=decl["name"])]
-
-    if kind == "negotiation":
-        mapping = decl["map"]
-        items = list(mapping.items()) if isinstance(mapping, dict) else list(mapping)
-        if not items:
-            raise ValidationError("negotiation map must be non-empty")
-        pairs = [(state(s), state(t)) for s, t in items]
-        rmap = _complete_receives(pairs, n)
-        g = guard(decl.get("guard"))
-        base = decl["name"]
-        return [
-            Action(f"{base}#{i}", SENDER, (Send(src, dst),), rmap, g, group=base)
-            for i, (src, dst) in enumerate(pairs, start=1)
-        ]
+    what = f"sugar {kind!r}"
+    if kind not in ("internal", "pairwise", "async", "negotiation", "disjunctive"):
+        raise ValidationError(f"unknown sugar type {kind!r}")
 
     if kind == "disjunctive":
-        ref = decl["action"]
+        ref = _field(decl, "action", str, what)
         if ref not in actions:
             raise ValidationError(f"disjunctive guard references unknown action {ref!r}")
-        witnesses = decl.get("witnesses", [])
+        witnesses = _names(decl.get("witnesses", []), f"{what}: 'witnesses'")
         if not witnesses:
             raise ValidationError("disjunctive guard needs at least one witness state")
         base = actions[ref]
         extra = tuple(Send(state(w), base.receive_map[state(w)]) for w in witnesses)
         return [dataclasses.replace(base, sends=base.sends + extra)]
 
-    raise ValidationError(f"unknown sugar type {kind!r}")
+    name = _field(decl, "name", str, what)
+    gname = decl.get("guard")
+    g = guard(TRIVIAL_GUARD_NAME if gname is None else gname, what)
+    identity = tuple(range(n_states))
+
+    if kind == "internal":
+        src = state(_field(decl, "from", str, what))
+        dst = state(_field(decl, "to", str, what))
+        return [Action(name, SENDER, (Send(src, dst),), identity, g, group=name)]
+
+    if kind == "negotiation":
+        items = _pairs(decl.get("map"), f"{what}: 'map'", mapping=True)
+        if not items:
+            raise ValidationError("negotiation map must be non-empty")
+        pairs = [(state(s), state(t)) for s, t in items]
+        rmap = _complete_receives(pairs, n_states)
+        return [
+            Action(f"{name}#{i}", SENDER, (Send(src, dst),), rmap, g, group=name)
+            for i, (src, dst) in enumerate(pairs, start=1)
+        ]
+
+    # pairwise / async rendezvous
+    s_from, s_to = map(state, _pair(decl.get("send"), f"{what}: 'send'"))
+    r_from, r_to = map(state, _pair(decl.get("recv"), f"{what}: 'recv'"))
+    core_kind = SENDER if kind == "pairwise" else MAXIMAL
+    return [Action(name, core_kind, (Send(s_from, s_to), Send(r_from, r_to)),
+                   identity, g, group=name)]
 
 
 _RAW_KEYS = {"states", "init", "guards", "actions", "sugar", "property"}
@@ -260,17 +271,17 @@ _ACTION_KEYS = {"name", "kind", "arity", "sends", "receives", "guard"}
 def validate(raw: dict) -> Protocol:
     """Build a Protocol from a parsed description, checking every invariant.
 
-    Checks (in order): state list well-formed, init known, guards non-empty
-    and made of known states, core actions structurally sound (arity,
-    send/receive states, functional receive map, unique names), then sugar
-    declarations expanded in file order. Receive maps are completed with
-    self-loops; each action gets its synchronization matrix attached.
+    Checks (in order): every section has its JSON type, state names
+    distinct, init known, guards non-empty and made of known states, core
+    actions structurally sound (arity, send/receive states, functional
+    receive map, unique names), then sugar declarations expanded in file
+    order. Receive maps are completed with self-loops.
     """
     extra = set(raw) - _RAW_KEYS
     if extra:
         raise ValidationError(f"unknown top-level keys: {sorted(extra)}")
 
-    state_names = tuple(raw.get("states", ()))
+    state_names = tuple(_names(raw.get("states", []), "'states'"))
     if not state_names:
         raise ValidationError("protocol needs at least one state")
     if len(set(state_names)) != len(state_names):
@@ -284,16 +295,29 @@ def validate(raw: dict) -> Protocol:
             raise UnknownState(f"unknown state {name!r}")
         return index[name]
 
+    def guard(gname, what):
+        if _typed(gname, str, f"{what}: 'guard'") not in guards:
+            raise ValidationError(f"{what}: unknown guard {gname!r}")
+        return guards[gname]
+
     if "init" not in raw:
         raise ValidationError("missing init state")
-    init = state(raw["init"])
+    init = state(_typed(raw["init"], str, "'init'"))
+
+    prop = raw.get("property")
+    if prop is None:
+        prop = {}
+    if "target" in _typed(prop, dict, "'property'"):
+        _typed(prop["target"], str, "'property': 'target'")
+    if "count" in prop:
+        _typed(prop["count"], int, "'property': 'count'")
 
     trivial = Guard(TRIVIAL_GUARD_NAME, frozenset(range(n)))
     guards: dict[str, Guard] = {TRIVIAL_GUARD_NAME: trivial}
-    for gname, members in dict(raw.get("guards", {})).items():
+    for gname, members in _typed(raw.get("guards", {}), dict, "'guards'").items():
         if gname == TRIVIAL_GUARD_NAME:
             raise ValidationError(f"{TRIVIAL_GUARD_NAME!r} is reserved for the trivial guard")
-        member_set = frozenset(state(s) for s in members)
+        member_set = frozenset(state(s) for s in _names(members, f"guard {gname!r}"))
         if not member_set:
             raise EmptyGuard(f"guard {gname!r} is empty")
         guards[gname] = Guard(gname, member_set)
@@ -305,31 +329,32 @@ def validate(raw: dict) -> Protocol:
             raise DuplicateActionName(f"duplicate action name {action.name!r}")
         actions[action.name] = action
 
-    for spec in raw.get("actions", ()):
+    for i, spec in enumerate(_typed(raw.get("actions", []), list, "'actions'")):
+        what = f"actions[{i}]"
+        spec = _typed(spec, dict, what)
         extra = set(spec) - _ACTION_KEYS
         if extra:
             raise ValidationError(
                 f"unknown keys {sorted(extra)} in action {spec.get('name')!r}")
-        name = spec["name"]
+        name = _field(spec, "name", str, what)
         kind = spec.get("kind", SENDER)
         if kind not in (SENDER, MAXIMAL):
             raise ValidationError(f"action {name!r}: unknown kind {kind!r}")
-        sends = tuple(Send(state(s), state(t)) for s, t in spec.get("sends", ()))
+        sends = tuple(Send(state(s), state(t))
+                      for s, t in _pairs(spec.get("sends", []), f"{what}: 'sends'"))
         if not sends:
             raise ArityMismatch(f"action {name!r} declares no send")
-        if "arity" in spec and spec["arity"] != len(sends):
+        if "arity" in spec and _field(spec, "arity", int, what) != len(sends):
             raise ArityMismatch(
                 f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
-        receives = spec.get("receives", {})
-        pairs = receives.items() if isinstance(receives, dict) else receives
+        pairs = _pairs(spec.get("receives", []), f"{what}: 'receives'", mapping=True)
         rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], n)
-        gname = spec.get("guard", TRIVIAL_GUARD_NAME)
-        if gname not in guards:
-            raise ValidationError(f"action {name!r}: unknown guard {gname!r}")
-        add(Action(name, kind, sends, rmap, guards[gname], group=name))
+        g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
+        add(Action(name, kind, sends, rmap, g, group=name))
 
-    for decl in raw.get("sugar", ()):
-        produced = desugar(decl, state_names, guards, actions)
+    for i, decl in enumerate(_typed(raw.get("sugar", []), list, "'sugar'")):
+        decl = _typed(decl, dict, f"sugar[{i}]")
+        produced = desugar(decl, state, guard, actions, n)
         if decl.get("type") == "disjunctive":
             # replacement for an existing action, same name
             actions[produced[0].name] = produced[0]
@@ -337,7 +362,4 @@ def validate(raw: dict) -> Protocol:
             for action in produced:
                 add(action)
 
-    final = tuple(
-        dataclasses.replace(a, sync=build_sync(a, n)) for a in actions.values()
-    )
-    return Protocol(state_names, init, tuple(guards.values()), final)
+    return Protocol(state_names, init, tuple(guards.values()), tuple(actions.values()))

@@ -3,9 +3,8 @@
 Files are UTF-8 JSON documents with sections ``states``, ``init``,
 ``guards``, ``actions``, ``sugar`` and ``property``. Parsing rejects
 duplicate keys anywhere in the document (a silently-overwritten guard
-or receive entry is nearly always an authoring mistake) and duplicate
-entries in the state list; structural validation beyond that lives in
-:mod:`gspmc.model`.
+or receive entry is nearly always an authoring mistake); structural
+validation lives in :mod:`gspmc.model`.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ def loads(text: str, path: str | None = None) -> ModelFile:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
-    states = raw.get("states", [])
-    if isinstance(states, list):
-        for i, s in enumerate(states):
-            if s in states[:i]:
-                raise ParseError(f"duplicate state name {s!r}")
     return ModelFile(raw, path)
 
 

@@ -6,11 +6,7 @@ every remaining process through the action's receive map; the process
 total is conserved.
 """
 
-from gspmc.model import MAXIMAL, SENDER
-
-
-class UnknownAction(Exception):
-    pass
+from gspmc.model import SENDER
 
 
 class NotEnabled(Exception):
@@ -35,15 +31,6 @@ def support(q):
     return frozenset(s for s, c in enumerate(q) if c > 0)
 
 
-def _resolve(protocol, action):
-    if isinstance(action, str):
-        for a in protocol.actions:
-            if a.name == action:
-                return a
-        raise UnknownAction(action)
-    return action
-
-
 def enabled(protocol, q, action):
     """True iff the action can fire from q.
 
@@ -51,44 +38,48 @@ def enabled(protocol, q, action):
     need q >= senders_from componentwise; maximal actions need at least
     one process in some send-source state.
     """
-    a = _resolve(protocol, action)
     if sum(q) < 1:
         raise ValueError("global state has no processes")
-    if not support(q) <= a.guard.members:
+    if not support(q) <= action.guard.members:
         return False
-    v = a.sync.senders_from
-    if a.kind == SENDER:
+    v = action.senders_from
+    if action.kind == SENDER:
         return all(q[s] >= v[s] for s in range(len(q)))
     return any(v[s] > 0 and q[s] > 0 for s in range(len(q)))
 
 
+def route(action, q, u, uplus):
+    """Successor of q when the senders ``u`` land on ``uplus`` and every
+    other process follows the action's receive map."""
+    succ = list(uplus)
+    rmap = action.receive_map
+    for s in range(len(q)):
+        rest = q[s] - u[s]
+        if rest:
+            succ[rmap[s]] += rest
+    return tuple(succ)
+
+
 def fire(protocol, q, action):
-    a = _resolve(protocol, action)
-    if not enabled(protocol, q, a):
-        raise NotEnabled(a.name)
+    if not enabled(protocol, q, action):
+        raise NotEnabled(action.name)
     n = len(q)
-    v = a.sync.senders_from
-    if a.kind == SENDER:
+    v = action.senders_from
+    if action.kind == SENDER:
         u = v
-        uprime = a.sync.senders_to
+        uprime = action.senders_to
     else:
         # min(available, declared) senders per source state; the send
         # indices of a state are taken in ascending order.
         u = tuple(min(q[s], v[s]) for s in range(n))
         out = [0] * n
         taken = [0] * n
-        for send in a.sends:
+        for send in action.sends:
             if taken[send.src] < u[send.src]:
                 taken[send.src] += 1
                 out[send.dst] += 1
         uprime = tuple(out)
-    succ = list(uprime)
-    rmap = a.receive_map
-    for s in range(n):
-        rest = q[s] - u[s]
-        if rest:
-            succ[rmap[s]] += rest
-    return FiringOutcome(tuple(succ), u, a.name)
+    return FiringOutcome(route(action, q, u, uprime), u, action.name)
 
 
 def successors(protocol, q):

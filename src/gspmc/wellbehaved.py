@@ -26,13 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gspmc.model import MAXIMAL, SENDER, Action, Protocol, is_internal
-
-
-def _resolve(protocol: Protocol, action) -> Action:
-    if isinstance(action, Action):
-        return action
-    return protocol.action(action)
+from gspmc.model import SENDER, Action, Protocol, is_internal
 
 
 class StateOrder:
@@ -145,102 +139,43 @@ class GuardCompatReport:
     notes: tuple[str, ...] = ()
 
 
-def check_c1(protocol: Protocol, action) -> CheckResult:
-    """Strong condition for k-sender actions.
+def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
+    """Strong (C1, C2.1, C2.2) or weak (C1w, C2.1w, C2.2w) conditions.
 
-    For each used guard G': if every send destination lies in G', then
-    every receiver starting inside the action's own guard must be
-    mapped into G' as well.
+    For each used guard G':
+
+    - C1 (k-sender): if every send destination lies in G', every
+      receiver starting inside the action's own guard must be mapped
+      into G' as well.
+    - C2.1 (k-maximal): if any send destination lies in G', receivers
+      from the action's guard minus the sender sources must land in G'
+      (sender sources may fire instead of receiving, so they are exempt
+      here).
+    - C2.2 (k-maximal): for sender sources with comparable guard
+      profiles (s_i below s_j, including i = j) whose higher destination
+      enters G', the lower send must enter G' and the lower source's
+      receive must stay in G' — otherwise a configuration holding fewer
+      senders could be forced out of the guard.
+
+    ``weak`` allows the internal-path escape: a receiver may leave G' if
+    an unguarded internal path takes it to a state below the relevant
+    send destinations. For C2.1w the destination comparison quantifies
+    over *all* send destinations; when restricting it to destinations
+    inside G' would have certified the action, a note records that the
+    strict reading was the deciding factor.
     """
-    a = _resolve(protocol, action)
-    if a.kind != SENDER:
-        raise ValueError(f"check_c1 applies to sender actions, got {a.kind!r}")
     names = protocol.state_names
-    dests = {s.dst for s in a.sends}
-    by_guard = {}
-    for gp in protocol.used_guards():
-        violations = []
-        if dests <= gp.members:
-            for s in sorted(a.guard.members):
-                t = a.receive_map[s]
-                if t not in gp.members:
-                    violations.append(Violation(
-                        "C1", gp.name, (names[s], names[t]),
-                        f"receiver {names[s]} leaves {gp.name} while all "
-                        f"send destinations lie inside it"))
-        by_guard[gp.name] = tuple(violations)
-    return CheckResult("C1", by_guard)
-
-
-def check_c2(protocol: Protocol, action) -> CheckResult:
-    """Strong conditions for k-maximal actions.
-
-    C2.1: if any send destination lies in G', receivers from the
-    action's guard minus the sender sources must land in G' (sender
-    sources may fire instead of receiving, so they are exempt here).
-    C2.2: for sender sources with comparable guard profiles
-    (s_i below s_j, including i = j) whose higher destination enters
-    G', the lower send must enter G' and the lower source's receive
-    must stay in G' — otherwise a configuration holding fewer senders
-    could be forced out of the guard.
-    """
-    a = _resolve(protocol, action)
-    if a.kind != MAXIMAL:
-        raise ValueError(f"check_c2 applies to maximal actions, got {a.kind!r}")
-    names = protocol.state_names
-    order = StateOrder(protocol)
-    sources = {s.src for s in a.sends}
-    rest = sorted(a.guard.members - sources)
-    by_guard = {}
-    for gp in protocol.used_guards():
-        violations = []
-        if any(s.dst in gp.members for s in a.sends):
-            for s in rest:
-                t = a.receive_map[s]
-                if t not in gp.members:
-                    violations.append(Violation(
-                        "C2.1", gp.name, (names[s], names[t]),
-                        f"receiver {names[s]} leaves {gp.name} while some "
-                        f"send destination enters it"))
-        for i, si in enumerate(a.sends):
-            for j, sj in enumerate(a.sends):
-                if not (order.below(si.src, sj.src) and sj.dst in gp.members):
-                    continue
-                if si.dst not in gp.members:
-                    violations.append(Violation(
-                        "C2.2", gp.name, (names[si.src], names[si.dst]),
-                        f"send #{i} misses {gp.name} although the comparable "
-                        f"send #{j} enters it"))
-                t = a.receive_map[si.src]
-                if t not in gp.members:
-                    violations.append(Violation(
-                        "C2.2", gp.name, (names[si.src], names[t]),
-                        f"receive from sender source {names[si.src]} leaves "
-                        f"{gp.name} although send #{j} enters it"))
-        by_guard[gp.name] = tuple(violations)
-    return CheckResult("C2.1∧C2.2", by_guard)
-
-
-def check_weak(protocol: Protocol, action) -> CheckResult:
-    """Weak variants: a receiver may leave G' if an unguarded internal
-    path takes it to a state below the relevant send destinations.
-
-    For C2.1w the destination comparison quantifies over *all* send
-    destinations; when restricting it to destinations inside G' would
-    have certified the action, a note records that the strict reading
-    was the deciding factor.
-    """
-    a = _resolve(protocol, action)
-    names = protocol.state_names
-    order = StateOrder(protocol)
-    reach = InternalReach(protocol)
     n = protocol.n_states
+    order = StateOrder(protocol)
+    reach = InternalReach(protocol) if weak else None
+    w = "w" if weak else ""
     by_guard = {}
     notes = []
 
     def escapes(s, ok_dest) -> bool:
         t = a.receive_map[s]
-        return any(ok_dest(sp) and reach.unguarded(t, sp) for sp in range(n))
+        return weak and any(ok_dest(sp) and reach.unguarded(t, sp)
+                            for sp in range(n))
 
     if a.kind == SENDER:
         dests = {s.dst for s in a.sends}
@@ -249,15 +184,17 @@ def check_weak(protocol: Protocol, action) -> CheckResult:
             if dests <= gp.members:
                 for s in sorted(a.guard.members):
                     t = a.receive_map[s]
-                    if t in gp.members:
+                    if t in gp.members or escapes(
+                            s, lambda sp: order.below_set(sp, dests)):
                         continue
-                    if not escapes(s, lambda sp: order.below_set(sp, dests)):
-                        violations.append(Violation(
-                            "C1w", gp.name, (names[s], names[t]),
-                            "no unguarded internal path to a state below "
-                            "the send destinations"))
+                    violations.append(Violation(
+                        "C1" + w, gp.name, (names[s], names[t]),
+                        "no unguarded internal path to a state below "
+                        "the send destinations" if weak else
+                        f"receiver {names[s]} leaves {gp.name} while all "
+                        f"send destinations lie inside it"))
             by_guard[gp.name] = tuple(violations)
-        return CheckResult("C1w", by_guard)
+        return CheckResult("C1" + w, by_guard)
 
     sources = {s.src for s in a.sends}
     rest = sorted(a.guard.members - sources)
@@ -268,45 +205,44 @@ def check_weak(protocol: Protocol, action) -> CheckResult:
         if in_guard_dests:
             for s in rest:
                 t = a.receive_map[s]
-                if t in gp.members:
+                if t in gp.members or escapes(
+                        s, lambda sp: all(order.below(sp, d) for d in all_dests)):
                     continue
-                strict = escapes(
-                    s, lambda sp: all(order.below(sp, d) for d in all_dests))
-                if strict:
-                    continue
-                loose = escapes(
-                    s, lambda sp: all(order.below(sp, d) for d in in_guard_dests))
-                if loose:
+                if escapes(s, lambda sp: all(order.below(sp, d)
+                                             for d in in_guard_dests)):
                     notes.append(
                         f"{a.name}/{gp.name}: C2.1w fails only under the "
                         f"all-destinations reading (receiver {names[s]})")
                 violations.append(Violation(
-                    "C2.1w", gp.name, (names[s], names[t]),
+                    "C2.1" + w, gp.name, (names[s], names[t]),
                     "no unguarded internal path to a state below every "
-                    "send destination"))
+                    "send destination" if weak else
+                    f"receiver {names[s]} leaves {gp.name} while some "
+                    f"send destination enters it"))
         for i, si in enumerate(a.sends):
             for j, sj in enumerate(a.sends):
                 if not (order.below(si.src, sj.src) and sj.dst in gp.members):
                     continue
                 if si.dst not in gp.members:
                     violations.append(Violation(
-                        "C2.2w", gp.name, (names[si.src], names[si.dst]),
+                        "C2.2" + w, gp.name, (names[si.src], names[si.dst]),
                         f"send #{i} misses {gp.name} although the comparable "
                         f"send #{j} enters it"))
                 t = a.receive_map[si.src]
-                if t in gp.members:
+                if t in gp.members or escapes(
+                        si.src, lambda sp: order.below(sp, si.dst)):
                     continue
-                if not escapes(si.src, lambda sp: order.below(sp, si.dst)):
-                    violations.append(Violation(
-                        "C2.2w", gp.name, (names[si.src], names[t]),
-                        "no unguarded internal path to a state below the "
-                        "sender's own destination"))
+                violations.append(Violation(
+                    "C2.2" + w, gp.name, (names[si.src], names[t]),
+                    "no unguarded internal path to a state below the "
+                    "sender's own destination" if weak else
+                    f"receive from sender source {names[si.src]} leaves "
+                    f"{gp.name} although send #{j} enters it"))
         by_guard[gp.name] = tuple(violations)
-    return CheckResult("C2.1w∧C2.2w" if a.kind == MAXIMAL else "C1w",
-                       by_guard, tuple(notes))
+    return CheckResult(f"C2.1{w}∧C2.2{w}", by_guard, tuple(notes))
 
 
-def check_c3w(protocol: Protocol, action) -> CheckResult:
+def check_c3w(protocol: Protocol, a: Action) -> CheckResult:
     """Weak condition for internal actions that enter a guard.
 
     When the move s -> s' enters G' from outside, every state t of the
@@ -314,7 +250,6 @@ def check_c3w(protocol: Protocol, action) -> CheckResult:
     support stays within guard(a) plus the states below s') to some t'
     below s'; a smaller configuration can then mimic the guard change.
     """
-    a = _resolve(protocol, action)
     if not is_internal(a):
         raise ValueError(f"check_c3w applies to internal actions, got {a.name!r}")
     names = protocol.state_names
@@ -350,11 +285,11 @@ def certify(protocol: Protocol) -> GuardCompatReport:
     statuses = []
     notes = []
     for a in protocol.actions:
-        strong = check_c1(protocol, a) if a.kind == SENDER else check_c2(protocol, a)
+        strong = check_action(protocol, a, weak=False)
         if strong.ok:
             statuses.append(ActionStatus(a.name, "strong", strong.condition))
             continue
-        weak = check_weak(protocol, a)
+        weak = check_action(protocol, a, weak=True)
         notes.extend(weak.notes)
         if weak.ok:
             statuses.append(ActionStatus(a.name, "weak", weak.condition,

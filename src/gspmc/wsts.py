@@ -20,11 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from gspmc.model import MAXIMAL, Protocol
-
-
-class DimensionMismatch(Exception):
-    pass
+from gspmc import semantics
+from gspmc.model import MAXIMAL, Protocol, tally
 
 
 class NotCertifiedWellBehaved(Exception):
@@ -42,8 +39,7 @@ class Wqo:
         return tuple(supp <= g for g in self.guards)
 
     def leq(self, q, p):
-        if len(q) != len(p):
-            raise DimensionMismatch(f"{len(q)} vs {len(p)}")
+        """Whether q is below p; both have one entry per protocol state."""
         if any(a > b for a, b in zip(q, p)):
             return False
         if self.guards is None:
@@ -115,26 +111,18 @@ def _participations(action):
     pinned (their count in a predecessor is forced to equal the
     participation exactly).
     """
-    v = action.sync.senders_from
+    v = action.senders_from
     n = len(v)
-    if action.kind != MAXIMAL:
-        yield v, action.sync.senders_to, frozenset()
-        return
     k = len(action.sends)
     seen = set()
-    for size in range(1, k + 1):
-        for sigma in itertools.combinations(range(k), size):
-            u = [0] * n
-            uplus = [0] * n
-            for i in sigma:
-                u[action.sends[i].src] += 1
-                uplus[action.sends[i].dst] += 1
-            key = (tuple(u), tuple(uplus))
+    for size in (range(1, k + 1) if action.kind == MAXIMAL else (k,)):
+        for sigma in itertools.combinations(action.sends, size):
+            u = tally(n, (s.src for s in sigma))
+            key = (u, tally(n, (s.dst for s in sigma)))
             if key in seen:
                 continue
             seen.add(key)
-            pinned = frozenset(s for s in range(n) if u[s] < v[s])
-            yield key[0], key[1], pinned
+            yield u, key[1], frozenset(s for s in range(n) if u[s] < v[s])
 
 
 def _compositions(total, parts):
@@ -149,16 +137,6 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-def _successor(action, q, u, uplus):
-    succ = list(uplus)
-    rmap = action.receive_map
-    for s in range(len(q)):
-        rest = q[s] - u[s]
-        if rest:
-            succ[rmap[s]] += rest
-    return tuple(succ)
 
 
 def _receiver_options(deficit, slots):
@@ -177,6 +155,37 @@ def _receiver_options(deficit, slots):
             for comp in _compositions(deficit - len(slots), len(slots))]
 
 
+def _componentwise_placements(pre, deficits, allowed):
+    """The one receiver placement of the component-wise order: each
+    destination's deficit spread over its allowed preimages in every way."""
+    per_dest = []
+    for t, deficit in enumerate(deficits):
+        if deficit == 0:
+            continue
+        slots = [s for s in pre[t] if s in allowed]
+        if not slots:
+            return
+        per_dest.append((slots, list(_compositions(deficit, len(slots)))))
+    yield per_dest
+
+
+def _refined_placements(pre, deficits, allowed):
+    """Receiver placements of the guard-refined order, one per surplus
+    support rho drawn from the allowed states."""
+    for r_size in range(len(allowed) + 1):
+        for rho in itertools.combinations(allowed, r_size):
+            per_dest = []
+            for t, deficit in enumerate(deficits):
+                slots = [s for s in pre[t] if s in rho]
+                options = _receiver_options(deficit, slots)
+                if not options:
+                    break
+                if slots:
+                    per_dest.append((slots, options))
+            else:
+                yield per_dest
+
+
 def _action_preds(protocol, wqo, action, b):
     """Minimal predecessors of the upward closure of ``b`` through one action.
 
@@ -187,82 +196,52 @@ def _action_preds(protocol, wqo, action, b):
     predecessor may need receivers in zero-deficit states so that its
     own support (and the successor's) realizes the right guard profile,
     so candidates additionally range over surplus-support subsets.
-    Every candidate is verified by firing it forward.
+    Receivers only go to unpinned states inside the action's guard, so
+    every candidate's support lies in the guard. Every candidate is
+    verified by firing it forward.
     """
-    n = len(b)
+    n = protocol.n_states
     rmap = action.receive_map
     guard = action.guard.members
     pre = [[] for _ in range(n)]
     for s in range(n):
         pre[rmap[s]].append(s)
+    placements = (_componentwise_placements if wqo.guards is None
+                  else _refined_placements)
 
     found = set()
     for u, uplus, pinned in _participations(action):
         if any(u[s] > 0 and s not in guard for s in range(n)):
             continue  # senders occupy states outside the action's guard
-        free = [s for s in range(n) if s not in pinned]
         deficits = [max(0, b[t] - uplus[t]) for t in range(n)]
-
-        if wqo.guards is None:
-            # distribute each destination's deficit over its free preimages
-            per_dest = []
-            for t in range(n):
-                if deficits[t] == 0:
-                    continue
-                slots = [s for s in pre[t] if s not in pinned and s in guard]
-                if not slots:
-                    per_dest = None
-                    break
-                per_dest.append((slots, list(_compositions(deficits[t], len(slots)))))
-            if per_dest is None:
-                continue
+        allowed = [s for s in range(n) if s not in pinned and s in guard]
+        for per_dest in placements(pre, deficits, allowed):
             for choice in itertools.product(*(opts for _, opts in per_dest)):
                 q = list(u)
                 for (slots, _), counts in zip(per_dest, choice):
                     for s, c in zip(slots, counts):
                         q[s] += c
                 q = tuple(q)
-                if wqo.leq(b, _successor(action, q, u, uplus)):
+                if wqo.leq(b, semantics.route(action, q, u, uplus)):
                     found.add(q)
-            continue
-
-        # guard-refined: enumerate the surplus support rho explicitly
-        allowed = [s for s in free if s in guard]
-        for r_size in range(len(allowed) + 1):
-            for rho in itertools.combinations(allowed, r_size):
-                rho_set = set(rho)
-                per_dest = []
-                ok = True
-                for t in range(n):
-                    slots = [s for s in pre[t] if s in rho_set]
-                    options = _receiver_options(deficits[t], slots)
-                    if not options:
-                        ok = False
-                        break
-                    if slots:
-                        per_dest.append((slots, options))
-                if not ok:
-                    continue
-                for choice in itertools.product(*(opts for _, opts in per_dest)):
-                    q = list(u)
-                    for (slots, _), counts in zip(per_dest, choice):
-                        for s, c in zip(slots, counts):
-                            q[s] += c
-                    q = tuple(q)
-                    supp = frozenset(s for s in range(n) if q[s] > 0)
-                    if not supp <= guard:
-                        continue
-                    if wqo.leq(b, _successor(action, q, u, uplus)):
-                        found.add(q)
     return found
 
 
-def pred_basis(protocol, wqo, ucs):
-    """Basis of Pred(U) united with U itself (one backward step)."""
+def pred_basis(protocol, wqo, ucs, memo=None):
+    """Basis of Pred(U) united with U itself (one backward step).
+
+    ``memo`` maps (action index, basis element) to the element's minimal
+    predecessors through that action; pass the same dict to every step
+    of a fixpoint so each pair is computed once.
+    """
+    memo = {} if memo is None else memo
     candidates = set(ucs.basis)
     for b in ucs.basis:
-        for action in protocol.actions:
-            candidates |= _action_preds(protocol, wqo, action, b)
+        for ai, action in enumerate(protocol.actions):
+            key = (ai, b)
+            if key not in memo:
+                memo[key] = _action_preds(protocol, wqo, action, b)
+            candidates |= memo[key]
     return Ucs(wqo, minimize(wqo, candidates))
 
 
@@ -300,35 +279,29 @@ def decide(protocol, target, threshold, certified=None, force_unsound=False):
             sound = False
 
     start = target_basis(protocol, wqo, target, threshold)
-    basis = start.basis
-    provenance = {b: None for b in basis}
     memo = {}
+    fixpoint = start
     iterations = 0
     while True:
         iterations += 1
-        candidates = set(basis)
-        for b in basis:
-            for ai, action in enumerate(protocol.actions):
-                key = (ai, b)
-                if key not in memo:
-                    memo[key] = _action_preds(protocol, wqo, action, b)
-                for c in memo[key]:
-                    if c not in provenance:
-                        provenance[c] = (action.name, b)
-                candidates |= memo[key]
-        new_basis = minimize(wqo, candidates)
-        if set(new_basis) == set(basis):
+        step = pred_basis(protocol, wqo, fixpoint, memo)
+        if step.basis == fixpoint.basis:
             break
-        basis = new_basis
+        fixpoint = step
 
-    fixpoint = Ucs(wqo, basis)
-    covering = [b for b in basis
+    covering = [b for b in fixpoint.basis
                 if all(c == 0 for s, c in enumerate(b) if s != protocol.init)]
     if not covering:
         return ParamVerdict(False, None, None, fixpoint, iterations, sound)
     best = min(covering, key=lambda b: b[protocol.init])
     min_n = best[protocol.init]
     assert min_n >= 1
+    # each vector's parent is the first (action, element) pair, in the
+    # order the steps computed them, that produced it as a predecessor
+    provenance = {b: None for b in start.basis}
+    for (ai, b), preds in memo.items():
+        for c in preds:
+            provenance.setdefault(c, (protocol.actions[ai].name, b))
     witness = []
     cur = best
     while provenance[cur] is not None:

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspmc import cli, modelfile
 from gspmc.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_WITNESS, run
@@ -60,6 +67,119 @@ class TestValidate:
                        encoding="utf-8")
         assert invoke("validate", str(bad))[0] == EXIT_ERROR
         assert "error [model]:" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "states-not-a-list": ({"states": 5, "init": "I"},
+                          "'states' must be a list, got an integer"),
+    "action-without-name": ({"states": ["I", "T"], "init": "I", "actions": [
+        {"kind": "sender", "sends": [["I", "T"]]}]},
+        "actions[0]: missing 'name'"),
+    "internal-without-from": ({"states": ["I", "T"], "init": "I", "sugar": [
+        {"type": "internal", "name": "i", "to": "T"}]},
+        "sugar 'internal': missing 'from'"),
+    "list-as-state-name": ({"states": [["I"], "T"], "init": "T"},
+                           "'states' entries must be a string, got a list"),
+    "guard-as-string": ({"states": ["a", "b"], "init": "a",
+                         "guards": {"G": "ab"}},
+                        "guard 'G' must be a list, got a string"),
+    "duplicate-state": ({"states": ["A", "B", "A"], "init": "A"},
+                        "duplicate state name 'A'"),
+    "send-not-a-pair": ({"states": ["A", "B"], "init": "A", "actions": [
+        {"name": "t", "sends": [["A", "B", "A"]]}]},
+        "actions[0]: 'sends' entries must be a [from, to] pair, got 3 names"),
+    "count-not-an-integer": ({"states": ["A"], "init": "A",
+                              "property": {"target": "A", "count": [1]}},
+                             "'property': 'count' must be an integer, got a list"),
+}
+
+
+TOP_KEYS = st.sampled_from(
+    ["states", "init", "guards", "actions", "sugar", "property"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(
+        allow_nan=False, allow_infinity=False) | st.sampled_from(
+        ["A", "Env", "Report", "G1", "ALL", "", "sender", "maximal",
+         "internal", "pairwise", "async", "negotiation", "disjunctive"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        TOP_KEYS | st.sampled_from(
+            ["name", "kind", "arity", "sends", "receives", "guard", "type",
+             "from", "to", "send", "recv", "map", "action", "witnesses",
+             "target", "count", "Env", "G1"]),
+        inner, max_size=4),
+    max_leaves=12)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line(self, case, tmp_path, capsys):
+        raw, message = MALFORMED[case]
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(raw), encoding="utf-8")
+        assert invoke("validate", str(f))[0] == EXIT_ERROR
+        assert capsys.readouterr().err == f"error [model]: {message}\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fuzzed_documents(self, tmp_path_factory, data):
+        """Arbitrary JSON, and the smoke detector with one subtree replaced
+        by arbitrary JSON, is validated or rejected with exit 2."""
+        if data.draw(st.booleans()):
+            doc = json.loads(Path(SMOKE).read_text(encoding="utf-8"))
+            node = doc
+            while True:
+                key = data.draw(st.sampled_from(
+                    sorted(node) if isinstance(node, dict) else range(len(node))))
+                if not node[key] or not isinstance(node[key], (dict, list)) \
+                        or data.draw(st.booleans()):
+                    node[key] = data.draw(json_values)
+                    break
+                node = node[key]
+        else:
+            doc = data.draw(json_values | st.dictionaries(TOP_KEYS, json_values))
+        f = tmp_path_factory.mktemp("fuzz") / "m.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["validate", str(f)], out=io.StringIO())
+        assert code in (EXIT_CLEAN, EXIT_ERROR)
+        if code == EXIT_ERROR:
+            assert err.getvalue().startswith("error [")
+            assert err.getvalue().count("\n") == 1
+
+
+class BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["verify", SMOKE, "--json"],
+        ["certify", MUTANT],
+        ["desugar", SMOKE],
+    ])
+    def test_exit_code_stands(self, argv, capsys):
+        assert run(argv, out=BrokenPipe()) == run(argv, out=io.StringIO())
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_main_with_no_reader(self, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gspmc.cli", "verify", SMOKE, "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CLEAN
+        assert proc.stderr == b""
 
 
 class TestMc:
@@ -233,24 +353,6 @@ class TestDesugar:
         code, report = invoke_json("desugar", SMOKE)
         assert code == EXIT_CLEAN
         assert report["result"]["model"]["init"] == "Env"
-
-
-class TestThreads:
-    def test_reported_in_json(self, monkeypatch):
-        monkeypatch.setenv("GSP_THREADS", "4")
-        _, report = invoke_json("validate", SMOKE)
-        assert report["threads"] == 4
-
-    def test_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv("GSP_THREADS", raising=False)
-        _, report = invoke_json("validate", SMOKE)
-        assert report["threads"] == 0
-
-    @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
-    def test_invalid_rejected(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("GSP_THREADS", value)
-        assert invoke("validate", SMOKE)[0] == EXIT_ERROR
-        assert "GSP_THREADS" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,0 +1,85 @@
+"""Golden CLI reports: ``certify``, ``verify``, ``cutoff`` and ``desugar``
+on every bundled fixture and on the smoke detector with a grafted
+2-maximal action must keep producing exactly the recorded exit codes,
+JSON reports (without ``duration_s``), text output and error lines.
+
+``golden/cli_reports.json`` was recorded with :func:`record`; refresh it
+only for a deliberate change of verdicts or report wording.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from gspmc import cli
+
+from conftest import FIXTURES
+from test_wellbehaved import _smoke_raw_with_grab
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_reports.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODELS = ("smoke_detector.json", "smoke_detector_2sender.json",
+          "smoke_detector_mutant.json", "cutoff_witness.json",
+          "smoke_with_grab.json")
+COMMANDS = ("certify", "verify", "cutoff", "desugar")
+
+
+def model_path(name: str, tmp_dir: Path) -> Path:
+    if name == "smoke_with_grab.json":
+        path = tmp_dir / name
+        path.write_text(json.dumps(_smoke_raw_with_grab()), encoding="utf-8")
+        return path
+    return FIXTURES / name
+
+
+def outputs(name: str, command: str, tmp_dir: Path) -> dict:
+    """Exit code, report, text and stderr of one command, both modes."""
+    path = str(model_path(name, tmp_dir))
+    got = {}
+    for mode, extra in (("json", ["--json"]), ("text", [])):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.run([command, path, *extra], out=out)
+        text = out.getvalue()
+        if mode == "json" and text:
+            report = json.loads(text)
+            report.pop("duration_s")
+            report["model"] = name
+            text = report
+        got[mode] = {"exit": code, "stdout": text, "stderr": err.getvalue()}
+    return got
+
+
+def record(tmp_dir: Path) -> dict:
+    return {f"{command} {name}": outputs(name, command, tmp_dir)
+            for name in MODELS for command in COMMANDS}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", MODELS)
+def test_matches_golden(name, command, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert outputs(name, command, tmp_path) == golden[f"{command} {name}"]
+
+
+def test_readme_sessions_match_golden():
+    """Every README console session of a golden command on a bundled
+    fixture, without further options, shows the command's real output."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    readme = README.read_text(encoding="utf-8")
+    shown = 0
+    for block in re.findall(r"```console\n(.*?)```", readme, re.S):
+        for session in block.split("$ gspmc ")[1:]:
+            head, _, text = session.partition("\n")
+            command, path = head.split()[:2]
+            key = f"{command} {Path(path).name}"
+            if len(head.split()) == 2 and key in golden:
+                assert text.strip("\n") == golden[key]["text"]["stdout"].strip("\n")
+                shown += 1
+    assert shown >= 4

@@ -13,7 +13,6 @@ from gspmc.model import (
     Send,
     UnknownState,
     ValidationError,
-    build_sync,
     is_internal,
     validate,
 )
@@ -135,33 +134,19 @@ class TestValidate:
         assert p.actions[0].receive_map == (2, 1, 2)
 
 
-class TestSyncMatrix:
-    def test_smoke_matrix(self, smoke):
+class TestSenderTallies:
+    def test_smoke_tallies(self, smoke):
         a = smoke.action("Smoke")
         # states: Env, Ask, Idle, Pick, Report
         assert a.receive_map == (2, 3, 2, 3, 4)
-        assert a.sync.matrix == (
-            (0, 0, 0, 0, 0),
-            (0, 0, 0, 0, 0),
-            (1, 0, 1, 0, 0),
-            (0, 1, 0, 1, 0),
-            (0, 0, 0, 0, 1),
-        )
-        assert a.sync.senders_from == (0, 1, 0, 0, 0)
-        assert a.sync.senders_to == (0, 0, 0, 1, 0)
+        assert a.senders_from == (0, 1, 0, 0, 0)
+        assert a.senders_to == (0, 0, 0, 1, 0)
 
-    def test_choose_matrix(self, smoke):
+    def test_choose_tallies(self, smoke):
         a = smoke.action("Choose")
         assert a.receive_map == (0, 1, 2, 2, 4)
-        assert a.sync.senders_from == (0, 0, 0, 2, 0)
-        assert a.sync.senders_to == (0, 0, 0, 0, 2)
-        assert a.sync.matrix[2] == (0, 0, 1, 1, 0)
-
-    def test_columns_are_unit_vectors(self, smoke):
-        for a in smoke.actions:
-            for s in range(smoke.n_states):
-                column = [a.sync.matrix[t][s] for t in range(smoke.n_states)]
-                assert sum(column) == 1
+        assert a.senders_from == (0, 0, 0, 2, 0)
+        assert a.senders_to == (0, 0, 0, 0, 2)
 
     def test_sender_tallies_sum_to_arity(self):
         rng = random.Random(1)
@@ -172,9 +157,8 @@ class TestSyncMatrix:
             action = model.Action("x", model.SENDER, sends,
                                   tuple(range(states)),
                                   model.Guard("ALL", frozenset(range(states))))
-            sync = build_sync(action, states)
-            assert sum(sync.senders_from) == len(sends)
-            assert sum(sync.senders_to) == len(sends)
+            assert sum(action.senders_from) == len(sends)
+            assert sum(action.senders_to) == len(sends)
 
 
 class TestDesugar:
@@ -187,7 +171,7 @@ class TestDesugar:
         assert i.kind == model.SENDER
         assert i.sends == (Send(0, 1),)
         assert i.receive_map == (0, 1, 2, 3, 4)
-        assert i.internal and is_internal(i)
+        assert is_internal(i)
         assert i.guard.name == "G1"
 
     def test_negotiation_members(self, smoke):

@@ -38,10 +38,6 @@ class TestLoads:
         with pytest.raises(ParseError, match="duplicate key 'G'"):
             loads(text)
 
-    def test_duplicate_state_entry(self):
-        with pytest.raises(ParseError, match="duplicate state name 'A'"):
-            loads('{"states": ["A", "B", "A"]}')
-
     def test_non_object_document(self):
         with pytest.raises(ParseError, match="JSON object"):
             loads("[1, 2]")

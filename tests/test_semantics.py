@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gspmc.semantics import NotEnabled, UnknownAction, enabled, fire, successors
+from gspmc.semantics import NotEnabled, enabled, fire, successors
 
 import _gen
 import _oracle
@@ -61,15 +61,6 @@ class TestFire:
     def test_fire_requires_enabled(self, smoke):
         with pytest.raises(NotEnabled):
             fire(smoke, config(smoke, Env=1), smoke.action("Smoke"))
-
-    def test_accepts_action_name(self, smoke):
-        by_name = fire(smoke, config(smoke, Env=1), "i")
-        by_obj = fire(smoke, config(smoke, Env=1), smoke.action("i"))
-        assert by_name.successor == by_obj.successor
-
-    def test_unknown_action_name(self, smoke):
-        with pytest.raises(UnknownAction):
-            fire(smoke, config(smoke, Env=1), "nope")
 
     def test_successors_enumerates_enabled_only(self, smoke):
         q = config(smoke, Env=1, Ask=1)

@@ -11,10 +11,8 @@ from gspmc.wellbehaved import (
     StateOrder,
     Violation,
     certify,
-    check_c1,
-    check_c2,
+    check_action,
     check_c3w,
-    check_weak,
 )
 
 import _gen
@@ -85,6 +83,14 @@ def note_fixture_raw() -> dict:
     }
 
 
+def strong(protocol, name):
+    return check_action(protocol, protocol.action(name), weak=False)
+
+
+def weak(protocol, name):
+    return check_action(protocol, protocol.action(name), weak=True)
+
+
 class TestStateOrder:
     def test_smoke_examples(self, smoke):
         order = StateOrder(smoke)
@@ -151,21 +157,17 @@ class TestInternalReach:
 
 class TestStrongConditions:
     def test_smoke_all_strong(self, smoke):
-        assert check_c1(smoke, "Smoke").ok
-        assert check_c2(smoke, "Choose").ok
-        assert check_c1(smoke, "i").ok
-        assert check_c1(smoke, "Reset#1").ok
+        for name, condition in (("Smoke", "C1"), ("Choose", "C2.1∧C2.2"),
+                                ("i", "C1"), ("Reset#1", "C1")):
+            res = strong(smoke, name)
+            assert res.ok and res.condition == condition
 
     def test_kind_preconditions(self, smoke):
-        with pytest.raises(ValueError, match="sender"):
-            check_c1(smoke, "Choose")
-        with pytest.raises(ValueError, match="maximal"):
-            check_c2(smoke, "Smoke")
         with pytest.raises(ValueError, match="internal"):
-            check_c3w(smoke, "Smoke")
+            check_c3w(smoke, smoke.action("Smoke"))
 
     def test_mutant_c1_violation(self, smoke_mutant):
-        res = check_c1(smoke_mutant, "Choose")
+        res = strong(smoke_mutant, "Choose")
         assert not res.ok
         assert Violation(
             "C1", "G3", ("Pick", "Env"),
@@ -177,7 +179,7 @@ class TestStrongConditions:
         # graft a 2-maximal whose non-sender receiver Env->Env stays
         # outside G3 although a send enters it
         p = validate(_smoke_raw_with_grab())
-        res = check_c2(p, "Grab")
+        res = strong(p, "Grab")
         assert not res.ok
         got = {(v.condition, v.guard, v.transition) for v in res.violations}
         assert got == {
@@ -198,8 +200,7 @@ class TestStrongConditions:
                 for kind in ("sender", "maximal"):
                     entry["kind"] = kind
                     p = validate(raw)
-                    check = check_c1 if kind == "sender" else check_c2
-                    oks.append(check(p, entry["name"]).ok)
+                    oks.append(strong(p, entry["name"]).ok)
                 assert oks[0] == oks[1]
                 compared += 1
         assert compared >= 20
@@ -219,20 +220,20 @@ def _smoke_raw_with_grab() -> dict:
 class TestWeakConditions:
     def test_sender_escape_route(self):
         p = validate(weak_sender_raw(guarded_escape=False))
-        assert not check_c1(p, "t").ok  # receiver B stays outside GP
-        res = check_weak(p, "t")
+        assert not strong(p, "t").ok  # receiver B stays outside GP
+        res = weak(p, "t")
         assert res.ok and res.condition == "C1w"
 
     def test_guarding_the_escape_breaks_it(self):
         p = validate(weak_sender_raw(guarded_escape=True))
-        res = check_weak(p, "t")
+        res = weak(p, "t")
         assert not res.ok
         assert any(v.condition == "C1w" and v.guard == "GP"
                    and v.transition == ("B", "B") for v in res.violations)
 
     def test_all_destinations_reading_note(self):
         p = validate(note_fixture_raw())
-        res = check_weak(p, "m")
+        res = weak(p, "m")
         assert not res.ok
         assert res.condition == "C2.1w∧C2.2w"
         assert any(v.condition == "C2.1w" and v.guard == "G1"
@@ -252,21 +253,20 @@ class TestWeakConditions:
             p = _gen.random_protocol(rng, certified_only=False,
                                      require_guarded=True)
             for a in p.actions:
-                strong = (check_c1(p, a) if a.kind == "sender"
-                          else check_c2(p, a))
-                if strong.ok:
-                    assert check_weak(p, a).ok, (p.state_names, a.name)
+                if check_action(p, a, weak=False).ok:
+                    assert check_action(p, a, weak=True).ok, (
+                        p.state_names, a.name)
 
 
 class TestEnteringInternal:
     def test_guard_bound_path_exists(self):
         p = validate(entering_internal_raw(wide_guard=True))
-        res = check_c3w(p, "v")
+        res = check_c3w(p, p.action("v"))
         assert res.ok
 
     def test_narrow_guard_blocks_the_path(self):
         p = validate(entering_internal_raw(wide_guard=False))
-        res = check_c3w(p, "v")
+        res = check_c3w(p, p.action("v"))
         assert not res.ok
         assert {v.transition for v in res.violations} == {("A", "C")}
         assert {v.guard for v in res.violations} == {"GC"}
@@ -275,7 +275,7 @@ class TestEnteringInternal:
 
     def test_self_loop_entering_nothing(self):
         p = validate(entering_internal_raw(wide_guard=True))
-        assert check_c3w(p, "g").ok  # src == dst never enters a guard
+        assert check_c3w(p, p.action("g")).ok  # src == dst never enters a guard
 
 
 class TestCertify:

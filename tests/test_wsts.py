@@ -11,7 +11,6 @@ from gspmc import semantics, wsts
 from gspmc.explicit import ReachQuery, check_fixed
 from gspmc.wsts import (
     COMPONENT_WISE,
-    DimensionMismatch,
     NotCertifiedWellBehaved,
     Ucs,
     Wqo,
@@ -44,10 +43,6 @@ class TestWqo:
         assert COMPONENT_WISE.leq((0, 1, 2), (0, 1, 2))
         assert COMPONENT_WISE.leq((0, 1, 2), (1, 1, 3))
         assert not COMPONENT_WISE.leq((0, 2, 2), (1, 1, 3))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            COMPONENT_WISE.leq((0, 1), (0, 1, 2))
 
     def test_guard_refinement_splits_comparable_pair(self, smoke):
         wqo = guard_refined(smoke)
@@ -182,7 +177,7 @@ def replay_witness(protocol, n, witness, target, threshold):
     q = tuple(n if s == protocol.init else 0
               for s in range(protocol.n_states))
     for name in witness:
-        q = semantics.fire(protocol, q, name).successor
+        q = semantics.fire(protocol, q, protocol.action(name)).successor
     assert q[target] >= threshold, (witness, q)
 
 

@@ -3,11 +3,13 @@
 A local transition is *free* when firing it never requires cooperation
 from other processes beyond guard satisfaction: internal moves, the
 send edges of single-sender and maximal actions, and receive edges
-backed by a matching send in the same action family (negotiations).
-Reaching a target state along free transitions only cannot be blocked
-by adding processes, so under any of three structural conditions the
-parameterized query "m processes in the target" collapses to an
-explicit check with exactly n = m processes:
+backed by a matching send of a negotiation sibling. Siblings are read
+off the protocol's structure: single-send actions that share their
+guard and receive map are siblings of each other, and a multi-send
+action is its own only sibling. Reaching a target state along free
+transitions only cannot be blocked by adding processes, so under any of
+three structural conditions the parameterized query "m processes in the
+target" collapses to an explicit check with exactly n = m processes:
 
 - L1: every action is internal or negotiation-shaped;
 - L2: every path from the initial state to the target is free;
@@ -15,15 +17,19 @@ explicit check with exactly n = m processes:
   them only in recoverable ways (receives stay on the paths, or an
   internal move re-enters them, or the detour region is free, acyclic
   and always leads back).
+
+Nothing here depends on how the model file was written: a model and
+its desugared core form get the same verdict. The lemmas assume a
+certified well-behaved protocol; :func:`certified_cutoff_check`
+certifies before it applies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gspmc import explicit
-from gspmc.model import MAXIMAL, Protocol, is_internal
-from gspmc.wsts import NotCertifiedWellBehaved
+from gspmc import explicit, wellbehaved
+from gspmc.model import MAXIMAL, Protocol, is_internal, reachable
 
 DEFAULT_PATH_BUDGET = 10**5
 
@@ -52,25 +58,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class FreeClassification:
-    edges: tuple[Edge, ...]
-
-    def sends(self):
-        return [e for e in self.edges if e.role == "send"]
-
-    def receives_of(self, action: str):
-        return [e for e in self.edges
-                if e.role == "receive" and e.action == action]
-
-
-@dataclass(frozen=True)
-class CutoffResult:
-    applicable_lemma: str | None
-    cutoff: int | None
-    witness: str | None
-
-
-@dataclass(frozen=True)
 class CutoffVerdict:
     """Outcome of the end-to-end cutoff pipeline for one query."""
 
@@ -82,16 +69,29 @@ class CutoffVerdict:
     witness: str | None
 
 
-def classify_free(protocol: Protocol) -> FreeClassification:
+def _sibling_sends(protocol: Protocol) -> dict[str, set[tuple[int, int]]]:
+    """For each action name, the (src, dst) moves sent by its siblings.
+
+    Single-send actions sharing guard and receive map are siblings (a
+    negotiation, however it was written); a multi-send action only
+    matches its own sends.
+    """
+    def key(a):
+        return (a.guard.members, a.receive_map) if len(a.sends) == 1 else a.name
+
+    by_key: dict = {}
+    for a in protocol.actions:
+        by_key.setdefault(key(a), set()).update((s.src, s.dst) for s in a.sends)
+    return {a.name: by_key[key(a)] for a in protocol.actions}
+
+
+def classify_free(protocol: Protocol) -> tuple[Edge, ...]:
     """Classify every local transition of the protocol.
 
     Receive self-loops are omitted: they move no process and play no
     role in the path conditions.
     """
-    by_family: dict[str, set[tuple[int, int]]] = {}
-    for a in protocol.actions:
-        by_family.setdefault(a.family, set()).update(
-            (s.src, s.dst) for s in a.sends)
+    siblings = _sibling_sends(protocol)
     edges = []
     for a in protocol.actions:
         if is_internal(a):
@@ -103,75 +103,45 @@ def classify_free(protocol: Protocol) -> FreeClassification:
         for i, s in enumerate(a.sends):
             edges.append(Edge(a.name, "send", s.src, s.dst,
                               send_free, reason, i))
-        family_sends = by_family[a.family]
         for src, dst in enumerate(a.receive_map):
             if src == dst:
                 continue
-            matched = (src, dst) in family_sends
+            matched = (src, dst) in siblings[a.name]
             edges.append(Edge(a.name, "receive", src, dst, matched,
                               FREE_NEGOTIATION if matched else None, src))
-    return FreeClassification(tuple(edges))
+    return tuple(edges)
 
 
-def _is_negotiation_family(actions) -> bool:
-    """All members single-send, same guard and receive map, sends and
-    non-trivial receive entries mirroring each other exactly."""
-    if any(len(a.sends) != 1 for a in actions):
-        return False
-    rmap = actions[0].receive_map
-    guard = actions[0].guard.members
-    if any(a.receive_map != rmap or a.guard.members != guard for a in actions):
-        return False
-    sends = {(a.sends[0].src, a.sends[0].dst) for a in actions}
-    moved = {(src, dst) for src, dst in enumerate(rmap) if src != dst}
-    return sends == moved
-
-
-def _require_certified(protocol: Protocol, certified) -> None:
-    if certified is True:
-        return
-    from gspmc import wellbehaved
-
-    if not wellbehaved.certify(protocol).well_behaved:
-        raise NotCertifiedWellBehaved(
-            "cutoff lemmas require a certified well-behaved protocol")
-
-
-def check_lemma1(protocol: Protocol, *, certified=None) -> bool:
+def check_lemma1(protocol: Protocol) -> bool:
     """Every action internal or negotiation-shaped: every state's
-    reachability is then synchronization-independent."""
-    _require_certified(protocol, certified)
-    families: dict[str, list] = {}
-    for a in protocol.actions:
-        families.setdefault(a.family, []).append(a)
-    return all(
-        all(is_internal(a) for a in members) or _is_negotiation_family(members)
-        for members in families.values())
+    reachability is then synchronization-independent.
+
+    A negotiation-shaped action has one send, which is one of its own
+    receive moves, and its siblings send every one of those moves.
+    """
+    siblings = _sibling_sends(protocol)
+
+    def shaped(a):
+        moves = {(src, dst) for src, dst in enumerate(a.receive_map)
+                 if src != dst}
+        return (len(a.sends) == 1 and (a.sends[0].src, a.sends[0].dst) in moves
+                and moves <= siblings[a.name])
+
+    return all(is_internal(a) or shaped(a) for a in protocol.actions)
 
 
-def check_lemma2(protocol: Protocol, target: int, *, certified=None) -> bool:
+def check_lemma2(protocol: Protocol, target: int) -> bool:
     """No non-free edge lies on any initial-to-target path in the local
     transition graph."""
-    _require_certified(protocol, certified)
-    edges = classify_free(protocol).edges
+    edges = classify_free(protocol)
     n = protocol.n_states
     fwd = [set() for _ in range(n)]
     back = [set() for _ in range(n)]
     for e in edges:
         fwd[e.src].add(e.dst)
         back[e.dst].add(e.src)
-
-    def closure(start, adj):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for nxt in adj[frontier.pop()] - seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        return seen
-
-    from_init = closure(protocol.init, fwd)
-    to_target = closure(target, back)
+    from_init = reachable(fwd, protocol.init)
+    to_target = reachable(back, target)
     return not any(e.src in from_init and e.dst in to_target
                    for e in edges if not e.free)
 
@@ -243,10 +213,10 @@ def _region_recovers(src, path_states, out_edges) -> bool:
 
 
 def check_lemma3(protocol: Protocol, target: int, *,
-                 path_budget: int = DEFAULT_PATH_BUDGET,
-                 certified=None) -> CutoffResult:
+                 path_budget: int = DEFAULT_PATH_BUDGET) -> str | None:
     """Free-path analysis: does every send transition interact with the
-    simple free paths only in recoverable ways?
+    simple free paths only in recoverable ways? Returns ``None`` when
+    lemma L3 applies, else the obstruction.
 
     For a send off the paths, every receive moving a process away from
     a path state must keep it on the path states. For a send on the
@@ -254,33 +224,30 @@ def check_lemma3(protocol: Protocol, target: int, *,
     move from the receive's source back onto them, or a detour region
     that is free, acyclic and always returns.
     """
-    _require_certified(protocol, certified)
     names = protocol.state_names
-    classification = classify_free(protocol)
-    paths = _free_paths(protocol, classification.edges, target, path_budget)
+    edges = classify_free(protocol)
+    paths = _free_paths(protocol, edges, target, path_budget)
     if not paths:
-        return CutoffResult(None, None,
-                            "no simple free path from the initial state "
-                            f"to {names[target]}")
+        return f"no simple free path from the initial state to {names[target]}"
     path_edges = {(e.src, e.dst) for p in paths for e in p}
     path_states = {protocol.init} | {e.dst for p in paths for e in p}
     out_edges = [[] for _ in range(protocol.n_states)]
-    for e in classification.edges:
+    for e in edges:
         out_edges[e.src].append(e)
-    internal_moves = {(e.src, e.dst) for e in classification.edges
+    internal_moves = {(e.src, e.dst) for e in edges
                       if e.reason == FREE_INTERNAL}
 
-    for send in classification.sends():
-        receives = [e for e in classification.receives_of(send.action)
-                    if e.src in path_states]
+    for send in (e for e in edges if e.role == "send"):
+        receives = [e for e in edges
+                    if e.role == "receive" and e.action == send.action
+                    and e.src in path_states]
         if (send.src, send.dst) not in path_edges:
             for r in receives:
                 if r.dst not in path_states:
-                    return CutoffResult(None, None, (
-                        f"send {names[send.src]}->{names[send.dst]} of "
-                        f"{send.action} is off the free paths but its receive "
-                        f"{names[r.src]}->{names[r.dst]} drags a path state "
-                        f"off them"))
+                    return (f"send {names[send.src]}->{names[send.dst]} of "
+                            f"{send.action} is off the free paths but its "
+                            f"receive {names[r.src]}->{names[r.dst]} drags a "
+                            f"path state off them")
             continue
         for r in receives:
             if (r.src, r.dst) in path_edges or r.dst in path_states:
@@ -290,10 +257,10 @@ def check_lemma3(protocol: Protocol, target: int, *,
                 continue  # the process can dodge the receive by moving
                 # internally back onto the paths before the send fires
             if not _region_recovers(r.dst, path_states, out_edges):
-                return CutoffResult(None, None, (
-                    f"receive {names[r.src]}->{names[r.dst]} of {send.action} "
-                    f"leaves the free paths without a free way back"))
-    return CutoffResult("L3", None, None)
+                return (f"receive {names[r.src]}->{names[r.dst]} of "
+                        f"{send.action} leaves the free paths without a free "
+                        f"way back")
+    return None
 
 
 def certified_cutoff_check(protocol: Protocol, target: int, threshold: int, *,
@@ -306,20 +273,17 @@ def certified_cutoff_check(protocol: Protocol, target: int, threshold: int, *,
     then L2, then L3) justifies checking exactly ``threshold`` processes
     and lifting that verdict to all larger systems.
     """
-    from gspmc import wellbehaved
-
     if not wellbehaved.certify(protocol).well_behaved:
         return CutoffVerdict(False, None, None, None, None,
                              "protocol is not certified well-behaved")
-    if check_lemma1(protocol, certified=True):
+    if check_lemma1(protocol):
         lemma = "L1"
-    elif check_lemma2(protocol, target, certified=True):
+    elif check_lemma2(protocol, target):
         lemma = "L2"
     else:
-        res = check_lemma3(protocol, target,
-                           path_budget=path_budget, certified=True)
-        if res.applicable_lemma is None:
-            return CutoffVerdict(False, None, None, None, None, res.witness)
+        obstruction = check_lemma3(protocol, target, path_budget=path_budget)
+        if obstruction is not None:
+            return CutoffVerdict(False, None, None, None, None, obstruction)
         lemma = "L3"
     query = explicit.ReachQuery(target, threshold, threshold)
     fixed = explicit.check_fixed(protocol, query, state_budget=state_budget)

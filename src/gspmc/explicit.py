@@ -9,6 +9,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from gspmc import semantics
+from gspmc.model import ValidationError
 
 DEFAULT_STATE_BUDGET = 10**7
 
@@ -30,9 +31,9 @@ class ReachQuery:
 
     def __post_init__(self):
         if self.threshold < 1:
-            raise ValueError("threshold must be at least 1")
+            raise ValidationError("threshold must be at least 1")
         if self.threshold > self.size:
-            raise ValueError(
+            raise ValidationError(
                 f"threshold {self.threshold} exceeds system size {self.size}: "
                 "trivially unreachable, refusing the query")
 
@@ -89,7 +90,7 @@ def min_witness_size(protocol, target, threshold, n_max,
                      state_budget=DEFAULT_STATE_BUDGET):
     """Smallest n in [threshold, n_max] whose system reaches the target count."""
     if n_max < threshold:
-        raise ValueError("n_max must be at least the threshold")
+        raise ValidationError("n_max must be at least the threshold")
     for n in range(threshold, n_max + 1):
         result = check_fixed(protocol, ReachQuery(target, threshold, n),
                              state_budget=state_budget)

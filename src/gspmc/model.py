@@ -72,7 +72,6 @@ class Action:
     sends: tuple[Send, ...]
     receive_map: tuple[int, ...]  # total: source state index -> target index
     guard: Guard
-    group: str | None = None  # family name shared by sugar-generated siblings
 
     @property
     def arity(self) -> int:
@@ -87,10 +86,6 @@ class Action:
     def senders_to(self) -> tuple[int, ...]:
         """``senders_to[t]`` counts the send indices arriving in state t."""
         return tally(len(self.receive_map), (s.dst for s in self.sends))
-
-    @property
-    def family(self) -> str:
-        return self.group if self.group is not None else self.name
 
 
 @dataclass(frozen=True)
@@ -156,6 +151,18 @@ def tally(n_states: int, states) -> tuple[int, ...]:
     for s in states:
         counts[s] += 1
     return tuple(counts)
+
+
+def reachable(adj, start: int) -> set[int]:
+    """States reachable from ``start`` (included) in a local transition
+    graph given as one successor set per state."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in adj[frontier.pop()] - seen:
+            seen.add(nxt)
+            frontier.append(nxt)
+    return seen
 
 
 def _complete_receives(pairs, n_states):
@@ -243,7 +250,7 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
     if kind == "internal":
         src = state(_field(decl, "from", str, what))
         dst = state(_field(decl, "to", str, what))
-        return [Action(name, SENDER, (Send(src, dst),), identity, g, group=name)]
+        return [Action(name, SENDER, (Send(src, dst),), identity, g)]
 
     if kind == "negotiation":
         items = _pairs(decl.get("map"), f"{what}: 'map'", mapping=True)
@@ -252,7 +259,7 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
         pairs = [(state(s), state(t)) for s, t in items]
         rmap = _complete_receives(pairs, n_states)
         return [
-            Action(f"{name}#{i}", SENDER, (Send(src, dst),), rmap, g, group=name)
+            Action(f"{name}#{i}", SENDER, (Send(src, dst),), rmap, g)
             for i, (src, dst) in enumerate(pairs, start=1)
         ]
 
@@ -261,7 +268,7 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
     r_from, r_to = map(state, _pair(decl.get("recv"), f"{what}: 'recv'"))
     core_kind = SENDER if kind == "pairwise" else MAXIMAL
     return [Action(name, core_kind, (Send(s_from, s_to), Send(r_from, r_to)),
-                   identity, g, group=name)]
+                   identity, g)]
 
 
 _RAW_KEYS = {"states", "init", "guards", "actions", "sugar", "property"}
@@ -350,7 +357,7 @@ def validate(raw: dict) -> Protocol:
         pairs = _pairs(spec.get("receives", []), f"{what}: 'receives'", mapping=True)
         rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], n)
         g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
-        add(Action(name, kind, sends, rmap, g, group=name))
+        add(Action(name, kind, sends, rmap, g))
 
     for i, decl in enumerate(_typed(raw.get("sugar", []), list, "'sugar'")):
         decl = _typed(decl, dict, f"sugar[{i}]")

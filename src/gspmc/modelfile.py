@@ -75,9 +75,8 @@ def core_document(protocol: Protocol, property_block: dict | None = None) -> dic
     """Emit a validated protocol as a core-only document.
 
     Sugar has already been expanded, so the result contains plain
-    actions only; re-validating it yields a protocol with identical
-    firing semantics (sugar provenance such as action families is not
-    representable in core form).
+    actions only; re-validating it yields a protocol with the same
+    structure, and so the same verdict from every analysis.
     """
     names = protocol.state_names
     doc: dict = {

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gspmc.model import SENDER, Action, Protocol, is_internal
+from gspmc.model import SENDER, Action, Protocol, is_internal, reachable
 
 
 class StateOrder:
@@ -76,16 +76,7 @@ class InternalReach:
             for src, dst, members in self._edges:
                 if bound <= members:
                     adj[src].add(dst)
-            reach = []
-            for s in range(self._n):
-                seen = {s}
-                frontier = [s]
-                while frontier:
-                    cur = frontier.pop()
-                    for nxt in adj[cur] - seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-                reach.append(seen)
+            reach = [reachable(adj, s) for s in range(self._n)]
             self._cache[bound] = reach
         return reach
 

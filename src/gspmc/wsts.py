@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from gspmc import semantics
-from gspmc.model import MAXIMAL, Protocol, tally
+from gspmc import semantics, wellbehaved
+from gspmc.model import MAXIMAL, Protocol, ValidationError, tally
 
 
 class NotCertifiedWellBehaved(Exception):
@@ -86,7 +86,7 @@ def target_basis(protocol, wqo, target, threshold):
     over 0/1 occupancy of the non-target states before minimizing.
     """
     if threshold < 1:
-        raise ValueError("threshold must be at least 1")
+        raise ValidationError("threshold must be at least 1")
     n = protocol.n_states
     if wqo.guards is None:
         base = tuple(threshold if s == target else 0 for s in range(n))
@@ -255,28 +255,23 @@ class ParamVerdict:
     sound: bool = True
 
 
-def decide(protocol, target, threshold, certified=None, force_unsound=False):
+def decide(protocol, target, threshold, force_unsound=False):
     """Parameterized verdict for "at least ``threshold`` processes in ``target``".
 
     Guarded protocols are analyzed under the guard-refined order, which
-    is only sound for certified guard-compatible protocols; pass
-    ``certified=True`` to skip the built-in certification, or
-    ``force_unsound=True`` to analyze anyway (the verdict is then
-    stamped unsound). Iterates the backward closure to the full fixpoint
-    so the returned minimal witness size is exact.
+    is only sound for certified guard-compatible protocols, so they are
+    certified first; pass ``force_unsound=True`` to analyze an
+    uncertified one anyway (the verdict is then stamped unsound).
+    Iterates the backward closure to the full fixpoint so the returned
+    minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
     sound = True
-    if wqo.guards is not None and certified is not True:
-        if certified is None:
-            from gspmc import wellbehaved
-
-            certified = wellbehaved.certify(protocol).well_behaved
-        if not certified:
-            if not force_unsound:
-                raise NotCertifiedWellBehaved(
-                    "guarded protocol failed guard-compatibility certification")
-            sound = False
+    if wqo.guards is not None and not wellbehaved.certify(protocol).well_behaved:
+        if not force_unsound:
+            raise NotCertifiedWellBehaved(
+                "guarded protocol failed guard-compatibility certification")
+        sound = False
 
     start = target_basis(protocol, wqo, target, threshold)
     memo = {}

@@ -142,7 +142,7 @@ def test_criterion_5_oracle_equivalence(report_line):
             p = _gen.unguarded_protocol(rng)
         target = rng.randrange(p.n_states)
         threshold = rng.randint(1, 2)
-        verdict = wsts.decide(p, target, threshold, certified=True)
+        verdict = wsts.decide(p, target, threshold)
         if verdict.reachable:
             if not check_fixed(p, ReachQuery(target, threshold,
                                              verdict.min_n)).reachable:

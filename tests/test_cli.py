@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from gspmc import cli, modelfile
 from gspmc.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_WITNESS, run
 
-from conftest import fixture_path
+import test_cutoff
+from conftest import FIXTURES, fixture_path
 
 SMOKE = fixture_path("smoke_detector.json")
 MUTANT = fixture_path("smoke_detector_mutant.json")
@@ -285,6 +286,18 @@ class TestVerify:
         assert "1 iteration(s)" in text
 
 
+class TestQueryErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", SMOKE, "--n", "2"], "threshold 3 exceeds system size 2: "
+         "trivially unreachable, refusing the query"),
+        (["verify", SMOKE, "--count", "0"], "threshold must be at least 1"),
+        (["sweep", SMOKE, "--max", "1"], "n_max must be at least the threshold"),
+    ], ids=["mc", "verify", "sweep"])
+    def test_one_error_line(self, argv, message, capsys):
+        assert invoke(*argv)[0] == EXIT_ERROR
+        assert capsys.readouterr().err == f"error [model]: {message}\n"
+
+
 class TestCertify:
     def test_smoke_passes(self):
         code, report = invoke_json("certify", SMOKE)
@@ -329,7 +342,49 @@ class TestCutoff:
         assert "error [cutoff]:" in capsys.readouterr().err
 
 
+# the sugar models of the cutoff tests, queried at every state
+SUGAR_MODELS = {
+    "negotiation_only": test_cutoff.negotiation_only_raw(),
+    "offside_sync": test_cutoff.offside_sync_raw(),
+    "dragging": test_cutoff.dragging_raw(),
+    **{f"detour_{v}": test_cutoff.detour_raw(v)
+       for v in ("sink", "cycle", "recover", "dodge")},
+}
+
+
+def outcome(*argv):
+    """Exit code, JSON ``result`` (None on error) and stderr of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([*argv, "--json"], out=out)
+    text = out.getvalue()
+    return code, json.loads(text)["result"] if text else None, err.getvalue()
+
+
 class TestDesugar:
+    @pytest.mark.parametrize("name", sorted(
+        [f.name for f in FIXTURES.glob("*.json")] + list(SUGAR_MODELS)))
+    def test_core_form_gives_same_results(self, name, tmp_path):
+        """``certify``, ``verify`` and ``cutoff`` answer the desugared
+        model exactly as they answer the original."""
+        if name in SUGAR_MODELS:
+            raw = SUGAR_MODELS[name]
+            sugar = tmp_path / "sugar.json"
+            sugar.write_text(json.dumps(raw), encoding="utf-8")
+            queries = [("--target", s, "--count", c)
+                       for s in raw["states"] for c in ("1", "2")]
+        else:
+            sugar = FIXTURES / name
+            queries = [()]  # the property block
+        _, text = invoke("desugar", str(sugar))
+        core = tmp_path / "core.json"
+        core.write_text(text, encoding="utf-8")
+        assert outcome("certify", str(sugar)) == outcome("certify", str(core))
+        for command in ("verify", "cutoff"):
+            for query in queries:
+                assert outcome(command, str(sugar), *query) == \
+                    outcome(command, str(core), *query), (command, query)
+
     def test_emits_parsable_core_model(self):
         code, text = invoke("desugar", SMOKE)
         assert code == EXIT_CLEAN

@@ -6,7 +6,6 @@ from gspmc.cutoff import (
     FREE_INTERNAL,
     FREE_NEGOTIATION,
     FREE_SEND,
-    CutoffResult,
     PathBudgetExceeded,
     certified_cutoff_check,
     check_lemma1,
@@ -16,13 +15,13 @@ from gspmc.cutoff import (
 )
 from gspmc.explicit import ReachQuery, check_fixed
 from gspmc.model import validate
-from gspmc.wsts import NotCertifiedWellBehaved, decide
+from gspmc.wsts import decide
 
 
 def edge_table(protocol):
     return {
         (e.action, e.role, e.src, e.dst, e.index): (e.free, e.reason)
-        for e in classify_free(protocol).edges}
+        for e in classify_free(protocol)}
 
 
 def negotiation_only_raw() -> dict:
@@ -107,6 +106,27 @@ def dragging_raw() -> dict:
     }
 
 
+def negotiation_twins() -> tuple[dict, dict]:
+    """A guarded negotiation as sugar, and the same protocol with the
+    negotiation written as two core single-send actions."""
+    receives = [["A", "B"], ["B", "C"]]
+    sugar = {
+        "states": ["A", "B", "C"],
+        "init": "A",
+        "guards": {"G": ["A", "B", "C"]},
+        "actions": [],
+        "sugar": [
+            {"type": "negotiation", "name": "N", "guard": "G", "map": receives},
+            {"type": "internal", "name": "i", "from": "C", "to": "A"},
+        ],
+    }
+    core = dict(sugar, sugar=sugar["sugar"][1:], actions=[
+        {"name": f"N#{i}", "kind": "sender", "guard": "G", "sends": [send],
+         "receives": receives}
+        for i, send in enumerate(receives, start=1)])
+    return sugar, core
+
+
 class TestClassifyFree:
     def test_smoke_table(self, smoke):
         table = edge_table(smoke)
@@ -145,16 +165,24 @@ class TestLemma1:
         p = validate(negotiation_only_raw())
         assert check_lemma1(p)
 
+    def test_core_negotiation_matches_sugar_twin(self):
+        sugar, core = (validate(raw) for raw in negotiation_twins())
+        assert edge_table(core) == edge_table(sugar)
+        assert edge_table(core)[("N#1", "receive", 1, 2, 1)] == (
+            True, FREE_NEGOTIATION)
+        assert check_lemma1(core) and check_lemma1(sugar)
+        for target, threshold in (("B", 2), ("C", 1), ("C", 3)):
+            verdicts = [certified_cutoff_check(p, p.state_index(target),
+                                               threshold)
+                        for p in (sugar, core)]
+            assert verdicts[0] == verdicts[1]
+            assert verdicts[0].lemma == "L1"
+
     def test_smoke_is_not_shaped(self, smoke):
         assert not check_lemma1(smoke)
 
     def test_witness_is_not_shaped(self, witness):
         assert not check_lemma1(witness)
-
-    def test_requires_certification(self, smoke_mutant):
-        with pytest.raises(NotCertifiedWellBehaved):
-            check_lemma1(smoke_mutant)
-        check_lemma1(smoke_mutant, certified=True)  # caller vouches
 
 
 class TestLemma2:
@@ -172,40 +200,35 @@ class TestLemma2:
 
 class TestLemma3:
     def test_smoke_applicable(self, smoke):
-        res = check_lemma3(smoke, smoke.state_index("Report"))
-        assert res == CutoffResult("L3", None, None)
+        assert check_lemma3(smoke, smoke.state_index("Report")) is None
 
     def test_no_free_path(self, smoke_2sender):
         res = check_lemma3(smoke_2sender, smoke_2sender.state_index("Report"))
-        assert res.applicable_lemma is None
-        assert "no simple free path" in res.witness
+        assert "no simple free path" in res
 
     def test_off_path_send_drags_states(self):
         p = validate(dragging_raw())
         res = check_lemma3(p, p.state_index("T"))
-        assert res.applicable_lemma is None
-        assert "drags a path state off them" in res.witness
-        assert "evil" in res.witness
+        assert "drags a path state off them" in res
+        assert "evil" in res
 
     def test_unrecoverable_receive(self):
         p = validate(detour_raw("sink"))
         res = check_lemma3(p, p.state_index("T"))
-        assert res.applicable_lemma is None
-        assert "without a free way back" in res.witness
+        assert "without a free way back" in res
 
     def test_off_path_cycle_never_returns(self):
         p = validate(detour_raw("cycle"))
         res = check_lemma3(p, p.state_index("T"))
-        assert res.applicable_lemma is None
-        assert "without a free way back" in res.witness
+        assert "without a free way back" in res
 
     def test_internal_dodge_restores_applicability(self):
         p = validate(detour_raw("dodge"))
-        assert check_lemma3(p, p.state_index("T")).applicable_lemma == "L3"
+        assert check_lemma3(p, p.state_index("T")) is None
 
     def test_free_region_recovery(self):
         p = validate(detour_raw("recover"))
-        assert check_lemma3(p, p.state_index("T")).applicable_lemma == "L3"
+        assert check_lemma3(p, p.state_index("T")) is None
 
     def test_path_budget(self, smoke):
         # four labeled simple free paths exist (two parallel hops twice)

@@ -11,6 +11,7 @@ from gspmc.explicit import (
     check_fixed,
     min_witness_size,
 )
+from gspmc.model import ValidationError
 
 import _gen
 import _oracle
@@ -19,11 +20,11 @@ from conftest import config
 
 class TestReachQuery:
     def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValidationError, match="at least 1"):
             ReachQuery(target=0, threshold=0, size=3)
 
     def test_threshold_above_size_refused(self):
-        with pytest.raises(ValueError, match="trivially unreachable"):
+        with pytest.raises(ValidationError, match="trivially unreachable"):
             ReachQuery(target=0, threshold=4, size=3)
 
 
@@ -98,7 +99,7 @@ class TestMinWitnessSize:
         assert res.searched_up_to == 6
 
     def test_bad_bound(self, smoke):
-        with pytest.raises(ValueError, match="n_max"):
+        with pytest.raises(ValidationError, match="n_max"):
             min_witness_size(smoke, 0, 5, 4)
 
 

@@ -180,7 +180,6 @@ class TestDesugar:
         assert r2.sends == (Send(2, 0),)
         # shared completed receive map: Report->Env, Idle->Env, rest self
         assert r1.receive_map == r2.receive_map == (0, 1, 0, 3, 0)
-        assert r1.family == r2.family == "Reset"
         assert r1.guard.name == r2.guard.name == "G3"
 
     def test_negotiation_requires_entries(self):

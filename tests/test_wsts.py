@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gspmc import semantics, wsts
 from gspmc.explicit import ReachQuery, check_fixed
+from gspmc.model import ValidationError
 from gspmc.wsts import (
     COMPONENT_WISE,
     NotCertifiedWellBehaved,
@@ -124,7 +125,7 @@ class TestTargetBasis:
             assert ucs.covers(q) == (q[4] >= 2)
 
     def test_bad_threshold(self, smoke):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="at least 1"):
             target_basis(smoke, COMPONENT_WISE, 4, 0)
 
 
@@ -221,11 +222,6 @@ class TestDecide:
                    force_unsound=True)
         assert not v.sound
 
-    def test_certified_flag_skips_certification(self, smoke_mutant):
-        v = decide(smoke_mutant, smoke_mutant.state_index("Report"), 2,
-                   certified=True)
-        assert v.sound  # caller vouched; verdict not stamped
-
     def test_unguarded_protocol_needs_no_certificate(self):
         rng = random.Random(5)
         p = _gen.unguarded_protocol(rng)
@@ -239,7 +235,7 @@ class TestDecide:
             p = _gen.random_protocol(rng, certified_only=True)
             target = rng.randrange(p.n_states)
             threshold = rng.randint(1, 2)
-            v = decide(p, target, threshold, certified=True)
+            v = decide(p, target, threshold)
             if v.reachable:
                 assert check_fixed(
                     p, ReachQuery(target, threshold, v.min_n)).reachable

@@ -269,10 +269,12 @@ def certified_cutoff_check(protocol: Protocol, target: int, threshold: int, *,
     """Decide "at least ``threshold`` processes reach ``target``" for every
     system size at once, when a cutoff lemma applies.
 
-    Certification runs first; then the cheapest applicable lemma (L1,
-    then L2, then L3) justifies checking exactly ``threshold`` processes
-    and lifting that verdict to all larger systems.
+    The query is checked first and certification runs next; then the
+    cheapest applicable lemma (L1, then L2, then L3) justifies checking
+    exactly ``threshold`` processes and lifting that verdict to all
+    larger systems.
     """
+    query = explicit.ReachQuery(target, threshold, threshold)
     if not wellbehaved.certify(protocol).well_behaved:
         return CutoffVerdict(False, None, None, None, None,
                              "protocol is not certified well-behaved")
@@ -285,6 +287,5 @@ def certified_cutoff_check(protocol: Protocol, target: int, threshold: int, *,
         if obstruction is not None:
             return CutoffVerdict(False, None, None, None, None, obstruction)
         lemma = "L3"
-    query = explicit.ReachQuery(target, threshold, threshold)
     fixed = explicit.check_fixed(protocol, query, state_budget=state_budget)
     return CutoffVerdict(True, lemma, threshold, fixed.reachable, fixed, None)

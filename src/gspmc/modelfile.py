@@ -60,6 +60,9 @@ def parse_model(path) -> ModelFile:
             text = fh.read()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        reason = f"{e.reason} at byte {e.start}"
+        raise ParseError(f"{path}: not UTF-8 text ({reason})") from None
     try:
         return loads(text, str(path))
     except ParseError as e:

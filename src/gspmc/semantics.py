@@ -63,6 +63,11 @@ def route(action, q, u, uplus):
 def fire(protocol, q, action):
     if not enabled(protocol, q, action):
         raise NotEnabled(action.name)
+    return _fire(q, action)
+
+
+def _fire(q, action):
+    """Outcome of firing an action already known to be enabled at q."""
     n = len(q)
     v = action.senders_from
     if action.kind == SENDER:
@@ -84,4 +89,4 @@ def fire(protocol, q, action):
 
 def successors(protocol, q):
     """One outcome per enabled action, in action declaration order."""
-    return [fire(protocol, q, a) for a in protocol.actions if enabled(protocol, q, a)]
+    return [_fire(q, a) for a in protocol.actions if enabled(protocol, q, a)]

@@ -13,12 +13,24 @@ With n processes all starting in the initial state, the target count is
 reachable for *some* n iff the backward closure of the target set
 contains a vector supported on the initial state alone; the smallest
 such vector's initial-state count is the minimal witness size.
+
+The fixpoint runs in frontier form (Abdulla et al., LICS 1996): one
+:class:`Antichain` holds the current basis, and each round computes the
+predecessors of only the elements the previous round added and inserts
+them one at a time. The predecessors of an element that survived from
+an earlier round already lie above the basis, so each round yields the
+same basis as re-minimizing the whole predecessor set would, and the
+loop stops after the first round that adds nothing. The antichain
+groups vectors by guard profile, since the guard-refined order never
+relates vectors whose profiles differ, and compares component-wise
+within a group.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import le
 
 from gspmc import semantics, wellbehaved
 from gspmc.model import MAXIMAL, Protocol, ValidationError, tally
@@ -33,10 +45,20 @@ class Wqo:
     """Ordering on counter vectors; ``guards`` is None for component-wise."""
 
     guards: tuple[frozenset[int], ...] | None
+    # per guard, the bitmask of the states outside it
+    _outside: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_outside", tuple(
+            ~sum(1 << s for s in g) for g in self.guards or ()))
 
     def profile(self, q):
-        supp = frozenset(s for s, c in enumerate(q) if c > 0)
-        return tuple(supp <= g for g in self.guards)
+        """Which guards contain the support of q."""
+        supp = 0
+        for s, c in enumerate(q):
+            if c:
+                supp |= 1 << s
+        return tuple(not supp & out for out in self._outside)
 
     def leq(self, q, p):
         """Whether q is below p; both have one entry per protocol state."""
@@ -69,12 +91,42 @@ class Ucs:
         return any(self.wqo.leq(b, q) for b in self.basis)
 
 
+class Antichain:
+    """Minimal elements of the vectors inserted so far under one order.
+
+    Vectors are grouped by guard profile (a single group under the
+    component-wise order); two vectors are related only inside a group,
+    and there exactly when they are component-wise.
+    """
+
+    def __init__(self, wqo, vectors=()):
+        self._profile = wqo.profile if wqo.guards is not None else None
+        self._groups = {}
+        for q in vectors:
+            self.insert(q)
+
+    def insert(self, q):
+        """Add q unless an element is below it, evicting the elements above it."""
+        key = self._profile(q) if self._profile else None
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = [q]
+            return
+        for b in group:
+            if all(map(le, b, q)):
+                return
+        group[:] = [b for b in group if not all(map(le, q, b))]
+        group.append(q)
+
+    def basis(self):
+        """The elements, lexicographically sorted."""
+        groups = self._groups.values()
+        return tuple(sorted(itertools.chain.from_iterable(groups)))
+
+
 def minimize(wqo, vectors):
     """Canonical antichain of minimal elements (unique by antisymmetry)."""
-    vs = set(vectors)
-    basis = [v for v in vs
-             if not any(u != v and wqo.leq(u, v) for u in vs)]
-    return tuple(sorted(basis))
+    return Antichain(wqo, vectors).basis()
 
 
 def target_basis(protocol, wqo, target, threshold):
@@ -227,22 +279,25 @@ def _action_preds(protocol, wqo, action, b):
     return found
 
 
-def pred_basis(protocol, wqo, ucs, memo=None):
-    """Basis of Pred(U) united with U itself (one backward step).
-
-    ``memo`` maps (action index, basis element) to the element's minimal
-    predecessors through that action; pass the same dict to every step
-    of a fixpoint so each pair is computed once.
-    """
-    memo = {} if memo is None else memo
-    candidates = set(ucs.basis)
-    for b in ucs.basis:
+def _insert_preds(protocol, wqo, chain, frontier, memo):
+    """Insert the minimal predecessors of each ``frontier`` element into
+    ``chain``, computing them through ``memo``, which maps (action index,
+    element) to the element's minimal predecessors through that action."""
+    for b in frontier:
         for ai, action in enumerate(protocol.actions):
             key = (ai, b)
-            if key not in memo:
-                memo[key] = _action_preds(protocol, wqo, action, b)
-            candidates |= memo[key]
-    return Ucs(wqo, minimize(wqo, candidates))
+            preds = memo.get(key)
+            if preds is None:
+                preds = memo[key] = _action_preds(protocol, wqo, action, b)
+            for q in preds:
+                chain.insert(q)
+
+
+def pred_basis(protocol, wqo, ucs):
+    """Basis of Pred(U) united with U itself (one backward step)."""
+    chain = Antichain(wqo, ucs.basis)
+    _insert_preds(protocol, wqo, chain, ucs.basis, {})
+    return Ucs(wqo, chain.basis())
 
 
 @dataclass
@@ -275,14 +330,16 @@ def decide(protocol, target, threshold, force_unsound=False):
 
     start = target_basis(protocol, wqo, target, threshold)
     memo = {}
-    fixpoint = start
+    chain = Antichain(wqo, start.basis)
+    basis = frontier = start.basis
     iterations = 0
-    while True:
+    while frontier:
         iterations += 1
-        step = pred_basis(protocol, wqo, fixpoint, memo)
-        if step.basis == fixpoint.basis:
-            break
-        fixpoint = step
+        _insert_preds(protocol, wqo, chain, frontier, memo)
+        step = chain.basis()
+        frontier = sorted(set(step).difference(basis))
+        basis = step
+    fixpoint = Ucs(wqo, basis)
 
     covering = [b for b in fixpoint.basis
                 if all(c == 0 for s, c in enumerate(b) if s != protocol.init)]

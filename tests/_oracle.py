@@ -3,6 +3,9 @@
 The multiset simulator re-derives firing semantics directly from the
 action data (sends, receive map, guard) over explicit per-process state
 multisets, sharing no code with the package's counter-vector paths.
+The backward fixpoint reference is the textbook loop: each round unites
+the basis with the predecessors of every basis element and re-minimizes
+the union pairwise.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from gspmc import semantics
+from gspmc import semantics, wsts
 from gspmc.model import SENDER
 
 
@@ -100,3 +103,53 @@ def grid_predecessors(protocol, wqo, b, limit: int = 6):
                     preds.add(q)
                     break
     return preds
+
+
+def pairwise_minimize(wqo, vectors):
+    """Sorted minimal elements, comparing every pair with ``wqo.leq``."""
+    vs = set(vectors)
+    basis = [v for v in vs
+             if not any(u != v and wqo.leq(u, v) for u in vs)]
+    return tuple(sorted(basis))
+
+
+def from_scratch_fixpoint(protocol, target, threshold):
+    """(basis, iterations, min_n, witness) of the backward fixpoint,
+    re-minimizing the whole predecessor set every round.
+
+    Predecessors through one action come from the engine's own
+    ``wsts._action_preds``, which the grid oracles check separately;
+    this reference checks only the loop and the antichain around it.
+    """
+    wqo = wsts.wqo_for(protocol)
+    start = wsts.target_basis(protocol, wqo, target, threshold).basis
+    memo = {}
+    basis = start
+    iterations = 0
+    while True:
+        iterations += 1
+        candidates = set(basis)
+        for b in basis:
+            for ai, action in enumerate(protocol.actions):
+                if (ai, b) not in memo:
+                    memo[ai, b] = wsts._action_preds(protocol, wqo, action, b)
+                candidates |= memo[ai, b]
+        step = pairwise_minimize(wqo, candidates)
+        if step == basis:
+            break
+        basis = step
+    covering = [b for b in basis
+                if not any(c for s, c in enumerate(b) if s != protocol.init)]
+    if not covering:
+        return basis, iterations, None, None
+    best = min(covering, key=lambda b: b[protocol.init])
+    provenance = dict.fromkeys(start)
+    for (ai, b), preds in memo.items():
+        for c in preds:
+            provenance.setdefault(c, (protocol.actions[ai].name, b))
+    witness = []
+    cur = best
+    while provenance[cur] is not None:
+        name, cur = provenance[cur]
+        witness.append(name)
+    return basis, iterations, best[protocol.init], tuple(witness)

@@ -181,7 +181,8 @@ def test_criterion_6_pred_basis_oracle(report_line):
         if not any(b):
             continue
         got = pred_basis(p, wqo, Ucs(wqo, (b,))).basis
-        oracle = minimize(wqo, _oracle.grid_predecessors(p, wqo, b, limit=6))
+        oracle = _oracle.pairwise_minimize(
+            wqo, _oracle.grid_predecessors(p, wqo, b, limit=6))
         if got != oracle:
             discrepancies += 1
         instances += 1

@@ -62,6 +62,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error [modelfile]:" in err and "bad.json" in err
 
+    def test_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert invoke("validate", str(bad))[0] == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error [modelfile]: {bad}: not UTF-8 text "
+            "(invalid start byte at byte 0)\n")
+
     def test_invalid_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"states": ["A"], "init": "Z", "actions": []}',
@@ -292,7 +300,8 @@ class TestQueryErrors:
          "trivially unreachable, refusing the query"),
         (["verify", SMOKE, "--count", "0"], "threshold must be at least 1"),
         (["sweep", SMOKE, "--max", "1"], "n_max must be at least the threshold"),
-    ], ids=["mc", "verify", "sweep"])
+        (["cutoff", WITNESS, "--count", "0"], "threshold must be at least 1"),
+    ], ids=["mc", "verify", "sweep", "cutoff"])
     def test_one_error_line(self, argv, message, capsys):
         assert invoke(*argv)[0] == EXIT_ERROR
         assert capsys.readouterr().err == f"error [model]: {message}\n"

@@ -102,6 +102,15 @@ class TestMinimize:
         got = minimize(COMPONENT_WISE, [(1, 1), (0, 2), (2, 2), (1, 1)])
         assert got == ((0, 2), (1, 1))
 
+    @given(st.one_of(st.none(), st.lists(
+               st.frozensets(st.integers(0, 2), min_size=1),
+               min_size=1, max_size=3).map(tuple)),
+           st.lists(vectors, max_size=16))
+    @settings(max_examples=300)
+    def test_equals_pairwise_minimization(self, guards, vs):
+        wqo = Wqo(guards)
+        assert minimize(wqo, vs) == _oracle.pairwise_minimize(wqo, vs)
+
 
 class TestTargetBasis:
     def test_component_wise_single_element(self, smoke):
@@ -138,7 +147,8 @@ def grid_pred_basis(protocol, wqo, b):
     bounded by the action arity plus one destination's deficit.
     """
     assert max(b) <= 4
-    return minimize(wqo, _oracle.grid_predecessors(protocol, wqo, b, limit=6))
+    return _oracle.pairwise_minimize(
+        wqo, _oracle.grid_predecessors(protocol, wqo, b, limit=6))
 
 
 class TestPredBasis:
@@ -212,6 +222,29 @@ class TestDecide:
         assert check_fixed(smoke, ReachQuery(report, 2, v.min_n)).reachable
         # one process fewer cannot even hold two reporters
         assert v.min_n - 1 < 2
+
+    def test_cutoff_witness_fixpoint(self, witness):
+        target = witness.state_index("s_E")
+        v = decide(witness, target, 1)
+        assert (v.iterations, len(v.basis.basis), v.min_n) == (19, 58, 16)
+        replay_witness(witness, v.min_n, v.witness, target, 1)
+
+    # both seeds draw queries in which two frontier elements share a
+    # predecessor, so the witness depends on the order of the frontier
+    @pytest.mark.parametrize("order, seed", [("cw", 2), ("gr", 8)])
+    def test_matches_from_scratch_fixpoint(self, order, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            if order == "cw":
+                p = _gen.unguarded_protocol(rng)
+            else:
+                p = _gen.random_protocol(rng, require_guarded=True)
+            assert (wqo_for(p).guards is None) == (order == "cw")
+            target = rng.randrange(p.n_states)
+            threshold = rng.randint(1, 3)
+            v = decide(p, target, threshold)
+            got = (v.basis.basis, v.iterations, v.min_n, v.witness)
+            assert got == _oracle.from_scratch_fixpoint(p, target, threshold)
 
     def test_uncertified_guarded_protocol_refused(self, smoke_mutant):
         with pytest.raises(NotCertifiedWellBehaved):

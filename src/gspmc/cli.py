@@ -12,6 +12,7 @@ A reader that closes stdout early does not change the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,9 @@ EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: it is the same for every call."""
     parser = argparse.ArgumentParser(
         prog="gspmc",
         description="Model checker for globally synchronizing protocols.")

@@ -269,12 +269,14 @@ def certified_cutoff_check(protocol: Protocol, target: int, threshold: int, *,
     """Decide "at least ``threshold`` processes reach ``target``" for every
     system size at once, when a cutoff lemma applies.
 
-    The query is checked first and certification runs next; then the
-    cheapest applicable lemma (L1, then L2, then L3) justifies checking
-    exactly ``threshold`` processes and lifting that verdict to all
-    larger systems.
+    The query and the budgets are checked first and certification runs
+    next; then the cheapest applicable lemma (L1, then L2, then L3)
+    justifies checking exactly ``threshold`` processes and lifting that
+    verdict to all larger systems.
     """
     query = explicit.ReachQuery(target, threshold, threshold)
+    explicit.require_budget(state_budget, "state")
+    explicit.require_budget(path_budget, "path")
     if not wellbehaved.certify(protocol).well_behaved:
         return CutoffVerdict(False, None, None, None, None,
                              "protocol is not certified well-behaved")

@@ -54,24 +54,30 @@ class SweepResult:
     searched_up_to: int
 
 
+def require_budget(budget, what):
+    """Refuse a search budget below 1 before any search starts."""
+    if budget < 1:
+        raise ValidationError(f"{what} budget must be at least 1")
+
+
 def check_fixed(protocol, query, state_budget=DEFAULT_STATE_BUDGET):
     """BFS from the all-in-init state; shortest trace on success."""
+    require_budget(state_budget, "state")
     q0 = tuple(query.size if s == protocol.init else 0
                for s in range(protocol.n_states))
-    goal = lambda q: q[query.target] >= query.threshold
-    if goal(q0):
+    target, threshold = query.target, query.threshold
+    if q0[target] >= threshold:
         return FixedResult(True, [(None, q0)], 1)
     parent = {q0: None}
     frontier = deque([q0])
     while frontier:
         q = frontier.popleft()
-        for outcome in semantics.successors(protocol, q):
-            nxt = outcome.successor
+        for action, nxt in semantics.successors(protocol, q):
             if nxt in parent:
                 continue
-            parent[nxt] = (q, outcome.action)
-            if goal(nxt):
-                steps = [(outcome.action, nxt)]
+            parent[nxt] = (q, action)
+            if nxt[target] >= threshold:
+                steps = [(action, nxt)]
                 cur = q
                 while parent[cur] is not None:
                     prev, act = parent[cur]
@@ -89,6 +95,7 @@ def check_fixed(protocol, query, state_budget=DEFAULT_STATE_BUDGET):
 def min_witness_size(protocol, target, threshold, n_max,
                      state_budget=DEFAULT_STATE_BUDGET):
     """Smallest n in [threshold, n_max] whose system reaches the target count."""
+    require_budget(state_budget, "state")
     if n_max < threshold:
         raise ValidationError("n_max must be at least the threshold")
     for n in range(threshold, n_max + 1):

@@ -18,6 +18,7 @@ rewritten into core actions by :func:`desugar`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,6 +87,86 @@ class Action:
     def senders_to(self) -> tuple[int, ...]:
         """``senders_to[t]`` counts the send indices arriving in state t."""
         return tally(len(self.receive_map), (s.dst for s in self.sends))
+
+    # Compiled once per action, so that firing and predecessor search
+    # read flat tuples instead of re-deriving them per configuration.
+
+    @cached_property
+    def outside_mask(self) -> int:
+        """Bitmask of the states outside the guard: a configuration whose
+        occupied-state mask meets it does not satisfy the guard."""
+        return sum(1 << s for s in range(len(self.receive_map))
+                   if s not in self.guard.members)
+
+    @cached_property
+    def sources(self) -> tuple[tuple[int, int], ...]:
+        """``(state, count)`` for every state some send index leaves."""
+        return tuple((s, c) for s, c in enumerate(self.senders_from) if c)
+
+    @cached_property
+    def delta(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero entries of ``senders_to - senders_from`` as
+        ``(state, change)`` pairs: the senders' net move when every send
+        index fires."""
+        return tuple((s, t - f) for s, (f, t)
+                     in enumerate(zip(self.senders_from, self.senders_to))
+                     if t != f)
+
+    @cached_property
+    def moved(self) -> tuple[tuple[int, int], ...]:
+        """``(s, receive_map[s])`` for the states the receive map moves."""
+        return tuple((s, r) for s, r in enumerate(self.receive_map) if r != s)
+
+    @cached_property
+    def preimages(self) -> tuple[tuple[int, ...], ...]:
+        """``preimages[t]``: the states the receive map sends to t."""
+        pre: list[list[int]] = [[] for _ in self.receive_map]
+        for s, r in enumerate(self.receive_map):
+            pre[r].append(s)
+        return tuple(map(tuple, pre))
+
+    @cached_property
+    def send_dsts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(source, destinations)`` per source state, the destinations in
+        ascending send index: a maximal action with c processes in the
+        source fires the first min(c, len) of them."""
+        by_src: dict[int, list[int]] = {}
+        for send in self.sends:
+            by_src.setdefault(send.src, []).append(send.dst)
+        return tuple((s, tuple(d)) for s, d in sorted(by_src.items()))
+
+    @cached_property
+    def participations(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``(u, uplus, allowed)`` per sender subset a predecessor search
+        considers, without repeats.
+
+        Sender actions fire with every declared send. Maximal actions
+        fire with any non-empty index subset, provided the source states
+        of the missing indices hold no further processes: those states
+        are pinned, and ``allowed`` lists the states inside the guard
+        that are not, where further (receiving) processes may sit.
+        Subsets whose senders ``u`` occupy a state outside the guard
+        are dropped, since the action never fires with them.
+        """
+        n = len(self.receive_map)
+        v = self.senders_from
+        k = len(self.sends)
+        guard = self.guard.members
+        seen = set()
+        out = []
+        for size in (range(1, k + 1) if self.kind == MAXIMAL else (k,)):
+            for sigma in itertools.combinations(self.sends, size):
+                u = tally(n, (s.src for s in sigma))
+                key = (u, tally(n, (s.dst for s in sigma)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                if any(c and s not in guard for s, c in enumerate(u)):
+                    continue
+                allowed = tuple(s for s in range(n)
+                                if u[s] >= v[s] and s in guard)
+                out.append((u, key[1], allowed))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from operator import le
 
 from gspmc import semantics, wellbehaved
-from gspmc.model import MAXIMAL, Protocol, ValidationError, tally
+from gspmc.model import Protocol, ValidationError
 
 
 class NotCertifiedWellBehaved(Exception):
@@ -154,29 +154,6 @@ def target_basis(protocol, wqo, target, threshold):
     return Ucs(wqo, minimize(wqo, candidates))
 
 
-def _participations(action):
-    """Sender subsets to consider when searching predecessors.
-
-    Sender actions fire with every declared send. Maximal actions fire
-    with any non-empty index subset, provided the source states of the
-    missing indices hold no further processes; those states come back
-    pinned (their count in a predecessor is forced to equal the
-    participation exactly).
-    """
-    v = action.senders_from
-    n = len(v)
-    k = len(action.sends)
-    seen = set()
-    for size in (range(1, k + 1) if action.kind == MAXIMAL else (k,)):
-        for sigma in itertools.combinations(action.sends, size):
-            u = tally(n, (s.src for s in sigma))
-            key = (u, tally(n, (s.dst for s in sigma)))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield u, key[1], frozenset(s for s in range(n) if u[s] < v[s])
-
-
 def _compositions(total, parts):
     """All ways to split ``total`` into ``parts`` non-negative summands."""
     if parts == 0:
@@ -238,7 +215,7 @@ def _refined_placements(pre, deficits, allowed):
                 yield per_dest
 
 
-def _action_preds(protocol, wqo, action, b):
+def _action_preds(wqo, action, b):
     """Minimal predecessors of the upward closure of ``b`` through one action.
 
     Candidates place the participating senders (``u``) plus surplus
@@ -248,25 +225,18 @@ def _action_preds(protocol, wqo, action, b):
     predecessor may need receivers in zero-deficit states so that its
     own support (and the successor's) realizes the right guard profile,
     so candidates additionally range over surplus-support subsets.
-    Receivers only go to unpinned states inside the action's guard, so
-    every candidate's support lies in the guard. Every candidate is
-    verified by firing it forward.
+    Receivers only go to the participation's ``allowed`` states
+    (unpinned, inside the action's guard), so every candidate's support
+    lies in the guard. Every candidate is verified by firing it forward
+    through :func:`semantics.route`.
     """
-    n = protocol.n_states
-    rmap = action.receive_map
-    guard = action.guard.members
-    pre = [[] for _ in range(n)]
-    for s in range(n):
-        pre[rmap[s]].append(s)
+    pre = action.preimages
     placements = (_componentwise_placements if wqo.guards is None
                   else _refined_placements)
 
     found = set()
-    for u, uplus, pinned in _participations(action):
-        if any(u[s] > 0 and s not in guard for s in range(n)):
-            continue  # senders occupy states outside the action's guard
-        deficits = [max(0, b[t] - uplus[t]) for t in range(n)]
-        allowed = [s for s in range(n) if s not in pinned and s in guard]
+    for u, uplus, allowed in action.participations:
+        deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
         for per_dest in placements(pre, deficits, allowed):
             for choice in itertools.product(*(opts for _, opts in per_dest)):
                 q = list(u)
@@ -288,7 +258,7 @@ def _insert_preds(protocol, wqo, chain, frontier, memo):
             key = (ai, b)
             preds = memo.get(key)
             if preds is None:
-                preds = memo[key] = _action_preds(protocol, wqo, action, b)
+                preds = memo[key] = _action_preds(wqo, action, b)
             for q in preds:
                 chain.insert(q)
 

@@ -11,7 +11,7 @@ the union pairwise.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 
 from gspmc import semantics, wsts
 from gspmc.model import SENDER
@@ -86,6 +86,45 @@ def multiset_bfs(protocol, n: int, target: int, threshold: int,
     return None
 
 
+def reference_bfs(protocol, n: int, target: int, threshold: int):
+    """(trace, explored) of the breadth-first search that the explicit
+    engine specifies, over the multiset simulator.
+
+    Configurations are expanded in the order they were discovered, and
+    the successors of one in action declaration order; the first
+    configuration to discover another is its parent. ``trace`` is
+    ``[(None, q0), (action, q1), ...]`` as counter vectors, or None when
+    the target count is unreachable; ``explored`` counts the
+    configurations discovered when the search stops.
+    """
+    def vec(c: Counter):
+        return tuple(c[s] for s in range(protocol.n_states))
+
+    start = Counter({protocol.init: n})
+    q0 = vec(start)
+    if start[target] >= threshold:
+        return [(None, q0)], 1
+    parent = {q0: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for name, succ in multiset_successors(protocol, cur):
+            key = vec(succ)
+            if key in parent:
+                continue
+            parent[key] = (vec(cur), name)
+            if succ[target] >= threshold:
+                trace = []
+                while parent[key] is not None:
+                    prev, action = parent[key]
+                    trace.append((action, key))
+                    key = prev
+                trace.append((None, q0))
+                return trace[::-1], len(parent)
+            queue.append(succ)
+    return None, len(parent)
+
+
 def grid_predecessors(protocol, wqo, b, limit: int = 6):
     """All grid vectors whose upward closure reaches the upward closure
     of ``b`` in at most one step, via the forward firing oracle."""
@@ -132,7 +171,7 @@ def from_scratch_fixpoint(protocol, target, threshold):
         for b in basis:
             for ai, action in enumerate(protocol.actions):
                 if (ai, b) not in memo:
-                    memo[ai, b] = wsts._action_preds(protocol, wqo, action, b)
+                    memo[ai, b] = wsts._action_preds(wqo, action, b)
                 candidates |= memo[ai, b]
         step = pairwise_minimize(wqo, candidates)
         if step == basis:

@@ -25,6 +25,17 @@ def config(protocol: model.Protocol, **counts) -> tuple[int, ...]:
     return tuple(q)
 
 
+def internal_ring(length: int) -> model.Protocol:
+    """``length`` states in a cycle of internal steps plus an isolated
+    state ``dead``: every distribution of n processes over the ring is
+    reachable, C(n + length - 1, length - 1) configurations."""
+    ring = [f"r{j}" for j in range(length)]
+    return model.validate({
+        "states": [*ring, "dead"], "init": "r0",
+        "sugar": [{"type": "internal", "name": f"t{j}", "from": ring[j],
+                   "to": ring[(j + 1) % length]} for j in range(length)]})
+
+
 @pytest.fixture(scope="session")
 def smoke() -> model.Protocol:
     return load_fixture("smoke_detector.json")

@@ -301,7 +301,18 @@ class TestQueryErrors:
         (["verify", SMOKE, "--count", "0"], "threshold must be at least 1"),
         (["sweep", SMOKE, "--max", "1"], "n_max must be at least the threshold"),
         (["cutoff", WITNESS, "--count", "0"], "threshold must be at least 1"),
-    ], ids=["mc", "verify", "sweep", "cutoff"])
+        (["mc", SMOKE, "--n", "5", "--target", "Env", "--count", "1",
+          "--state-budget", "-4"], "state budget must be at least 1"),
+        (["mc", SMOKE, "--n", "5", "--target", "Env", "--count", "5",
+          "--state-budget", "0"], "state budget must be at least 1"),
+        (["sweep", SMOKE, "--max", "5", "--state-budget", "0"],
+         "state budget must be at least 1"),
+        (["cutoff", SMOKE, "--path-budget", "-3"], "path budget must be at least 1"),
+        (["cutoff", SMOKE, "--state-budget", "0"], "state budget must be at least 1"),
+        (["cutoff", WITNESS, "--path-budget", "0"], "path budget must be at least 1"),
+    ], ids=["mc", "verify", "sweep", "cutoff", "mc-state-budget-negative",
+            "mc-state-budget-zero", "sweep-state-budget", "cutoff-path-budget",
+            "cutoff-state-budget", "cutoff-path-budget-not-amenable"])
     def test_one_error_line(self, argv, message, capsys):
         assert invoke(*argv)[0] == EXIT_ERROR
         assert capsys.readouterr().err == f"error [model]: {message}\n"

@@ -15,7 +15,10 @@ from gspmc.model import ValidationError
 
 import _gen
 import _oracle
-from conftest import config
+from conftest import config, internal_ring, load_fixture
+
+FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
+            "smoke_detector_mutant.json", "cutoff_witness.json")
 
 
 class TestReachQuery:
@@ -120,3 +123,62 @@ class TestRandomAgreement:
                     replay(p, res.trace)
                 checked += 1
         assert checked >= 180
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_check_fixed_refuses_non_positive(self, smoke, budget):
+        with pytest.raises(ValidationError, match="state budget must be at least 1"):
+            check_fixed(smoke, ReachQuery(smoke.init, 1, 5), state_budget=budget)
+
+    def test_sweep_refuses_non_positive(self, smoke):
+        with pytest.raises(ValidationError, match="state budget must be at least 1"):
+            min_witness_size(smoke, smoke.init, 1, 3, state_budget=0)
+
+
+def assert_same_search(p, target, threshold, n):
+    """check_fixed and the reference BFS agree on the verdict, the
+    explored count and the trace, element for element."""
+    res = check_fixed(p, ReachQuery(target, threshold, n))
+    trace, explored = _oracle.reference_bfs(p, n, target, threshold)
+    assert res.reachable == (trace is not None), (p.state_names, target, n)
+    assert res.explored == explored, (p.state_names, target, n)
+    assert res.trace == trace, (p.state_names, target, n)
+    return res
+
+
+class TestReferenceIdentity:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        p = load_fixture(name)
+        reached = 0
+        for target in range(p.n_states):
+            for threshold in (1, 2):
+                for n in range(threshold, threshold + 4):
+                    reached += assert_same_search(p, target, threshold, n).reachable
+        assert reached
+
+    def test_random_protocols(self):
+        rng = random.Random(4242)
+        outcomes = set()
+        for _ in range(60):
+            p = _gen.random_protocol(rng, certified_only=False)
+            target = rng.randrange(p.n_states)
+            threshold = rng.randint(1, 2)
+            for n in (threshold, threshold + 1, threshold + 3):
+                res = assert_same_search(p, target, threshold, n)
+                outcomes.add((res.reachable, len(res.trace or ()) > 2))
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+class TestInternalRing:
+    def test_dead_explores_every_distribution(self):
+        p = internal_ring(8)
+        res = check_fixed(p, ReachQuery(p.state_index("dead"), 1, 6))
+        assert not res.reachable
+        assert res.explored == 1716  # C(13, 7)
+
+    def test_far_position_trace(self):
+        p = internal_ring(8)
+        res = assert_same_search(p, p.state_index("r5"), 2, 3)
+        assert len(res.trace) - 1 == 10

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gspmc.model import validate
 from gspmc.semantics import NotEnabled, enabled, fire, successors
 
 import _gen
@@ -65,7 +66,7 @@ class TestFire:
     def test_successors_enumerates_enabled_only(self, smoke):
         q = config(smoke, Env=1, Ask=1)
         outs = successors(smoke, q)
-        assert sorted(o.action for o in outs) == ["Smoke", "i"]
+        assert sorted(name for name, _ in outs) == ["Smoke", "i"]
 
 
 def all_configs(n_states, total):
@@ -82,30 +83,32 @@ def all_configs(n_states, total):
             yield tuple(vec)
 
 
+def check_against_oracle(p, total):
+    """successors (in action declaration order) and enabled equal the
+    multiset oracle at every configuration of at most ``total`` processes."""
+    for q in all_configs(p.n_states, total):
+        expected = [
+            (name, tuple(succ.get(s, 0) for s in range(p.n_states)))
+            for name, succ in _oracle.multiset_successors(
+                p, _oracle.as_counter(q))]
+        assert successors(p, q) == expected, (p.state_names, q)
+        for a in p.actions:
+            assert enabled(p, q, a) == (
+                a.name in {name for name, _ in expected})
+
+
 class TestOracleAgreement:
     def test_smoke_exhaustive(self, smoke):
-        self._check(smoke, total=5)
+        check_against_oracle(smoke, total=5)
 
     def test_smoke_2sender_exhaustive(self, smoke_2sender):
-        self._check(smoke_2sender, total=5)
+        check_against_oracle(smoke_2sender, total=5)
 
     def test_random_protocols(self):
         rng = random.Random(20260814)
         for _ in range(40):
             p = _gen.random_protocol(rng, certified_only=False)
-            self._check(p, total=4)
-
-    def _check(self, p, total):
-        for q in all_configs(p.n_states, total):
-            expected = {
-                (name, tuple(succ.get(s, 0) for s in range(p.n_states)))
-                for name, succ in _oracle.multiset_successors(
-                    p, _oracle.as_counter(q))}
-            got = {(o.action, o.successor) for o in successors(p, q)}
-            assert got == expected, (p.state_names, q)
-            for a in p.actions:
-                assert enabled(p, q, a) == (
-                    a.name in {name for name, _ in expected})
+            check_against_oracle(p, total=4)
 
     def test_conservation(self, smoke):
         rng = random.Random(7)
@@ -113,10 +116,64 @@ class TestOracleAgreement:
             q = tuple(rng.randrange(4) for _ in range(smoke.n_states))
             if sum(q) == 0:
                 continue
-            for out in successors(smoke, q):
-                a = smoke.action(out.action)
-                assert sum(out.successor) == sum(q)
+            for name, succ in successors(smoke, q):
+                a = smoke.action(name)
+                out = fire(smoke, q, a)
+                assert out.successor == succ
+                assert sum(succ) == sum(q)
                 if a.kind == "sender":
                     assert sum(out.participation) == a.arity
                 else:
                     assert 1 <= sum(out.participation) <= a.arity
+
+
+# One maximal action whose two send slots leave I for different
+# destinations: with one process in I, only the first slot fires.
+SHARED_SOURCE = {
+    "states": ["I", "A", "B", "T"], "init": "I",
+    "actions": [{"name": "m", "kind": "maximal",
+                 "sends": [["I", "A"], ["I", "B"]], "receives": []}]}
+
+
+def with_shared_source_slots(rng, raw):
+    """``raw`` with every maximal action given one more send slot that
+    leaves the source of its first slot for a different destination."""
+    for spec in raw["actions"]:
+        if spec["kind"] == "maximal":
+            src, dst = spec["sends"][0]
+            other = rng.choice([s for s in raw["states"] if s != dst])
+            spec["sends"].insert(rng.randint(0, len(spec["sends"])), [src, other])
+    return raw
+
+
+class TestSharedSourceSlots:
+    """Send slots that share a source but not a destination: a maximal
+    action takes them in ascending send index, so the successor depends
+    on the order the compiled per-source destination lists keep."""
+
+    def test_first_slot_fires_first(self):
+        p = validate(SHARED_SOURCE)
+        m = p.action("m")
+        out = fire(p, (1, 0, 0, 0), m)
+        assert out.successor == (0, 1, 0, 0)
+        assert out.participation == (1, 0, 0, 0)
+        assert fire(p, (3, 0, 0, 1), m).successor == (1, 1, 1, 1)
+        check_against_oracle(p, total=4)
+
+    def test_slot_order_decides(self):
+        raw = {**SHARED_SOURCE, "actions": [
+            {**SHARED_SOURCE["actions"][0], "sends": [["I", "B"], ["I", "A"]]}]}
+        p = validate(raw)
+        assert fire(p, (1, 0, 0, 0), p.action("m")).successor == (0, 0, 1, 0)
+        check_against_oracle(p, total=4)
+
+    def test_random_protocols(self):
+        rng = random.Random(3141)
+        checked = 0
+        while checked < 30:
+            raw = _gen.random_raw(rng)
+            if not any(a["kind"] == "maximal" for a in raw["actions"]):
+                continue
+            p = validate(with_shared_source_slots(rng, raw))
+            check_against_oracle(p, total=4)
+            checked += 1

@@ -56,9 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of processes")
     p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
 
-    p = cmd("verify", "parameterized check over all system sizes", query=True)
-    p.add_argument("--force-unsound", action="store_true",
-                   help="run the guard-refined engine even if certification fails")
+    cmd("verify", "parameterized check over all system sizes", query=True)
 
     p = cmd("sweep", "find the minimal system size reaching the target", query=True)
     p.add_argument("--max", type=int, required=True, dest="max_n",
@@ -195,8 +193,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
 
     if args.command == "verify":
         target, count = _resolve_query(protocol, mf, args)
-        verdict = wsts.decide(protocol, target, count,
-                              force_unsound=args.force_unsound)
+        verdict = wsts.decide(protocol, target, count)
         order = "component-wise" if verdict.basis.wqo.guards is None \
             else "guard-refined"
         payload = {
@@ -205,18 +202,15 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
             "order": order,
             "reachable": verdict.reachable,
             "min_n": verdict.min_n,
-            "witness": list(verdict.witness) if verdict.witness else None,
+            "witness": None if verdict.witness is None else list(verdict.witness),
             "iterations": verdict.iterations,
             "basis": [list(b) for b in verdict.basis.basis],
         }
-        if not verdict.sound:
-            payload["soundness"] = "UNSOUND"
         lines = [f"order: {order}"]
-        if not verdict.sound:
-            lines.append("soundness: UNSOUND (certification overridden)")
         if verdict.reachable:
             lines.append(f"Reachable: minimal system size {verdict.min_n}")
-            lines.append("  witness actions: " + ", ".join(verdict.witness))
+            lines.append("  witness actions: "
+                         + (", ".join(verdict.witness) or "(none)"))
             return EXIT_WITNESS, payload, lines
         lines.append(f"Unreachable for every system size "
                      f"(fixpoint basis of {len(verdict.basis.basis)} elements, "

@@ -32,26 +32,6 @@ class ValidationError(Exception):
     """A protocol description violates a structural requirement."""
 
 
-class UnknownState(ValidationError):
-    pass
-
-
-class DuplicateActionName(ValidationError):
-    pass
-
-
-class ArityMismatch(ValidationError):
-    pass
-
-
-class EmptyGuard(ValidationError):
-    pass
-
-
-class NonFunctionalReceiveMap(ValidationError):
-    """Two receive targets declared for one source state."""
-
-
 @dataclass(frozen=True)
 class Guard:
     name: str
@@ -136,9 +116,9 @@ class Action:
         return tuple((s, tuple(d)) for s, d in sorted(by_src.items()))
 
     @cached_property
-    def participations(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``(u, uplus, allowed)`` per sender subset a predecessor search
-        considers, without repeats.
+    def participations(self) -> tuple[tuple, ...]:
+        """``(u, uplus, moves, allowed)`` per sender subset a predecessor
+        search considers, without repeats.
 
         Sender actions fire with every declared send. Maximal actions
         fire with any non-empty index subset, provided the source states
@@ -147,6 +127,11 @@ class Action:
         that are not, where further (receiving) processes may sit.
         Subsets whose senders ``u`` occupy a state outside the guard
         are dropped, since the action never fires with them.
+
+        ``u`` and ``uplus`` count the senders per source and destination
+        state. ``moves``, their net move as the nonzero ``(state, change)``
+        pairs, is stored so that candidate predecessors are fired through
+        :func:`gspmc.semantics.route` without re-deriving it per candidate.
         """
         n = len(self.receive_map)
         v = self.senders_from
@@ -157,15 +142,17 @@ class Action:
         for size in (range(1, k + 1) if self.kind == MAXIMAL else (k,)):
             for sigma in itertools.combinations(self.sends, size):
                 u = tally(n, (s.src for s in sigma))
-                key = (u, tally(n, (s.dst for s in sigma)))
-                if key in seen:
+                uplus = tally(n, (s.dst for s in sigma))
+                if (u, uplus) in seen:
                     continue
-                seen.add(key)
+                seen.add((u, uplus))
                 if any(c and s not in guard for s, c in enumerate(u)):
                     continue
+                moves = tuple((s, b - a) for s, (a, b)
+                              in enumerate(zip(u, uplus)) if a != b)
                 allowed = tuple(s for s in range(n)
                                 if u[s] >= v[s] and s in guard)
-                out.append((u, key[1], allowed))
+                out.append((u, uplus, moves, allowed))
         return tuple(out)
 
 
@@ -180,15 +167,11 @@ class Protocol:
     def n_states(self) -> int:
         return len(self.state_names)
 
-    @property
-    def trivial_guard(self) -> Guard:
-        return self.guards[0]
-
     def state_index(self, name: str) -> int:
         try:
             return self.state_names.index(name)
         except ValueError:
-            raise UnknownState(f"unknown state {name!r}") from None
+            raise ValidationError(f"unknown state {name!r}") from None
 
     def action(self, name: str) -> Action:
         for a in self.actions:
@@ -252,7 +235,7 @@ def _complete_receives(pairs, n_states):
     seen = set()
     for src, dst in pairs:
         if src in seen:
-            raise NonFunctionalReceiveMap(
+            raise ValidationError(
                 f"two receive targets declared for one source state (index {src})"
             )
         seen.add(src)
@@ -380,7 +363,7 @@ def validate(raw: dict) -> Protocol:
 
     def state(name):
         if name not in index:
-            raise UnknownState(f"unknown state {name!r}")
+            raise ValidationError(f"unknown state {name!r}")
         return index[name]
 
     def guard(gname, what):
@@ -407,14 +390,14 @@ def validate(raw: dict) -> Protocol:
             raise ValidationError(f"{TRIVIAL_GUARD_NAME!r} is reserved for the trivial guard")
         member_set = frozenset(state(s) for s in _names(members, f"guard {gname!r}"))
         if not member_set:
-            raise EmptyGuard(f"guard {gname!r} is empty")
+            raise ValidationError(f"guard {gname!r} is empty")
         guards[gname] = Guard(gname, member_set)
 
     actions: dict[str, Action] = {}
 
     def add(action):
         if action.name in actions:
-            raise DuplicateActionName(f"duplicate action name {action.name!r}")
+            raise ValidationError(f"duplicate action name {action.name!r}")
         actions[action.name] = action
 
     for i, spec in enumerate(_typed(raw.get("actions", []), list, "'actions'")):
@@ -431,9 +414,9 @@ def validate(raw: dict) -> Protocol:
         sends = tuple(Send(state(s), state(t))
                       for s, t in _pairs(spec.get("sends", []), f"{what}: 'sends'"))
         if not sends:
-            raise ArityMismatch(f"action {name!r} declares no send")
+            raise ValidationError(f"action {name!r} declares no send")
         if "arity" in spec and _field(spec, "arity", int, what) != len(sends):
-            raise ArityMismatch(
+            raise ValidationError(
                 f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
         pairs = _pairs(spec.get("receives", []), f"{what}: 'receives'", mapping=True)
         rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], n)

@@ -25,10 +25,9 @@ class IoError(Exception):
 
 @dataclass(frozen=True)
 class ModelFile:
-    """A parsed protocol document plus its origin, before validation."""
+    """A parsed protocol document, before validation."""
 
     raw: dict
-    path: str | None = None
 
     @property
     def property_block(self) -> dict | None:
@@ -44,14 +43,14 @@ def _no_duplicate_keys(pairs):
     return dict(pairs)
 
 
-def loads(text: str, path: str | None = None) -> ModelFile:
+def loads(text: str) -> ModelFile:
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
-    return ModelFile(raw, path)
+    return ModelFile(raw)
 
 
 def parse_model(path) -> ModelFile:
@@ -64,7 +63,7 @@ def parse_model(path) -> ModelFile:
         reason = f"{e.reason} at byte {e.start}"
         raise ParseError(f"{path}: not UTF-8 text ({reason})") from None
     try:
-        return loads(text, str(path))
+        return loads(text)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
 

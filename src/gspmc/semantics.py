@@ -12,7 +12,9 @@ senders' net move when every send index fires), ``send_dsts`` (per
 source, its destinations in ascending send index) and ``moved`` (the
 states the receive map moves). :func:`successors` computes the occupied
 states of a configuration once, as a bitmask, and tests every action's
-guard against it with one ``&``.
+guard against it with one ``&``. The backward engine fires its candidate
+predecessors through the same :func:`route`, with the ``moves`` that
+``Action.participations`` stores for each sender subset.
 """
 
 from gspmc.model import SENDER
@@ -76,7 +78,7 @@ def _senders(action, q):
     return (u, moves) if moves else None
 
 
-def _route(action, q, u, moves):
+def route(action, q, u, moves):
     """Successor of q when the senders ``u`` make the ``moves`` and every
     other process follows the action's receive map."""
     succ = list(q)
@@ -101,19 +103,12 @@ def enabled(protocol, q, action):
             and _senders(action, q) is not None)
 
 
-def route(action, q, u, uplus):
-    """Successor of q when the senders ``u`` land on ``uplus`` and every
-    other process follows the action's receive map."""
-    moves = [(s, b - a) for s, (a, b) in enumerate(zip(u, uplus)) if a != b]
-    return _route(action, q, u, moves)
-
-
 def fire(protocol, q, action):
     fired = None if _occupied(q) & action.outside_mask else _senders(action, q)
     if fired is None:
         raise NotEnabled(action.name)
     u, moves = fired
-    return FiringOutcome(_route(action, q, u, moves), tuple(u), action.name)
+    return FiringOutcome(route(action, q, u, moves), tuple(u), action.name)
 
 
 def successors(protocol, q):
@@ -126,5 +121,5 @@ def successors(protocol, q):
             continue
         fired = _senders(a, q)
         if fired is not None:
-            out.append((a.name, _route(a, q, *fired)))
+            out.append((a.name, route(a, q, *fired)))
     return out

@@ -99,19 +99,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Per-guard outcome of one condition family."""
+    """Outcome of one condition family: its violations, in used-guard order."""
 
     condition: str
-    by_guard: dict[str, tuple[Violation, ...]]
+    violations: tuple[Violation, ...]
     notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return all(not vs for vs in self.by_guard.values())
-
-    @property
-    def violations(self) -> tuple[Violation, ...]:
-        return tuple(v for vs in self.by_guard.values() for v in vs)
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
     order = StateOrder(protocol)
     reach = InternalReach(protocol) if weak else None
     w = "w" if weak else ""
-    by_guard = {}
+    violations = []
     notes = []
 
     def escapes(s, ok_dest) -> bool:
@@ -171,7 +167,6 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
     if a.kind == SENDER:
         dests = {s.dst for s in a.sends}
         for gp in protocol.used_guards():
-            violations = []
             if dests <= gp.members:
                 for s in sorted(a.guard.members):
                     t = a.receive_map[s]
@@ -184,14 +179,12 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
                         "the send destinations" if weak else
                         f"receiver {names[s]} leaves {gp.name} while all "
                         f"send destinations lie inside it"))
-            by_guard[gp.name] = tuple(violations)
-        return CheckResult("C1" + w, by_guard)
+        return CheckResult("C1" + w, tuple(violations))
 
     sources = {s.src for s in a.sends}
     rest = sorted(a.guard.members - sources)
     all_dests = [s.dst for s in a.sends]
     for gp in protocol.used_guards():
-        violations = []
         in_guard_dests = [d for d in all_dests if d in gp.members]
         if in_guard_dests:
             for s in rest:
@@ -229,8 +222,7 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
                     "sender's own destination" if weak else
                     f"receive from sender source {names[si.src]} leaves "
                     f"{gp.name} although send #{j} enters it"))
-        by_guard[gp.name] = tuple(violations)
-    return CheckResult(f"C2.1{w}∧C2.2{w}", by_guard, tuple(notes))
+    return CheckResult(f"C2.1{w}∧C2.2{w}", tuple(violations), tuple(notes))
 
 
 def check_c3w(protocol: Protocol, a: Action) -> CheckResult:
@@ -250,9 +242,8 @@ def check_c3w(protocol: Protocol, a: Action) -> CheckResult:
     src, dst = a.sends[0].src, a.sends[0].dst
     below_dst = {t for t in range(n) if order.below(t, dst)}
     bound = frozenset(a.guard.members | below_dst)
-    by_guard = {}
+    violations = []
     for gp in protocol.used_guards():
-        violations = []
         if src not in gp.members and dst in gp.members:
             for t in sorted(a.guard.members):
                 if not any(order.below(tp, dst) and reach.guarded(t, tp, bound)
@@ -261,8 +252,7 @@ def check_c3w(protocol: Protocol, a: Action) -> CheckResult:
                         "C3w", gp.name, (names[src], names[dst]),
                         f"state {names[t]} has no internal path (under the "
                         f"guard bound) to any state below {names[dst]}"))
-        by_guard[gp.name] = tuple(violations)
-    return CheckResult("C3w", by_guard)
+    return CheckResult("C3w", tuple(violations))
 
 
 def certify(protocol: Protocol) -> GuardCompatReport:

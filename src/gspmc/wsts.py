@@ -87,9 +87,6 @@ class Ucs:
     wqo: Wqo
     basis: tuple[tuple[int, ...], ...]
 
-    def covers(self, q):
-        return any(self.wqo.leq(b, q) for b in self.basis)
-
 
 class Antichain:
     """Minimal elements of the vectors inserted so far under one order.
@@ -227,15 +224,15 @@ def _action_preds(wqo, action, b):
     so candidates additionally range over surplus-support subsets.
     Receivers only go to the participation's ``allowed`` states
     (unpinned, inside the action's guard), so every candidate's support
-    lies in the guard. Every candidate is verified by firing it forward
-    through :func:`semantics.route`.
+    lies in the guard. Every candidate is verified by firing it forward,
+    with the participation's stored ``moves``, through :func:`semantics.route`.
     """
     pre = action.preimages
     placements = (_componentwise_placements if wqo.guards is None
                   else _refined_placements)
 
     found = set()
-    for u, uplus, allowed in action.participations:
+    for u, uplus, moves, allowed in action.participations:
         deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
         for per_dest in placements(pre, deficits, allowed):
             for choice in itertools.product(*(opts for _, opts in per_dest)):
@@ -244,7 +241,7 @@ def _action_preds(wqo, action, b):
                     for s, c in zip(slots, counts):
                         q[s] += c
                 q = tuple(q)
-                if wqo.leq(b, semantics.route(action, q, u, uplus)):
+                if wqo.leq(b, semantics.route(action, q, u, moves)):
                     found.add(q)
     return found
 
@@ -263,13 +260,6 @@ def _insert_preds(protocol, wqo, chain, frontier, memo):
                 chain.insert(q)
 
 
-def pred_basis(protocol, wqo, ucs):
-    """Basis of Pred(U) united with U itself (one backward step)."""
-    chain = Antichain(wqo, ucs.basis)
-    _insert_preds(protocol, wqo, chain, ucs.basis, {})
-    return Ucs(wqo, chain.basis())
-
-
 @dataclass
 class ParamVerdict:
     reachable: bool
@@ -277,26 +267,21 @@ class ParamVerdict:
     witness: tuple[str, ...] | None  # action sequence, forward order
     basis: Ucs  # fixpoint basis (unreachability certificate)
     iterations: int
-    sound: bool = True
 
 
-def decide(protocol, target, threshold, force_unsound=False):
+def decide(protocol, target, threshold):
     """Parameterized verdict for "at least ``threshold`` processes in ``target``".
 
     Guarded protocols are analyzed under the guard-refined order, which
     is only sound for certified guard-compatible protocols, so they are
-    certified first; pass ``force_unsound=True`` to analyze an
-    uncertified one anyway (the verdict is then stamped unsound).
+    certified first and refused when certification fails.
     Iterates the backward closure to the full fixpoint so the returned
     minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
-    sound = True
     if wqo.guards is not None and not wellbehaved.certify(protocol).well_behaved:
-        if not force_unsound:
-            raise NotCertifiedWellBehaved(
-                "guarded protocol failed guard-compatibility certification")
-        sound = False
+        raise NotCertifiedWellBehaved(
+            "guarded protocol failed guard-compatibility certification")
 
     start = target_basis(protocol, wqo, target, threshold)
     memo = {}
@@ -314,7 +299,7 @@ def decide(protocol, target, threshold, force_unsound=False):
     covering = [b for b in fixpoint.basis
                 if all(c == 0 for s, c in enumerate(b) if s != protocol.init)]
     if not covering:
-        return ParamVerdict(False, None, None, fixpoint, iterations, sound)
+        return ParamVerdict(False, None, None, fixpoint, iterations)
     best = min(covering, key=lambda b: b[protocol.init])
     min_n = best[protocol.init]
     assert min_n >= 1
@@ -330,4 +315,4 @@ def decide(protocol, target, threshold, force_unsound=False):
         action_name, parent = provenance[cur]
         witness.append(action_name)
         cur = parent
-    return ParamVerdict(True, min_n, tuple(witness), fixpoint, iterations, sound)
+    return ParamVerdict(True, min_n, tuple(witness), fixpoint, iterations)

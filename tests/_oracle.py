@@ -152,6 +152,15 @@ def pairwise_minimize(wqo, vectors):
     return tuple(sorted(basis))
 
 
+def pred_basis(protocol, wqo, ucs):
+    """Basis of Pred(U) united with U itself: one backward step of the
+    engine, ``wsts._insert_preds`` into a ``wsts.Antichain``, for the
+    grid oracles above to check."""
+    chain = wsts.Antichain(wqo, ucs.basis)
+    wsts._insert_preds(protocol, wqo, chain, ucs.basis, {})
+    return wsts.Ucs(wqo, chain.basis())
+
+
 def from_scratch_fixpoint(protocol, target, threshold):
     """(basis, iterations, min_n, witness) of the backward fixpoint,
     re-minimizing the whole predecessor set every round.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -68,19 +69,49 @@ def test_successors_called_once_per_expanded_configuration(monkeypatch):
     assert res.trace[-2][1] == expanded[-1]
 
 
-def test_traced_run_counts_bfs_work(tracer):
+def traced_run(tracer, *argv):
+    """(tracer, exit code, JSON report) of one traced ``cli.run``."""
     g = SimpleNamespace(**{m: importlib.import_module(f"gspmc.{m}") for m in (
         "cli", "modelfile", "model", "wellbehaved", "wsts", "explicit",
         "semantics", "cutoff")})
     tr = tracer.Tracer()
     tr.install(g)
+    out = io.StringIO()
     try:
         tr.begin("q")
-        code = g.cli.run(["mc", fixture_path("smoke_detector.json"),
-                          "--n", "4", "--json"], out=io.StringIO())
+        code = g.cli.run([*argv, "--json"], out=out)
     finally:
         tr.uninstall()
+    return tr, code, json.loads(out.getvalue())
+
+
+def recorded(tr, name):
+    """The result digests the tracer recorded for span ``name``."""
+    return [res for idx, res in tr.results if tr.spans[idx][0] == name]
+
+
+def test_traced_run_counts_bfs_work(tracer):
+    tr, code, _ = traced_run(tracer, "mc", fixture_path("smoke_detector.json"),
+                             "--n", "4")
     assert code == 0
-    explored = [res["explored"] for idx, res in tr.results
-                if tr.spans[idx][0] == "explicit.check_fixed"]
+    explored = [res["explored"] for res in recorded(tr, "explicit.check_fixed")]
     assert explored and tr.counts[("semantics.successors", "q")] == explored[0]
+
+
+def test_traced_verify_records_fixpoint_results(tracer):
+    tr, code, report = traced_run(
+        tracer, "verify", fixture_path("smoke_detector.json"), "--count", "2")
+    assert code == 1
+    res = report["result"]
+    assert recorded(tr, "wsts.decide") == [
+        {"iterations": res["iterations"], "basis": len(res["basis"])}]
+    # the guard-refined target basis is minimized through wsts.minimize
+    assert recorded(tr, "wsts.minimize")
+
+
+def test_traced_cutoff_records_amenability(tracer):
+    tr, code, report = traced_run(
+        tracer, "cutoff", fixture_path("smoke_detector.json"))
+    assert code == 0
+    assert recorded(tr, "cutoff.certified_cutoff_check") == [
+        {"amenable": report["result"]["amenable"]}]

@@ -172,8 +172,8 @@ class TestStrongConditions:
         assert Violation(
             "C1", "G3", ("Pick", "Env"),
             "receiver Pick leaves G3 while all send destinations lie "
-            "inside it") in res.by_guard["G3"]
-        assert res.by_guard["G1"] == res.by_guard["G2"] == ()
+            "inside it") in res.violations
+        assert {v.guard for v in res.violations} == {"G3"}
 
     def test_maximal_violations(self, smoke):
         # graft a 2-maximal whose non-sender receiver Env->Env stays

@@ -5,7 +5,8 @@ Commands: ``validate``, ``desugar``, ``certify``, ``cutoff``, ``mc``,
 commands take the target state and count from ``--target``/``--count``
 (falling back to the file's ``property`` block). Exit codes: 0 when the
 property was refuted or the analysis passed, 1 when a witness or
-violation was found, 2 on any parse, validation or resource error.
+violation was found, 2 on any usage, parse, validation or resource
+error, which is reported as one line on stderr.
 A reader that closes stdout early does not change the exit code.
 """
 
@@ -25,10 +26,21 @@ EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
 
+class UsageError(Exception):
+    """The command line does not parse."""
+
+    __module__ = "gspmc.cli"  # also under ``python -m gspmc.cli``
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: it is the same for every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gspmc",
         description="Model checker for globally synchronizing protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,14 +261,14 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.monotonic()
         mf = modelfile.parse_model(args.model)
         protocol = model.validate(mf.raw)
         code, payload, lines = _run_command(args, mf, protocol)
     except (modelfile.ParseError, modelfile.IoError, model.ValidationError,
-            wsts.NotCertifiedWellBehaved,
+            wsts.NotCertifiedWellBehaved, UsageError,
             explicit.StateBudgetExceeded, cutoff.PathBudgetExceeded,
             ValueError) as e:
         module = type(e).__module__.rsplit(".", 1)[-1]

@@ -6,7 +6,9 @@ A protocol is one process template. Global actions come in two core kinds:
   consumes exactly k of them (one per send index);
 - ``maximal`` (k-maximal): fires as soon as at least one potential sender
   is present, with min(available, declared) senders participating per
-  source state.
+  source state; which of a state's send slots they take is a
+  nondeterministic choice. :meth:`Action.outcomes` states this rule for
+  the forward and the backward engine alike.
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 SENDER = "sender"
 MAXIMAL = "maximal"
@@ -63,11 +67,6 @@ class Action:
         """``senders_from[s]`` counts the send indices leaving state s."""
         return tally(len(self.receive_map), (s.src for s in self.sends))
 
-    @cached_property
-    def senders_to(self) -> tuple[int, ...]:
-        """``senders_to[t]`` counts the send indices arriving in state t."""
-        return tally(len(self.receive_map), (s.dst for s in self.sends))
-
     # Compiled once per action, so that firing and predecessor search
     # read flat tuples instead of re-deriving them per configuration.
 
@@ -79,18 +78,9 @@ class Action:
                    if s not in self.guard.members)
 
     @cached_property
-    def sources(self) -> tuple[tuple[int, int], ...]:
-        """``(state, count)`` for every state some send index leaves."""
-        return tuple((s, c) for s, c in enumerate(self.senders_from) if c)
-
-    @cached_property
-    def delta(self) -> tuple[tuple[int, int], ...]:
-        """The nonzero entries of ``senders_to - senders_from`` as
-        ``(state, change)`` pairs: the senders' net move when every send
-        index fires."""
-        return tuple((s, t - f) for s, (f, t)
-                     in enumerate(zip(self.senders_from, self.senders_to))
-                     if t != f)
+    def sources(self) -> tuple[int, ...]:
+        """The states some send slot leaves, ascending."""
+        return tuple(s for s, c in enumerate(self.senders_from) if c)
 
     @cached_property
     def moved(self) -> tuple[tuple[int, int], ...]:
@@ -106,54 +96,103 @@ class Action:
         return tuple(map(tuple, pre))
 
     @cached_property
-    def send_dsts(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``(source, destinations)`` per source state, the destinations in
-        ascending send index: a maximal action with c processes in the
-        source fires the first min(c, len) of them."""
-        by_src: dict[int, list[int]] = {}
-        for send in self.sends:
-            by_src.setdefault(send.src, []).append(send.dst)
-        return tuple((s, tuple(d)) for s, d in sorted(by_src.items()))
+    def firings(self) -> _Firings:
+        """``firings[firings.offered(q)]``: the :meth:`outcomes` for
+        configuration q, looked up on first use."""
+        return _Firings(self)
+
+    @cached_property
+    def _slots(self) -> tuple[tuple[int, ...], ...]:
+        """Per ``sources`` state, the destinations of its send slots in
+        ascending send index."""
+        return tuple(tuple(send.dst for send in self.sends if send.src == s)
+                     for s in self.sources)
+
+    def outcomes(self, key: tuple[int, ...]) -> tuple[tuple, ...]:
+        """The distinct ``(u, uplus, moves)`` outcomes of firing with
+        ``key[i]`` senders from the i-th ``sources`` state.
+
+        With c processes in a source state that has k send slots,
+        min(c, k) of them take part: that count is the state's entry of
+        the key. Sender actions fire only on the full key, with every
+        send slot. Maximal actions fire on every non-zero key, once per
+        distinct multiset of destinations the taken slots reach, in the
+        order of :func:`itertools.product` over the sources (ascending
+        state) of the :func:`itertools.combinations` of each source's
+        slots (ascending send index). The guard is not checked here.
+
+        ``u`` and ``uplus`` count the senders per source and destination
+        state, and ``moves`` is their net move as the nonzero
+        ``(state, change)`` pairs.
+        """
+        if not any(key) or (self.kind == SENDER and key != self.firings.caps):
+            return ()
+        n = len(self.receive_map)
+        u = [0] * n
+        for s, k in zip(self.sources, key):
+            u[s] = k
+        u = tuple(u)
+        out = {}
+        for taken in itertools.product(
+                *map(itertools.combinations, self._slots, key)):
+            uplus = tally(n, itertools.chain.from_iterable(taken))
+            if uplus not in out:
+                out[uplus] = (u, uplus, tuple(
+                    (s, b - a) for s, (a, b) in enumerate(zip(u, uplus)) if a != b))
+        return tuple(out.values())
 
     @cached_property
     def participations(self) -> tuple[tuple, ...]:
-        """``(u, uplus, moves, allowed)`` per sender subset a predecessor
-        search considers, without repeats.
+        """``(u, uplus, moves, allowed)`` per outcome of :meth:`outcomes`
+        on every key, so a predecessor search considers exactly the
+        sender subsets that forward firing takes.
 
-        Sender actions fire with every declared send. Maximal actions
-        fire with any non-empty index subset, provided the source states
-        of the missing indices hold no further processes: those states
-        are pinned, and ``allowed`` lists the states inside the guard
-        that are not, where further (receiving) processes may sit.
-        Subsets whose senders ``u`` occupy a state outside the guard
-        are dropped, since the action never fires with them.
-
-        ``u`` and ``uplus`` count the senders per source and destination
-        state. ``moves``, their net move as the nonzero ``(state, change)``
-        pairs, is stored so that candidate predecessors are fired through
-        :func:`gspmc.semantics.route` without re-deriving it per candidate.
+        On a key below a source's slot count, that source state holds no
+        further processes: it is pinned, and ``allowed`` lists the states
+        inside the guard that are not, where further (receiving)
+        processes may sit. Keys whose senders occupy a state outside the
+        guard are dropped, since the action never fires with them.
         """
         n = len(self.receive_map)
         v = self.senders_from
-        k = len(self.sends)
         guard = self.guard.members
-        seen = set()
         out = []
-        for size in (range(1, k + 1) if self.kind == MAXIMAL else (k,)):
-            for sigma in itertools.combinations(self.sends, size):
-                u = tally(n, (s.src for s in sigma))
-                uplus = tally(n, (s.dst for s in sigma))
-                if (u, uplus) in seen:
-                    continue
-                seen.add((u, uplus))
-                if any(c and s not in guard for s, c in enumerate(u)):
-                    continue
-                moves = tuple((s, b - a) for s, (a, b)
-                              in enumerate(zip(u, uplus)) if a != b)
+        for key in itertools.product(*(range(v[s] + 1) for s in self.sources)):
+            if any(k and s not in guard for s, k in zip(self.sources, key)):
+                continue
+            for u, uplus, moves in self.outcomes(key):
                 allowed = tuple(s for s in range(n)
                                 if u[s] >= v[s] and s in guard)
                 out.append((u, uplus, moves, allowed))
         return tuple(out)
+
+
+class _Firings(dict):
+    """An action's outcomes per tuple of processes a configuration offers
+    in its ``sources`` states, filled on first lookup; ``offered(q)`` is
+    that tuple. Offered counts are clipped to the slot counts ``caps``,
+    and the tuples that clip to one key share that key's outcomes."""
+
+    __slots__ = ("action", "offered", "caps")
+
+    def __init__(self, action):
+        sources = action.sources
+        # weak: the action owns the table, and a strong reference back
+        # would leave a cycle per action for the garbage collector
+        self.action = weakref.ref(action)
+        # itemgetter of one index would give a bare count, not a tuple
+        self.offered = (itemgetter(*sources) if len(sources) > 1
+                        else itemgetter(slice(sources[0], sources[0] + 1)))
+        self.caps = self.offered(action.senders_from)
+        self[(0,) * len(sources)] = ()  # no process offered: disabled
+
+    def __missing__(self, offered):
+        key = tuple(map(min, offered, self.caps))
+        out = self.get(key) if key != offered else None
+        if out is None:
+            out = self[key] = self.action().outcomes(key)
+        self[offered] = out
+        return out
 
 
 @dataclass(frozen=True)

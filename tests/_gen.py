@@ -1,10 +1,7 @@
 """Seeded random protocol generation for the oracle-equivalence suites.
 
-Generated protocols keep maximal actions unambiguous (send slots sharing
-a source state share the destination) so that forward firing realizes
-every sender subset the backward engine enumerates, and sender sources
-stay inside their action's guard. Guarded protocols are rejection-
-sampled until certification passes, matching the scope of the
+Sender sources stay inside their action's guard. Guarded protocols are
+rejection-sampled until certification passes, matching the scope of the
 guard-refined engine.
 """
 
@@ -32,9 +29,7 @@ def random_raw(rng: random.Random, *, max_states: int = 5,
         pool = guards[gname] if gname else states
         sends = [[rng.choice(pool), rng.choice(states)]]
         if max_arity >= 2 and rng.random() < 0.5:
-            src2 = rng.choice(pool)
-            dst2 = sends[0][1] if src2 == sends[0][0] else rng.choice(states)
-            sends.append([src2, dst2])
+            sends.append([rng.choice(pool), rng.choice(states)])
         receives = [[s, rng.choice(states)]
                     for s in states if rng.random() < 0.4]
         entry: dict = {"name": f"a{ai}", "kind": kind, "sends": sends,

@@ -17,37 +17,54 @@ from gspmc import semantics, wsts
 from gspmc.model import SENDER
 
 
-def multiset_enabled(states: Counter, action) -> bool:
+def multiset_fire(states: Counter, action) -> list[Counter]:
+    """Every distinct successor multiset of firing the action from
+    ``states``, empty when it is disabled.
+
+    A source state with c processes and k send slots offers min(c, k)
+    senders (a sender action needs all k), and those senders take any
+    min(c, k) of its slots. Outcomes come in the order the engine
+    documents: the slot choices of the sources in ascending state order,
+    each source's choices as combinations of its slots in declaration
+    order, the first choice reaching a successor kept.
+    """
     if not set(states) <= action.guard.members:
-        return False
-    need = Counter(s.src for s in action.sends)
-    if action.kind == SENDER:
-        return all(states[s] >= c for s, c in need.items())
-    return any(states[s.src] > 0 for s in action.sends)
-
-
-def multiset_fire(states: Counter, action) -> Counter:
-    pool = Counter(states)
-    landed: Counter = Counter()
-    by_src: dict[int, list[int]] = {}
+        return []
+    slots: dict[int, list[int]] = {}
     for send in action.sends:  # declaration order = ascending send index
-        by_src.setdefault(send.src, []).append(send.dst)
-    for src, dsts in by_src.items():
-        take = len(dsts) if action.kind == SENDER else min(pool[src], len(dsts))
-        assert pool[src] >= take, "fired while not enabled"
-        for dst in dsts[:take]:
-            pool[src] -= 1
-            landed[dst] += 1
-    for s, c in pool.items():
-        if c > 0:
-            landed[action.receive_map[s]] += c
-    return +landed
+        slots.setdefault(send.src, []).append(send.dst)
+    sources = sorted(slots)
+    takes = []
+    for src in sources:
+        take = min(states[src], len(slots[src]))
+        if action.kind == SENDER and take < len(slots[src]):
+            return []
+        takes.append(take)
+    if not any(takes):
+        return []
+    out: list[Counter] = []
+    for choice in itertools.product(*(
+            itertools.combinations(slots[src], take)
+            for src, take in zip(sources, takes))):
+        pool = Counter(states)
+        landed: Counter = Counter()
+        for src, dsts in zip(sources, choice):
+            for dst in dsts:
+                pool[src] -= 1
+                landed[dst] += 1
+        for s, c in pool.items():
+            if c > 0:
+                landed[action.receive_map[s]] += c
+        landed = +landed
+        if landed not in out:
+            out.append(landed)
+    return out
 
 
 def multiset_successors(protocol, states: Counter):
     for action in protocol.actions:
-        if multiset_enabled(states, action):
-            yield action.name, multiset_fire(states, action)
+        for succ in multiset_fire(states, action):
+            yield action.name, succ
 
 
 def as_counter(q) -> Counter:
@@ -137,10 +154,10 @@ def grid_predecessors(protocol, wqo, b, limit: int = 6):
             preds.add(q)
             continue
         for action in protocol.actions:
-            if semantics.enabled(protocol, q, action):
-                if wqo.leq(b, semantics.fire(protocol, q, action).successor):
-                    preds.add(q)
-                    break
+            if any(wqo.leq(b, succ)
+                   for _, succ in semantics.fire(protocol, q, action)):
+                preds.add(q)
+                break
     return preds
 
 

@@ -38,10 +38,9 @@ def replay(protocol, trace):
     assert head[0] is None
     states = _oracle.as_counter(head[1])
     for name, expected in steps:
-        action = protocol.action(name)
-        assert _oracle.multiset_enabled(states, action)
-        states = _oracle.multiset_fire(states, action)
-        assert states == _oracle.as_counter(expected)
+        nxt = _oracle.as_counter(expected)
+        assert nxt in _oracle.multiset_fire(states, protocol.action(name))
+        states = nxt
     return states
 
 

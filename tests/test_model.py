@@ -130,13 +130,13 @@ class TestSenderTallies:
         # states: Env, Ask, Idle, Pick, Report
         assert a.receive_map == (2, 3, 2, 3, 4)
         assert a.senders_from == (0, 1, 0, 0, 0)
-        assert a.senders_to == (0, 0, 0, 1, 0)
+        assert [uplus for _, uplus, _ in a.outcomes((1,))] == [(0, 0, 0, 1, 0)]
 
     def test_choose_tallies(self, smoke):
         a = smoke.action("Choose")
         assert a.receive_map == (0, 1, 2, 2, 4)
         assert a.senders_from == (0, 0, 0, 2, 0)
-        assert a.senders_to == (0, 0, 0, 0, 2)
+        assert [uplus for _, uplus, _ in a.outcomes((2,))] == [(0, 0, 0, 0, 2)]
 
     def test_sender_tallies_sum_to_arity(self):
         rng = random.Random(1)
@@ -148,7 +148,10 @@ class TestSenderTallies:
                                   tuple(range(states)),
                                   model.Guard("ALL", frozenset(range(states))))
             assert sum(action.senders_from) == len(sends)
-            assert sum(action.senders_to) == len(sends)
+            full = tuple(action.senders_from[s] for s in action.sources)
+            [(u, uplus, _)] = action.outcomes(full)
+            assert u == action.senders_from
+            assert sum(uplus) == len(sends)
 
 
 class TestDesugar:

@@ -6,11 +6,15 @@ import random
 import pytest
 
 from gspmc.model import validate
-from gspmc.semantics import NotEnabled, enabled, fire, successors
+from gspmc.semantics import fire, successors
 
 import _gen
 import _oracle
 from conftest import config
+
+
+def enabled(p, q, action):
+    return bool(fire(p, q, action))
 
 
 class TestEnabled:
@@ -42,26 +46,23 @@ class TestEnabled:
 class TestFire:
     def test_smoke_broadcast(self, smoke):
         q = config(smoke, Ask=3, Env=2)
-        out = fire(smoke, q, smoke.action("Smoke"))
         # one Ask sends to Pick; the other two follow Ask->Pick; both Env->Idle
-        assert out.successor == config(smoke, Idle=2, Pick=3)
-        assert out.participation == config(smoke, Ask=1)
+        assert fire(smoke, q, smoke.action("Smoke")) == [
+            (config(smoke, Ask=1), config(smoke, Idle=2, Pick=3))]
 
     def test_choose_two_sender(self, smoke_2sender):
         p = smoke_2sender
-        out = fire(p, config(p, Idle=1, Pick=4), p.action("Choose"))
-        assert out.successor == config(p, Idle=3, Report=2)
-        assert out.participation == config(p, Pick=2)
+        assert fire(p, config(p, Idle=1, Pick=4), p.action("Choose")) == [
+            (config(p, Pick=2), config(p, Idle=3, Report=2))]
 
     def test_choose_two_maximal_partial(self, smoke):
+        # only one Pick available: u = min(q, v) pointwise, and both of
+        # Choose's send slots lead to Report, so there is one outcome
         out = fire(smoke, config(smoke, Idle=4, Pick=1), smoke.action("Choose"))
-        # only one Pick available: u = min(q, v) pointwise
-        assert out.successor == config(smoke, Idle=4, Report=1)
-        assert out.participation == config(smoke, Pick=1)
+        assert out == [(config(smoke, Pick=1), config(smoke, Idle=4, Report=1))]
 
     def test_fire_requires_enabled(self, smoke):
-        with pytest.raises(NotEnabled):
-            fire(smoke, config(smoke, Env=1), smoke.action("Smoke"))
+        assert fire(smoke, config(smoke, Env=1), smoke.action("Smoke")) == []
 
     def test_successors_enumerates_enabled_only(self, smoke):
         q = config(smoke, Env=1, Ask=1)
@@ -118,17 +119,18 @@ class TestOracleAgreement:
                 continue
             for name, succ in successors(smoke, q):
                 a = smoke.action(name)
-                out = fire(smoke, q, a)
-                assert out.successor == succ
-                assert sum(succ) == sum(q)
-                if a.kind == "sender":
-                    assert sum(out.participation) == a.arity
-                else:
-                    assert 1 <= sum(out.participation) <= a.arity
+                outs = fire(smoke, q, a)
+                assert succ in [s for _, s in outs]
+                for u, s in outs:
+                    assert sum(s) == sum(q)
+                    if a.kind == "sender":
+                        assert sum(u) == a.arity
+                    else:
+                        assert 1 <= sum(u) <= a.arity
 
 
 # One maximal action whose two send slots leave I for different
-# destinations: with one process in I, only the first slot fires.
+# destinations: with one process in I, either slot fires.
 SHARED_SOURCE = {
     "states": ["I", "A", "B", "T"], "init": "I",
     "actions": [{"name": "m", "kind": "maximal",
@@ -148,23 +150,23 @@ def with_shared_source_slots(rng, raw):
 
 class TestSharedSourceSlots:
     """Send slots that share a source but not a destination: a maximal
-    action takes them in ascending send index, so the successor depends
-    on the order the compiled per-source destination lists keep."""
+    action with fewer senders than slots takes any of them, one outcome
+    per distinct set of destinations reached."""
 
-    def test_first_slot_fires_first(self):
+    def test_every_slot_choice_fires(self):
         p = validate(SHARED_SOURCE)
         m = p.action("m")
-        out = fire(p, (1, 0, 0, 0), m)
-        assert out.successor == (0, 1, 0, 0)
-        assert out.participation == (1, 0, 0, 0)
-        assert fire(p, (3, 0, 0, 1), m).successor == (1, 1, 1, 1)
+        u = (1, 0, 0, 0)
+        assert fire(p, (1, 0, 0, 0), m) == [(u, (0, 1, 0, 0)), (u, (0, 0, 1, 0))]
+        assert fire(p, (3, 0, 0, 1), m) == [((2, 0, 0, 0), (1, 1, 1, 1))]
         check_against_oracle(p, total=4)
 
-    def test_slot_order_decides(self):
+    def test_slot_order_orders_outcomes(self):
         raw = {**SHARED_SOURCE, "actions": [
             {**SHARED_SOURCE["actions"][0], "sends": [["I", "B"], ["I", "A"]]}]}
         p = validate(raw)
-        assert fire(p, (1, 0, 0, 0), p.action("m")).successor == (0, 0, 1, 0)
+        assert [s for _, s in fire(p, (1, 0, 0, 0), p.action("m"))] == [
+            (0, 0, 1, 0), (0, 1, 0, 0)]
         check_against_oracle(p, total=4)
 
     def test_random_protocols(self):

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspmc import semantics, wsts
-from gspmc.explicit import ReachQuery, check_fixed
-from gspmc.model import ValidationError
+from gspmc.explicit import ReachQuery, check_fixed, min_witness_size
+from gspmc.model import ValidationError, validate
 from gspmc.wsts import (
     COMPONENT_WISE,
     NotCertifiedWellBehaved,
@@ -25,6 +27,9 @@ from gspmc.wsts import (
 import _gen
 import _oracle
 from conftest import config, load_fixture
+
+PROTOCOLS_PATH = (Path(__file__).resolve().parent.parent
+                  / "perfbench" / "protocols.py")
 
 vectors = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple)
 
@@ -184,11 +189,15 @@ class TestPredBasis:
 
 
 def replay_witness(protocol, n, witness, target, threshold):
-    q = tuple(n if s == protocol.init else 0
-              for s in range(protocol.n_states))
+    """Fire the witness's actions from n processes in the initial state,
+    following every outcome: some outcome path must reach the target."""
+    configs = {tuple(n if s == protocol.init else 0
+                     for s in range(protocol.n_states))}
     for name in witness:
-        q = semantics.fire(protocol, q, protocol.action(name)).successor
-    assert q[target] >= threshold, (witness, q)
+        action = protocol.action(name)
+        configs = {succ for q in configs
+                   for _, succ in semantics.fire(protocol, q, action)}
+    assert any(q[target] >= threshold for q in configs), (witness, configs)
 
 
 class TestDecide:
@@ -230,7 +239,7 @@ class TestDecide:
 
     # both seeds draw queries in which two frontier elements share a
     # predecessor, so the witness depends on the order of the frontier
-    @pytest.mark.parametrize("order, seed", [("cw", 2), ("gr", 8)])
+    @pytest.mark.parametrize("order, seed", [("cw", 2), ("gr", 3)])
     def test_matches_from_scratch_fixpoint(self, order, seed):
         rng = random.Random(seed)
         for _ in range(40):
@@ -244,6 +253,18 @@ class TestDecide:
             v = decide(p, target, threshold)
             got = (v.basis.basis, v.iterations, v.min_n, v.witness)
             assert got == _oracle.from_scratch_fixpoint(p, target, threshold)
+
+    def test_agrees_with_bfs_on_shared_source_slots(self):
+        # the benchmark's guarded-mix draw 193, loaded from the benchmark's
+        # own generator: its maximal action a1 sends three slots from S0
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_protocols", PROTOCOLS_PATH)
+        protocols = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(protocols)
+        p = validate(protocols.random_model(random.Random("guarded-mix-193")))
+        target = p.state_index("S3")
+        v = decide(p, target, 1)
+        assert v.min_n == min_witness_size(p, target, 1, 6).n == 1
 
     def test_uncertified_guarded_protocol_refused(self, smoke_mutant):
         with pytest.raises(NotCertifiedWellBehaved):

@@ -3,6 +3,12 @@
 Breadth-first search over counter vectors, deduplicated on the vector
 itself (exact for anonymous processes), returning a shortest witness
 trace when the target count is reachable.
+
+The search runs on packed configurations (see :mod:`gspmc.semantics`):
+one ``int`` per configuration, ``n.bit_length()`` bits per state, and
+one call of ``semantics.successors`` per expanded configuration. Only
+the configurations of the returned trace are unpacked, each step
+labelled with the first action, in declaration order, that makes it.
 """
 
 from collections import deque
@@ -63,33 +69,40 @@ def require_budget(budget, what):
 def check_fixed(protocol, query, state_budget=DEFAULT_STATE_BUDGET):
     """BFS from the all-in-init state; shortest trace on success."""
     require_budget(state_budget, "state")
-    q0 = tuple(query.size if s == protocol.init else 0
-               for s in range(protocol.n_states))
-    target, threshold = query.target, query.threshold
-    if q0[target] >= threshold:
-        return FixedResult(True, [(None, q0)], 1)
-    parent = {q0: None}
-    frontier = deque([q0])
+    packed = semantics.packed(protocol, query.size)
+    start = query.size << packed.width * protocol.init  # all in init
+    shift, mask = packed.width * query.target, packed.mask
+    threshold = query.threshold
+    parent = {start: None}
+    if start >> shift & mask >= threshold:
+        return FixedResult(True, _trace(packed, parent, start), 1)
+    frontier = deque([start])
     while frontier:
         q = frontier.popleft()
-        for action, nxt in semantics.successors(protocol, q):
+        for nxt in semantics.successors(packed, q):
             if nxt in parent:
                 continue
-            parent[nxt] = (q, action)
-            if nxt[target] >= threshold:
-                steps = [(action, nxt)]
-                cur = q
-                while parent[cur] is not None:
-                    prev, act = parent[cur]
-                    steps.append((act, cur))
-                    cur = prev
-                steps.append((None, q0))
-                steps.reverse()
-                return FixedResult(True, steps, len(parent))
+            parent[nxt] = q
+            if nxt >> shift & mask >= threshold:
+                return FixedResult(True, _trace(packed, parent, nxt), len(parent))
             if len(parent) > state_budget:
                 raise StateBudgetExceeded(len(parent), query.size)
             frontier.append(nxt)
     return FixedResult(False, None, len(parent))
+
+
+def _trace(packed, parent, last):
+    """The BFS tree path from the start to ``last``, unpacked, each step
+    labelled with the first action that takes its parent to it."""
+    path = [last]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    steps = [(None, semantics.unpack(packed, path[0]))]
+    for prev, cur in zip(path, path[1:]):
+        steps.append((semantics.firing_action(packed, prev, cur),
+                      semantics.unpack(packed, cur)))
+    return steps
 
 
 def min_witness_size(protocol, target, threshold, n_max,

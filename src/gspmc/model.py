@@ -23,7 +23,6 @@ import dataclasses
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 SENDER = "sender"
@@ -34,6 +33,26 @@ TRIVIAL_GUARD_NAME = "ALL"
 
 class ValidationError(Exception):
     """A protocol description violates a structural requirement."""
+
+
+class cached_property:
+    """A method computed on first access and stored in the instance
+    ``__dict__``, where later lookups find it before this descriptor.
+    Unlike :class:`functools.cached_property` it takes no lock, and it
+    writes past a frozen dataclass's ``__setattr__``."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -100,6 +119,12 @@ class Action:
         """``firings[firings.offered(q)]``: the :meth:`outcomes` for
         configuration q, looked up on first use."""
         return _Firings(self)
+
+    @cached_property
+    def packed_tables(self) -> dict:
+        """Per digit width, the action's tables for packed configurations,
+        filled by :func:`gspmc.semantics.packed`."""
+        return {}
 
     @cached_property
     def _slots(self) -> tuple[tuple[int, ...], ...]:

@@ -7,13 +7,26 @@ total is conserved.
 
 Which senders take part, through which slots, is the rule of
 :meth:`gspmc.model.Action.outcomes`, looked up in ``Action.firings``.
-Firing also reads ``outside_mask`` (the states outside the guard, as a
-bitmask) and ``moved`` (the states the receive map moves).
-:func:`successors` computes the occupied states of a configuration once,
-as a bitmask, and tests every action's guard against it with one ``&``.
-The backward engine fires its candidate predecessors through the same
-:func:`route`, with the ``moves`` of ``Action.participations``, which
-come from the same rule.
+:func:`fire` and :func:`route` apply it to tuples; the backward engine
+fires its candidate predecessors through :func:`route`, with the
+``moves`` of ``Action.participations``, which come from the same rule.
+
+The explicit search works on packed configurations instead: with n
+processes, each state's count is one digit of W = ``n.bit_length()``
+bits, state s at bit W*s. A count is at most n < 2**W, so a
+configuration is one ``int`` whose digits never carry into each other.
+For that width each action has a tuple of tables (kept in
+``Action.packed_tables`` per W, so all sizes of one width share them):
+``outside`` masks the digits of the states
+outside the guard (the guard holds iff ``code & outside`` is 0),
+``field`` masks the digits of its ``sources``, and ``moved`` holds
+``(W*s, B[r] - B[s])`` per state the receive map moves, B[s] being
+``1 << W*s``. A successor is ``code + sum(digit_s * (B[r] - B[s])) +
+delta``: the receive map applied to every process, then one delta per
+outcome, which puts the senders back and makes their ``moves``. The
+deltas are memoised per ``code & field`` from ``Action.firings``, so
+the firing rule stays in one place. :func:`unpack` turns a packed
+configuration back into a tuple; the search unpacks only its trace.
 """
 
 
@@ -55,15 +68,129 @@ def fire(protocol, q, action):
             for u, _, moves in table[table.offered(q)]]
 
 
-def successors(protocol, q):
-    """``(action name, successor)`` per outcome of every enabled action,
-    in action declaration order, then the order of ``Action.outcomes``."""
-    occupied = _occupied(q)
-    out = []
+class _Deltas(dict):
+    """Packed outcome deltas of one action at one width, per ``code &
+    field``, filled on first lookup from ``Action.firings``. As there,
+    the offered counts are clipped to the slot counts, and the keys that
+    clip to one key share its deltas. A delta takes each sender out of
+    the digit the receive map moved it to and makes the ``moves``."""
+
+    __slots__ = ("firings", "width", "sources", "receive_map")
+
+    def __init__(self, action, width):
+        self.firings = action.firings
+        self.width = width
+        self.sources = action.sources
+        self.receive_map = action.receive_map
+
+    def __missing__(self, key):
+        w = self.width
+        mask = (1 << w) - 1
+        offered = []
+        clipped = 0
+        for s, cap in zip(self.sources, self.firings.caps):
+            c = min(key >> w * s & mask, cap)
+            offered.append(c)
+            clipped |= c << w * s
+        if clipped != key:
+            out = self[key] = self[clipped]
+            return out
+        out = []
+        for u, _, moves in self.firings[tuple(offered)]:
+            delta = 0
+            for s, c in moves:
+                delta += c << w * s
+            for s in self.sources:
+                delta += u[s] * ((1 << w * s) - (1 << w * self.receive_map[s]))
+            out.append(delta)
+        out = self[key] = tuple(out)
+        return out
+
+
+def _packed_action(action, width):
+    """``(outside, field, moved, deltas, name)``: the action's tables for
+    packed configurations of one width. A plain tuple, because the
+    interpreter unpacks an exact tuple faster than a named one."""
+    mask = (1 << width) - 1
+    outside = field = 0
+    moved = []
+    for s, r in enumerate(action.receive_map):
+        if action.outside_mask >> s & 1:
+            outside |= mask << width * s
+        if r != s:
+            moved.append((width * s, (1 << width * r) - (1 << width * s)))
+    for s in action.sources:
+        field |= mask << width * s
+    return outside, field, tuple(moved), _Deltas(action, width), action.name
+
+
+class Packed:
+    """A protocol compiled for packed configurations of ``width``-bit
+    digits: the tables of each action, in declaration order."""
+
+    __slots__ = ("actions", "width", "mask", "n_states")
+
+    def __init__(self, actions, width, n_states):
+        self.actions = actions
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.n_states = n_states
+
+
+def packed(protocol, n):
+    """The protocol's packed tables for configurations of n processes."""
+    width = n.bit_length()
+    tables = []
     for a in protocol.actions:
-        if occupied & a.outside_mask:
+        t = a.packed_tables.get(width)
+        if t is None:
+            t = a.packed_tables[width] = _packed_action(a, width)
+        tables.append(t)
+    return Packed(tuple(tables), width, protocol.n_states)
+
+
+def pack(packed, q):
+    """The packed code of the counter vector q."""
+    return sum(c << packed.width * s for s, c in enumerate(q))
+
+
+def unpack(packed, code):
+    """The counter vector of a packed code."""
+    w, mask = packed.width, packed.mask
+    return tuple([code >> w * s & mask for s in range(packed.n_states)])
+
+
+def successors(packed, code):
+    """Successor codes of a packed configuration: every outcome of every
+    enabled action, in action declaration order, then the order of
+    ``Action.outcomes``."""
+    out = []
+    mask = packed.mask
+    for outside, field, moved, deltas, _ in packed.actions:
+        if code & outside:
             continue
-        table = a.firings
-        for u, _, moves in table[table.offered(q)]:
-            out.append((a.name, route(a, q, u, moves)))
+        ds = deltas[code & field]
+        if not ds:
+            continue
+        base = code
+        for shift, step in moved:
+            base += (code >> shift & mask) * step
+        for delta in ds:
+            out.append(base + delta)
     return out
+
+
+# The search calls ``successors`` through the module attribute once per
+# expanded configuration, so that a wrapper put there (a profiler's) sees
+# exactly those calls; labelling a trace uses this binding instead.
+_successors = successors
+
+
+def firing_action(packed, code, succ):
+    """Name of the first action, in declaration order, one of whose
+    outcomes takes ``code`` to ``succ``."""
+    one = Packed((), packed.width, packed.n_states)
+    for t in packed.actions:
+        one.actions = (t,)
+        if succ in _successors(one, code):
+            return t[-1]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gspmc import model, modelfile
+from gspmc import model, modelfile, semantics
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "gspmc" / "fixtures"
 
@@ -23,6 +23,22 @@ def config(protocol: model.Protocol, **counts) -> tuple[int, ...]:
     for name, c in counts.items():
         q[protocol.state_index(name)] = c
     return tuple(q)
+
+
+def named_successors(protocol: model.Protocol, q) -> list:
+    """``(action name, successor)`` per outcome of firing from the counter
+    vector q, through the packed tables for ``sum(q)`` processes: the
+    successors of each action alone in turn, which together are exactly
+    what ``semantics.successors`` gives, unpacked."""
+    packed = semantics.packed(protocol, sum(q))
+    code = semantics.pack(packed, q)
+    out = [(t[-1], semantics.unpack(packed, succ))
+           for t in packed.actions
+           for succ in semantics.successors(
+               semantics.Packed((t,), packed.width, packed.n_states), code)]
+    assert [s for _, s in out] == [semantics.unpack(packed, succ) for succ
+                                   in semantics.successors(packed, code)]
+    return out
 
 
 def internal_ring(length: int) -> model.Protocol:

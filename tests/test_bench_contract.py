@@ -51,22 +51,27 @@ def test_successors_called_once_per_expanded_configuration(monkeypatch):
     expanded = []
     original = semantics.successors
 
-    def counting(protocol, q):
-        expanded.append(q)
-        return original(protocol, q)
+    def counting(packed, code):
+        expanded.append((packed, code))
+        return original(packed, code)
 
     monkeypatch.setattr(semantics, "successors", counting)
     p = internal_ring(4)
     # unreachable: every discovered configuration is expanded once
     res = explicit.check_fixed(p, explicit.ReachQuery(p.state_index("dead"), 1, 5))
     assert not res.reachable
-    assert len(expanded) == len(set(expanded)) == res.explored == 56  # C(8, 3)
+    codes = [code for _, code in expanded]
+    assert len(codes) == len(set(codes)) == res.explored == 56  # C(8, 3)
+    # the tracer's wrapper reads one table per action
+    assert all(len(packed.actions) == len(p.actions) for packed, _ in expanded)
     # reachable: the search stops while expanding the last configuration
     expanded.clear()
     res = explicit.check_fixed(p, explicit.ReachQuery(p.state_index("r3"), 2, 2))
     assert res.reachable
-    assert len(expanded) == len(set(expanded))
-    assert res.trace[-2][1] == expanded[-1]
+    codes = [code for _, code in expanded]
+    assert len(codes) == len(set(codes))
+    packed, last = expanded[-1]
+    assert res.trace[-2][1] == semantics.unpack(packed, last)
 
 
 def traced_run(tracer, *argv):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -181,3 +182,27 @@ class TestInternalRing:
         p = internal_ring(8)
         res = assert_same_search(p, p.state_index("r5"), 2, 3)
         assert len(res.trace) - 1 == 10
+
+
+class TestWidthBoundaries:
+    """Sizes on either side of a change of digit width."""
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8, 15, 16])
+    def test_dead_explores_every_distribution(self, n):
+        p = internal_ring(8)
+        res = check_fixed(p, ReachQuery(p.state_index("dead"), 1, n))
+        assert not res.reachable
+        assert res.explored == math.comb(n + 7, 7)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 8])
+    def test_full_last_position(self, n):
+        p = internal_ring(8)
+        assert_same_search(p, p.state_index("r7"), n, n)
+
+    def test_sweep_across_widths(self):
+        # n = 3..9 spans the widths 2, 3 and 4
+        smoke = load_fixture("smoke_detector.json")
+        report = smoke.state_index("Report")
+        res = min_witness_size(smoke, report, 3, 9)
+        assert not res.found and res.searched_up_to == 9
+        assert all(set(a.packed_tables) == {2, 3, 4} for a in smoke.actions)

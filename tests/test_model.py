@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
-from gspmc import model
+from gspmc import model, semantics
 from gspmc.model import Send, ValidationError, is_internal, validate
 
 from conftest import config
@@ -152,6 +155,31 @@ class TestSenderTallies:
             [(u, uplus, _)] = action.outcomes(full)
             assert u == action.senders_from
             assert sum(uplus) == len(sends)
+
+
+class TestCompiledFields:
+    def test_computed_once_into_the_instance(self, smoke_2sender):
+        a = smoke_2sender.action("Choose")
+        sources = a.sources
+        assert a.__dict__["sources"] is sources is a.sources
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.sources = ()
+
+    def test_tables_hold_no_cycle(self):
+        # the firing and packed tables must not keep their action alive:
+        # it goes with its last reference, before any garbage collection
+        p = validate({"states": ["A", "B"], "init": "A", "actions": [
+            {"name": "m", "kind": "maximal", "sends": [["A", "B"]]}]})
+        semantics.successors(semantics.packed(p, 3), 3)
+        a = p.action("m")
+        assert a.firings and a.packed_tables
+        gone = weakref.ref(a)
+        gc.disable()
+        try:
+            del p, a
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestDesugar:

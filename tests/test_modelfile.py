@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gspmc import modelfile, semantics
+from gspmc import modelfile
 from gspmc.model import validate
 from gspmc.modelfile import (
     IoError,
@@ -17,7 +17,7 @@ from gspmc.modelfile import (
 )
 
 import _gen
-from conftest import fixture_path
+from conftest import fixture_path, named_successors
 
 
 class TestLoads:
@@ -101,8 +101,8 @@ class TestCoreDocument:
             for vec in itertools.product(range(3), repeat=p.n_states):
                 if not any(vec):
                     continue
-                assert (set(semantics.successors(p, vec))
-                        == set(semantics.successors(q, vec)))
+                assert (set(named_successors(p, vec))
+                        == set(named_successors(q, vec)))
 
     def test_render_parse_identity(self, smoke):
         doc = core_document(smoke, {"target": "Report", "count": 3})

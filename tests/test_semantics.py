@@ -6,11 +6,12 @@ import random
 import pytest
 
 from gspmc.model import validate
-from gspmc.semantics import fire, successors
+from gspmc import semantics
+from gspmc.semantics import fire
 
 import _gen
 import _oracle
-from conftest import config
+from conftest import config, internal_ring, load_fixture, named_successors
 
 
 def enabled(p, q, action):
@@ -66,7 +67,7 @@ class TestFire:
 
     def test_successors_enumerates_enabled_only(self, smoke):
         q = config(smoke, Env=1, Ask=1)
-        outs = successors(smoke, q)
+        outs = named_successors(smoke, q)
         assert sorted(name for name, _ in outs) == ["Smoke", "i"]
 
 
@@ -85,14 +86,16 @@ def all_configs(n_states, total):
 
 
 def check_against_oracle(p, total):
-    """successors (in action declaration order) and enabled equal the
-    multiset oracle at every configuration of at most ``total`` processes."""
+    """The packed successors, unpacked and named by action (in action
+    declaration order, then outcome order), and enabled equal the
+    multiset oracle at every configuration of at most ``total``
+    processes."""
     for q in all_configs(p.n_states, total):
         expected = [
             (name, tuple(succ.get(s, 0) for s in range(p.n_states)))
             for name, succ in _oracle.multiset_successors(
                 p, _oracle.as_counter(q))]
-        assert successors(p, q) == expected, (p.state_names, q)
+        assert named_successors(p, q) == expected, (p.state_names, q)
         for a in p.actions:
             assert enabled(p, q, a) == (
                 a.name in {name for name, _ in expected})
@@ -117,7 +120,7 @@ class TestOracleAgreement:
             q = tuple(rng.randrange(4) for _ in range(smoke.n_states))
             if sum(q) == 0:
                 continue
-            for name, succ in successors(smoke, q):
+            for name, succ in named_successors(smoke, q):
                 a = smoke.action(name)
                 outs = fire(smoke, q, a)
                 assert succ in [s for _, s in outs]
@@ -179,3 +182,48 @@ class TestSharedSourceSlots:
             p = validate(with_shared_source_slots(rng, raw))
             check_against_oracle(p, total=4)
             checked += 1
+
+
+FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
+            "smoke_detector_mutant.json", "cutoff_witness.json")
+
+
+class TestPacked:
+    """One int per configuration, one digit of ``n.bit_length()`` bits
+    per state."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+    def test_round_trip(self, n):
+        p = internal_ring(3)
+        packed = semantics.packed(p, n)
+        assert packed.width == n.bit_length()
+        codes = set()
+        for q in all_configs(p.n_states, n):
+            code = semantics.pack(packed, q)
+            assert semantics.unpack(packed, code) == q
+            codes.add(code)
+        assert len(codes) == sum(1 for _ in all_configs(p.n_states, n))
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_oracle(self, name):
+        check_against_oracle(load_fixture(name), total=4)
+
+    def test_random_protocols_match_oracle(self):
+        rng = random.Random(8080)
+        for _ in range(60):
+            check_against_oracle(
+                _gen.random_protocol(rng, certified_only=False), total=4)
+
+    def test_tables_are_kept_per_width(self):
+        # n = 4..7 share a width, n = 8 has a wider one
+        smoke = load_fixture("smoke_detector.json")
+        four, seven, eight = (semantics.packed(smoke, n) for n in (4, 7, 8))
+        assert four.actions == seven.actions
+        assert all(a is b for a, b in zip(four.actions, seven.actions))
+        assert not any(a is b for a, b in zip(four.actions, eight.actions))
+        assert all(set(a.packed_tables) == {3, 4} for a in smoke.actions)
+        q = config(smoke, Env=2, Ask=2)
+        assert (semantics.unpack(eight, semantics.successors(
+                    eight, semantics.pack(eight, q))[0])
+                == semantics.unpack(four, semantics.successors(
+                    four, semantics.pack(four, q))[0]))

@@ -7,8 +7,9 @@ A protocol is one process template. Global actions come in two core kinds:
 - ``maximal`` (k-maximal): fires as soon as at least one potential sender
   is present, with min(available, declared) senders participating per
   source state; which of a state's send slots they take is a
-  nondeterministic choice. :meth:`Action.outcomes` states this rule for
-  the forward and the backward engine alike.
+  nondeterministic choice. :meth:`Action.outcomes` states this rule once,
+  for the forward engine (memoised per digit width in
+  ``Action.packed_tables``) and the backward one (``participations``).
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import weakref
 from dataclasses import dataclass
-from operator import itemgetter
 
 SENDER = "sender"
 MAXIMAL = "maximal"
@@ -81,25 +80,19 @@ class Action:
     def arity(self) -> int:
         return len(self.sends)
 
-    @cached_property
-    def senders_from(self) -> tuple[int, ...]:
-        """``senders_from[s]`` counts the send indices leaving state s."""
-        return tally(len(self.receive_map), (s.src for s in self.sends))
-
     # Compiled once per action, so that firing and predecessor search
     # read flat tuples instead of re-deriving them per configuration.
 
     @cached_property
-    def outside_mask(self) -> int:
-        """Bitmask of the states outside the guard: a configuration whose
-        occupied-state mask meets it does not satisfy the guard."""
-        return sum(1 << s for s in range(len(self.receive_map))
-                   if s not in self.guard.members)
-
-    @cached_property
     def sources(self) -> tuple[int, ...]:
         """The states some send slot leaves, ascending."""
-        return tuple(s for s, c in enumerate(self.senders_from) if c)
+        return tuple(sorted({send.src for send in self.sends}))
+
+    @cached_property
+    def caps(self) -> tuple[int, ...]:
+        """``caps[i]``: the number of send slots leaving the i-th
+        ``sources`` state, the most senders it can give."""
+        return tuple(map(len, self._slots))
 
     @cached_property
     def moved(self) -> tuple[tuple[int, int], ...]:
@@ -115,15 +108,9 @@ class Action:
         return tuple(map(tuple, pre))
 
     @cached_property
-    def firings(self) -> _Firings:
-        """``firings[firings.offered(q)]``: the :meth:`outcomes` for
-        configuration q, looked up on first use."""
-        return _Firings(self)
-
-    @cached_property
     def packed_tables(self) -> dict:
         """Per digit width, the action's tables for packed configurations,
-        filled by :func:`gspmc.semantics.packed`."""
+        filled by :mod:`gspmc.semantics` on first use of that width."""
         return {}
 
     @cached_property
@@ -150,7 +137,7 @@ class Action:
         state, and ``moves`` is their net move as the nonzero
         ``(state, change)`` pairs.
         """
-        if not any(key) or (self.kind == SENDER and key != self.firings.caps):
+        if not any(key) or (self.kind == SENDER and key != self.caps):
             return ()
         n = len(self.receive_map)
         u = [0] * n
@@ -172,52 +159,22 @@ class Action:
         on every key, so a predecessor search considers exactly the
         sender subsets that forward firing takes.
 
-        On a key below a source's slot count, that source state holds no
-        further processes: it is pinned, and ``allowed`` lists the states
-        inside the guard that are not, where further (receiving)
-        processes may sit. Keys whose senders occupy a state outside the
-        guard are dropped, since the action never fires with them.
+        On a key below a source's cap, that source state holds no further
+        processes: it is pinned, and ``allowed`` lists the states inside
+        the guard that are not, where further (receiving) processes may
+        sit. Keys whose senders occupy a state outside the guard are
+        dropped, since the action never fires with them.
         """
-        n = len(self.receive_map)
-        v = self.senders_from
         guard = self.guard.members
         out = []
-        for key in itertools.product(*(range(v[s] + 1) for s in self.sources)):
+        for key in itertools.product(*(range(c + 1) for c in self.caps)):
             if any(k and s not in guard for s, k in zip(self.sources, key)):
                 continue
+            pinned = {s for s, k, c in zip(self.sources, key, self.caps) if k < c}
+            allowed = tuple(sorted(guard - pinned))
             for u, uplus, moves in self.outcomes(key):
-                allowed = tuple(s for s in range(n)
-                                if u[s] >= v[s] and s in guard)
                 out.append((u, uplus, moves, allowed))
         return tuple(out)
-
-
-class _Firings(dict):
-    """An action's outcomes per tuple of processes a configuration offers
-    in its ``sources`` states, filled on first lookup; ``offered(q)`` is
-    that tuple. Offered counts are clipped to the slot counts ``caps``,
-    and the tuples that clip to one key share that key's outcomes."""
-
-    __slots__ = ("action", "offered", "caps")
-
-    def __init__(self, action):
-        sources = action.sources
-        # weak: the action owns the table, and a strong reference back
-        # would leave a cycle per action for the garbage collector
-        self.action = weakref.ref(action)
-        # itemgetter of one index would give a bare count, not a tuple
-        self.offered = (itemgetter(*sources) if len(sources) > 1
-                        else itemgetter(slice(sources[0], sources[0] + 1)))
-        self.caps = self.offered(action.senders_from)
-        self[(0,) * len(sources)] = ()  # no process offered: disabled
-
-    def __missing__(self, offered):
-        key = tuple(map(min, offered, self.caps))
-        out = self.get(key) if key != offered else None
-        if out is None:
-            out = self[key] = self.action().outcomes(key)
-        self[offered] = out
-        return out
 
 
 @dataclass(frozen=True)

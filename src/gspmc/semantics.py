@@ -1,46 +1,33 @@
 """Forward counter semantics: successor computation.
 
-Global states are tuples counting processes per local state. Firing an
-action moves the participating senders along their send slots and routes
-every remaining process through the action's receive map; the process
-total is conserved.
+Global states count processes per local state. Firing an action moves
+the participating senders along their send slots and routes every
+remaining process through the action's receive map; the process total
+is conserved. Which senders take part, through which slots, is the rule
+of :meth:`gspmc.model.Action.outcomes`.
 
-Which senders take part, through which slots, is the rule of
-:meth:`gspmc.model.Action.outcomes`, looked up in ``Action.firings``.
-:func:`fire` and :func:`route` apply it to tuples; the backward engine
-fires its candidate predecessors through :func:`route`, with the
-``moves`` of ``Action.participations``, which come from the same rule.
-
-The explicit search works on packed configurations instead: with n
+There is one forward firing path, over packed configurations: with n
 processes, each state's count is one digit of W = ``n.bit_length()``
 bits, state s at bit W*s. A count is at most n < 2**W, so a
 configuration is one ``int`` whose digits never carry into each other.
 For that width each action has a tuple of tables (kept in
 ``Action.packed_tables`` per W, so all sizes of one width share them):
-``outside`` masks the digits of the states
-outside the guard (the guard holds iff ``code & outside`` is 0),
-``field`` masks the digits of its ``sources``, and ``moved`` holds
-``(W*s, B[r] - B[s])`` per state the receive map moves, B[s] being
-``1 << W*s``. A successor is ``code + sum(digit_s * (B[r] - B[s])) +
-delta``: the receive map applied to every process, then one delta per
-outcome, which puts the senders back and makes their ``moves``. The
-deltas are memoised per ``code & field`` from ``Action.firings``, so
-the firing rule stays in one place. :func:`unpack` turns a packed
-configuration back into a tuple; the search unpacks only its trace.
+``outside`` masks the digits of the states outside the guard (the guard
+holds iff ``code & outside`` is 0), ``field`` masks the digits of its
+``sources``, and ``moved`` holds ``(W*s, B[r] - B[s])`` per state the
+receive map moves, B[s] being ``1 << W*s``. A successor is ``code +
+sum(digit_s * (B[r] - B[s])) + delta``: the receive map applied to
+every process, then one delta per outcome, which puts the senders back
+and makes their ``moves``. The deltas are memoised per ``code & field``
+from ``Action.outcomes``, so the firing rule stays in one place.
+
+The search unpacks only its trace (:func:`unpack`); :func:`fire` runs
+one action on one counter vector through the same tables. Only the
+backward engine uses :func:`route`, to fire its candidate predecessors
+with the ``moves`` of ``Action.participations``, from the same rule.
 """
 
-
-def _occupied(q):
-    """Bitmask of the states q occupies."""
-    mask = 0
-    bit = 1
-    for c in q:
-        if c:
-            mask |= bit
-        bit <<= 1
-    if not mask:
-        raise ValueError("global state has no processes")
-    return mask
+import weakref
 
 
 def route(action, q, u, moves):
@@ -57,30 +44,24 @@ def route(action, q, u, moves):
     return tuple(succ)
 
 
-def fire(protocol, q, action):
-    """``(u, successor)`` per outcome of firing the action from q, ``u``
-    counting the participating senders per state; empty when the action
-    is disabled."""
-    if _occupied(q) & action.outside_mask:
-        return []
-    table = action.firings
-    return [(u, route(action, q, u, moves))
-            for u, _, moves in table[table.offered(q)]]
-
-
 class _Deltas(dict):
     """Packed outcome deltas of one action at one width, per ``code &
-    field``, filled on first lookup from ``Action.firings``. As there,
-    the offered counts are clipped to the slot counts, and the keys that
-    clip to one key share its deltas. A delta takes each sender out of
-    the digit the receive map moved it to and makes the ``moves``."""
+    field``, filled on first lookup from ``Action.outcomes``. The counts
+    a configuration offers in the ``sources`` states are clipped to the
+    action's ``caps``, and the keys that clip to one key share its
+    deltas. A delta takes each sender out of the digit the receive map
+    moved it to and makes the ``moves``."""
 
-    __slots__ = ("firings", "width", "sources", "receive_map")
+    __slots__ = ("action", "width", "sources", "caps", "receive_map")
 
     def __init__(self, action, width):
-        self.firings = action.firings
+        # weak: the action owns this table through ``packed_tables``, and
+        # a strong reference back would leave a cycle per action for the
+        # garbage collector
+        self.action = weakref.ref(action)
         self.width = width
         self.sources = action.sources
+        self.caps = action.caps
         self.receive_map = action.receive_map
 
     def __missing__(self, key):
@@ -88,7 +69,7 @@ class _Deltas(dict):
         mask = (1 << w) - 1
         offered = []
         clipped = 0
-        for s, cap in zip(self.sources, self.firings.caps):
+        for s, cap in zip(self.sources, self.caps):
             c = min(key >> w * s & mask, cap)
             offered.append(c)
             clipped |= c << w * s
@@ -96,7 +77,7 @@ class _Deltas(dict):
             out = self[key] = self[clipped]
             return out
         out = []
-        for u, _, moves in self.firings[tuple(offered)]:
+        for u, _, moves in self.action().outcomes(tuple(offered)):
             delta = 0
             for s, c in moves:
                 delta += c << w * s
@@ -115,7 +96,7 @@ def _packed_action(action, width):
     outside = field = 0
     moved = []
     for s, r in enumerate(action.receive_map):
-        if action.outside_mask >> s & 1:
+        if s not in action.guard.members:
             outside |= mask << width * s
         if r != s:
             moved.append((width * s, (1 << width * r) - (1 << width * s)))
@@ -137,16 +118,19 @@ class Packed:
         self.n_states = n_states
 
 
+def _tables(action, width):
+    """The action's packed tables at one width, from its cache."""
+    t = action.packed_tables.get(width)
+    if t is None:
+        t = action.packed_tables[width] = _packed_action(action, width)
+    return t
+
+
 def packed(protocol, n):
     """The protocol's packed tables for configurations of n processes."""
     width = n.bit_length()
-    tables = []
-    for a in protocol.actions:
-        t = a.packed_tables.get(width)
-        if t is None:
-            t = a.packed_tables[width] = _packed_action(a, width)
-        tables.append(t)
-    return Packed(tuple(tables), width, protocol.n_states)
+    return Packed(tuple(_tables(a, width) for a in protocol.actions),
+                  width, protocol.n_states)
 
 
 def pack(packed, q):
@@ -182,8 +166,19 @@ def successors(packed, code):
 
 # The search calls ``successors`` through the module attribute once per
 # expanded configuration, so that a wrapper put there (a profiler's) sees
-# exactly those calls; labelling a trace uses this binding instead.
+# exactly those calls; ``fire`` and labelling a trace use this binding
+# instead.
 _successors = successors
+
+
+def fire(q, action):
+    """The successor vectors of firing the action from the counter vector
+    q, in the order of ``Action.outcomes``; empty when it is disabled."""
+    width = sum(q).bit_length()
+    if not width:
+        raise ValueError("global state has no processes")
+    one = Packed((_tables(action, width),), width, len(q))
+    return [unpack(one, succ) for succ in _successors(one, pack(one, q))]
 
 
 def firing_action(packed, code, succ):

@@ -36,20 +36,25 @@ class StateOrder:
     ``s`` also contains ``t`` — processes in ``t`` never block a guard
     that processes in ``s`` satisfy. ``below_set(t, dests)`` is the set
     form: every guard containing all of ``dests`` contains ``t``.
+
+    Each state keeps one bitmask of the used guards that contain it, bit
+    i for the i-th used guard, so both tests are a few ``&``.
     """
 
     def __init__(self, protocol: Protocol):
-        self._guards = tuple(g.members for g in protocol.used_guards())
-        n = protocol.n_states
-        self._lt = [[all(t in g for g in self._guards if s in g)
-                     for s in range(n)] for t in range(n)]
+        guards = protocol.used_guards()
+        self._all = (1 << len(guards)) - 1
+        self._in = tuple(sum(1 << i for i, g in enumerate(guards) if s in g.members)
+                         for s in range(protocol.n_states))
 
     def below(self, t: int, s: int) -> bool:
-        return self._lt[t][s]
+        return not self._in[s] & ~self._in[t]
 
     def below_set(self, t: int, dests) -> bool:
-        ds = set(dests)
-        return all(t in g for g in self._guards if ds <= g)
+        common = self._all
+        for d in dests:
+            common &= self._in[d]
+        return not common & ~self._in[t]
 
 
 class InternalReach:

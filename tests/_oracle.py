@@ -5,7 +5,8 @@ action data (sends, receive map, guard) over explicit per-process state
 multisets, sharing no code with the package's counter-vector paths.
 The backward fixpoint reference is the textbook loop: each round unites
 the basis with the predecessors of every basis element and re-minimizes
-the union pairwise.
+the union pairwise. The guard-inclusion preorder is restated as a
+boolean matrix over the used guards.
 """
 
 from __future__ import annotations
@@ -155,10 +156,25 @@ def grid_predecessors(protocol, wqo, b, limit: int = 6):
             continue
         for action in protocol.actions:
             if any(wqo.leq(b, succ)
-                   for _, succ in semantics.fire(protocol, q, action)):
+                   for succ in semantics.fire(q, action)):
                 preds.add(q)
                 break
     return preds
+
+
+def state_order_matrix(protocol):
+    """``m[t][s]``: whether every used guard that contains s also
+    contains t, the guard-inclusion preorder as an n-by-n matrix."""
+    guards = [g.members for g in protocol.used_guards()]
+    n = protocol.n_states
+    return [[all(t in g for g in guards if s in g) for s in range(n)]
+            for t in range(n)]
+
+
+def state_order_below_set(protocol, t, dests):
+    """Whether every used guard that contains all of ``dests`` contains t."""
+    ds = set(dests)
+    return all(t in g.members for g in protocol.used_guards() if ds <= g.members)
 
 
 def pairwise_minimize(wqo, vectors):

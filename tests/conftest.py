@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from gspmc import model, modelfile, semantics
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "gspmc" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "gspmc" / "fixtures"
 
 
 def fixture_path(name: str) -> str:
@@ -15,6 +17,16 @@ def fixture_path(name: str) -> str:
 
 def load_fixture(name: str) -> model.Protocol:
     return model.validate(modelfile.parse_model(FIXTURES / name).raw)
+
+
+def perfbench_protocols():
+    """The benchmark's protocol generators, ``perfbench/protocols.py``,
+    loaded from its file: the tests draw the benchmark's own corpus."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_protocols", ROOT / "perfbench" / "protocols.py")
+    protocols = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(protocols)
+    return protocols
 
 
 def config(protocol: model.Protocol, **counts) -> tuple[int, ...]:
@@ -27,17 +39,14 @@ def config(protocol: model.Protocol, **counts) -> tuple[int, ...]:
 
 def named_successors(protocol: model.Protocol, q) -> list:
     """``(action name, successor)`` per outcome of firing from the counter
-    vector q, through the packed tables for ``sum(q)`` processes: the
-    successors of each action alone in turn, which together are exactly
-    what ``semantics.successors`` gives, unpacked."""
+    vector q: ``semantics.fire`` of each action in turn, which together
+    are exactly what ``semantics.successors`` gives for ``sum(q)``
+    processes, unpacked."""
+    out = [(a.name, s) for a in protocol.actions for s in semantics.fire(q, a)]
     packed = semantics.packed(protocol, sum(q))
-    code = semantics.pack(packed, q)
-    out = [(t[-1], semantics.unpack(packed, succ))
-           for t in packed.actions
-           for succ in semantics.successors(
-               semantics.Packed((t,), packed.width, packed.n_states), code)]
-    assert [s for _, s in out] == [semantics.unpack(packed, succ) for succ
-                                   in semantics.successors(packed, code)]
+    assert [s for _, s in out] == [
+        semantics.unpack(packed, succ) for succ
+        in semantics.successors(packed, semantics.pack(packed, q))]
     return out
 
 

@@ -240,8 +240,8 @@ def test_criterion_7_order_properties(report_line):
             continue
         bigger = tuple(c + rng.randint(0, 3) for c in q)
         for a in p.actions:
-            larges = [succ for _, succ in semantics.fire(p, bigger, a)]
-            for _, small in semantics.fire(p, q, a):
+            larges = semantics.fire(bigger, a)
+            for small in semantics.fire(q, a):
                 assert larges
                 if any(COMPONENT_WISE.leq(small, large) for large in larges):
                     compatible += 1

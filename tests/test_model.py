@@ -132,13 +132,13 @@ class TestSenderTallies:
         a = smoke.action("Smoke")
         # states: Env, Ask, Idle, Pick, Report
         assert a.receive_map == (2, 3, 2, 3, 4)
-        assert a.senders_from == (0, 1, 0, 0, 0)
+        assert (a.sources, a.caps) == ((1,), (1,))
         assert [uplus for _, uplus, _ in a.outcomes((1,))] == [(0, 0, 0, 1, 0)]
 
     def test_choose_tallies(self, smoke):
         a = smoke.action("Choose")
         assert a.receive_map == (0, 1, 2, 2, 4)
-        assert a.senders_from == (0, 0, 0, 2, 0)
+        assert (a.sources, a.caps) == ((3,), (2,))
         assert [uplus for _, uplus, _ in a.outcomes((2,))] == [(0, 0, 0, 0, 2)]
 
     def test_sender_tallies_sum_to_arity(self):
@@ -150,10 +150,9 @@ class TestSenderTallies:
             action = model.Action("x", model.SENDER, sends,
                                   tuple(range(states)),
                                   model.Guard("ALL", frozenset(range(states))))
-            assert sum(action.senders_from) == len(sends)
-            full = tuple(action.senders_from[s] for s in action.sources)
-            [(u, uplus, _)] = action.outcomes(full)
-            assert u == action.senders_from
+            assert sum(action.caps) == len(sends)
+            [(u, uplus, _)] = action.outcomes(action.caps)
+            assert u == model.tally(states, (s.src for s in sends))
             assert sum(uplus) == len(sends)
 
 
@@ -166,13 +165,15 @@ class TestCompiledFields:
             a.sources = ()
 
     def test_tables_hold_no_cycle(self):
-        # the firing and packed tables must not keep their action alive:
-        # it goes with its last reference, before any garbage collection
+        # the packed tables must not keep their action alive: it goes
+        # with its last reference, before any garbage collection
         p = validate({"states": ["A", "B"], "init": "A", "actions": [
             {"name": "m", "kind": "maximal", "sends": [["A", "B"]]}]})
-        semantics.successors(semantics.packed(p, 3), 3)
         a = p.action("m")
-        assert a.firings and a.packed_tables
+        semantics.successors(semantics.packed(p, 3), 3)
+        assert semantics.fire((1, 0), a) == [(0, 1)]
+        assert set(a.packed_tables) == {1, 2}
+        assert all(deltas for _, _, _, deltas, _ in a.packed_tables.values())
         gone = weakref.ref(a)
         gc.disable()
         try:

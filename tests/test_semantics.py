@@ -15,7 +15,7 @@ from conftest import config, internal_ring, load_fixture, named_successors
 
 
 def enabled(p, q, action):
-    return bool(fire(p, q, action))
+    return bool(fire(q, action))
 
 
 class TestEnabled:
@@ -48,22 +48,26 @@ class TestFire:
     def test_smoke_broadcast(self, smoke):
         q = config(smoke, Ask=3, Env=2)
         # one Ask sends to Pick; the other two follow Ask->Pick; both Env->Idle
-        assert fire(smoke, q, smoke.action("Smoke")) == [
-            (config(smoke, Ask=1), config(smoke, Idle=2, Pick=3))]
+        a = smoke.action("Smoke")
+        assert fire(q, a) == [config(smoke, Idle=2, Pick=3)]
+        assert [u for u, _, _ in a.outcomes((1,))] == [config(smoke, Ask=1)]
 
     def test_choose_two_sender(self, smoke_2sender):
         p = smoke_2sender
-        assert fire(p, config(p, Idle=1, Pick=4), p.action("Choose")) == [
-            (config(p, Pick=2), config(p, Idle=3, Report=2))]
+        a = p.action("Choose")
+        assert fire(config(p, Idle=1, Pick=4), a) == [config(p, Idle=3, Report=2)]
+        assert [u for u, _, _ in a.outcomes((2,))] == [config(p, Pick=2)]
 
     def test_choose_two_maximal_partial(self, smoke):
         # only one Pick available: u = min(q, v) pointwise, and both of
         # Choose's send slots lead to Report, so there is one outcome
-        out = fire(smoke, config(smoke, Idle=4, Pick=1), smoke.action("Choose"))
-        assert out == [(config(smoke, Pick=1), config(smoke, Idle=4, Report=1))]
+        a = smoke.action("Choose")
+        out = fire(config(smoke, Idle=4, Pick=1), a)
+        assert out == [config(smoke, Idle=4, Report=1)]
+        assert [u for u, _, _ in a.outcomes((1,))] == [config(smoke, Pick=1)]
 
     def test_fire_requires_enabled(self, smoke):
-        assert fire(smoke, config(smoke, Env=1), smoke.action("Smoke")) == []
+        assert fire(config(smoke, Env=1), smoke.action("Smoke")) == []
 
     def test_successors_enumerates_enabled_only(self, smoke):
         q = config(smoke, Env=1, Ask=1)
@@ -71,18 +75,23 @@ class TestFire:
         assert sorted(name for name, _ in outs) == ["Smoke", "i"]
 
 
+def configs_of(n_states, total):
+    """Every count vector over n_states with exactly `total` processes."""
+    for cuts in itertools.combinations(range(total + n_states - 1),
+                                       n_states - 1):
+        prev, vec = -1, []
+        for c in cuts:
+            vec.append(c - prev - 1)
+            prev = c
+        vec.append(total + n_states - 2 - prev)
+        yield tuple(vec)
+
+
 def all_configs(n_states, total):
     """Every count vector over n_states with at least one process and at
     most `total` in all."""
     for tot in range(1, total + 1):
-        for cuts in itertools.combinations(range(tot + n_states - 1),
-                                           n_states - 1):
-            prev, vec = -1, []
-            for c in cuts:
-                vec.append(c - prev - 1)
-                prev = c
-            vec.append(tot + n_states - 2 - prev)
-            yield tuple(vec)
+        yield from configs_of(n_states, tot)
 
 
 def check_against_oracle(p, total):
@@ -122,10 +131,10 @@ class TestOracleAgreement:
                 continue
             for name, succ in named_successors(smoke, q):
                 a = smoke.action(name)
-                outs = fire(smoke, q, a)
-                assert succ in [s for _, s in outs]
-                for u, s in outs:
-                    assert sum(s) == sum(q)
+                assert succ in fire(q, a)
+                assert sum(succ) == sum(q)
+                key = tuple(min(q[s], c) for s, c in zip(a.sources, a.caps))
+                for u, _, _ in a.outcomes(key):
                     if a.kind == "sender":
                         assert sum(u) == a.arity
                     else:
@@ -159,17 +168,17 @@ class TestSharedSourceSlots:
     def test_every_slot_choice_fires(self):
         p = validate(SHARED_SOURCE)
         m = p.action("m")
-        u = (1, 0, 0, 0)
-        assert fire(p, (1, 0, 0, 0), m) == [(u, (0, 1, 0, 0)), (u, (0, 0, 1, 0))]
-        assert fire(p, (3, 0, 0, 1), m) == [((2, 0, 0, 0), (1, 1, 1, 1))]
+        assert fire((1, 0, 0, 0), m) == [(0, 1, 0, 0), (0, 0, 1, 0)]
+        assert [u for u, _, _ in m.outcomes((1,))] == [(1, 0, 0, 0)] * 2
+        assert fire((3, 0, 0, 1), m) == [(1, 1, 1, 1)]
+        assert [u for u, _, _ in m.outcomes((2,))] == [(2, 0, 0, 0)]
         check_against_oracle(p, total=4)
 
     def test_slot_order_orders_outcomes(self):
         raw = {**SHARED_SOURCE, "actions": [
             {**SHARED_SOURCE["actions"][0], "sends": [["I", "B"], ["I", "A"]]}]}
         p = validate(raw)
-        assert [s for _, s in fire(p, (1, 0, 0, 0), p.action("m"))] == [
-            (0, 0, 1, 0), (0, 1, 0, 0)]
+        assert fire((1, 0, 0, 0), p.action("m")) == [(0, 0, 1, 0), (0, 1, 0, 0)]
         check_against_oracle(p, total=4)
 
     def test_random_protocols(self):
@@ -186,6 +195,19 @@ class TestSharedSourceSlots:
 
 FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
             "smoke_detector_mutant.json", "cutoff_witness.json")
+
+
+def check_fire_against_oracle(p):
+    """``fire`` equals the multiset oracle, outcome for outcome and in
+    order, for every action at every configuration of 1, 2, 3, 4, 7 and
+    8 processes: both sides of the digit widths 1 to 4."""
+    for total in (1, 2, 3, 4, 7, 8):
+        for q in configs_of(p.n_states, total):
+            states = _oracle.as_counter(q)
+            for a in p.actions:
+                expected = [tuple(succ[s] for s in range(p.n_states))
+                            for succ in _oracle.multiset_fire(states, a)]
+                assert fire(q, a) == expected, (p.state_names, a.name, q)
 
 
 class TestPacked:
@@ -213,6 +235,16 @@ class TestPacked:
         for _ in range(60):
             check_against_oracle(
                 _gen.random_protocol(rng, certified_only=False), total=4)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fire_matches_oracle_across_widths(self, name):
+        check_fire_against_oracle(load_fixture(name))
+
+    def test_random_fire_matches_oracle_across_widths(self):
+        rng = random.Random(9090)
+        for _ in range(60):
+            check_fire_against_oracle(
+                _gen.random_protocol(rng, certified_only=False))
 
     def test_tables_are_kept_per_width(self):
         # n = 4..7 share a width, n = 8 has a wider one

@@ -16,7 +16,8 @@ from gspmc.wellbehaved import (
 )
 
 import _gen
-from conftest import fixture_path
+import _oracle
+from conftest import fixture_path, load_fixture, perfbench_protocols
 
 
 def weak_sender_raw(guarded_escape: bool) -> dict:
@@ -91,6 +92,26 @@ def weak(protocol, name):
     return check_action(protocol, protocol.action(name), weak=True)
 
 
+FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
+            "smoke_detector_mutant.json", "cutoff_witness.json")
+
+
+def check_state_order(p):
+    """``below`` equals the reference matrix on every pair of states, and
+    ``below_set`` its reference on every state and every destination set
+    of an action, of one state, and the empty set."""
+    order = StateOrder(p)
+    n = p.n_states
+    assert [[order.below(t, s) for s in range(n)]
+            for t in range(n)] == _oracle.state_order_matrix(p)
+    dest_sets = [(), *((s,) for s in range(n)),
+                 *({send.dst for send in a.sends} for a in p.actions)]
+    for dests in dest_sets:
+        for t in range(n):
+            assert (order.below_set(t, dests)
+                    == _oracle.state_order_below_set(p, t, dests)), (t, dests)
+
+
 class TestStateOrder:
     def test_smoke_examples(self, smoke):
         order = StateOrder(smoke)
@@ -109,12 +130,17 @@ class TestStateOrder:
         for _ in range(25):
             p = _gen.random_protocol(rng, certified_only=False,
                                      require_guarded=True)
-            order = StateOrder(p)
-            guards = [g.members for g in p.used_guards()]
-            for t in range(p.n_states):
-                for s in range(p.n_states):
-                    expected = all(t in g for g in guards if s in g)
-                    assert order.below(t, s) == expected
+            check_state_order(p)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_matrix(self, name):
+        check_state_order(load_fixture(name))
+
+    def test_benchmark_corpus_matches_matrix(self):
+        protocols = perfbench_protocols()
+        for i in range(200):
+            check_state_order(validate(protocols.random_model(
+                random.Random(f"guarded-mix-{i}"))))
 
     def test_below_set(self, smoke):
         order = StateOrder(smoke)

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +24,7 @@ from gspmc.wsts import (
 
 import _gen
 import _oracle
-from conftest import config, load_fixture
-
-PROTOCOLS_PATH = (Path(__file__).resolve().parent.parent
-                  / "perfbench" / "protocols.py")
+from conftest import config, load_fixture, perfbench_protocols
 
 vectors = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple)
 
@@ -196,7 +191,7 @@ def replay_witness(protocol, n, witness, target, threshold):
     for name in witness:
         action = protocol.action(name)
         configs = {succ for q in configs
-                   for _, succ in semantics.fire(protocol, q, action)}
+                   for succ in semantics.fire(q, action)}
     assert any(q[target] >= threshold for q in configs), (witness, configs)
 
 
@@ -257,11 +252,8 @@ class TestDecide:
     def test_agrees_with_bfs_on_shared_source_slots(self):
         # the benchmark's guarded-mix draw 193, loaded from the benchmark's
         # own generator: its maximal action a1 sends three slots from S0
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_protocols", PROTOCOLS_PATH)
-        protocols = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(protocols)
-        p = validate(protocols.random_model(random.Random("guarded-mix-193")))
+        p = validate(perfbench_protocols().random_model(
+            random.Random("guarded-mix-193")))
         target = p.state_index("S3")
         v = decide(p, target, 1)
         assert v.min_n == min_witness_size(p, target, 1, 6).n == 1

@@ -3,13 +3,15 @@
 A local transition is *free* when firing it never requires cooperation
 from other processes beyond guard satisfaction: internal moves, the
 send edges of single-sender and maximal actions, and receive edges
-backed by a matching send of a negotiation sibling. Siblings are read
-off the protocol's structure: single-send actions that share their
-guard and receive map are siblings of each other, and a multi-send
-action is its own only sibling. Reaching a target state along free
-transitions only cannot be blocked by adding processes, so under any of
-three structural conditions the parameterized query "m processes in the
-target" collapses to an explicit check with exactly n = m processes:
+backed by a matching send of a negotiation sibling. Siblings are
+single-send actions that share their guard and receive map; a
+multi-send action has none. A maximal action's send slot is not free
+when its source has a slot to another destination, as the number of
+processes there decides which slots fire. Reaching a target state along
+free transitions only cannot be blocked by adding processes, so under
+any of three structural conditions the parameterized query "m processes
+in the target" collapses to an explicit check with exactly n = m
+processes:
 
 - L1: every action is internal or negotiation-shaped;
 - L2: every path from the initial state to the target is free;
@@ -73,16 +75,17 @@ def _sibling_sends(protocol: Protocol) -> dict[str, set[tuple[int, int]]]:
     """For each action name, the (src, dst) moves sent by its siblings.
 
     Single-send actions sharing guard and receive map are siblings (a
-    negotiation, however it was written); a multi-send action only
-    matches its own sends.
+    negotiation, however it was written); a multi-send action has none.
     """
     def key(a):
         return (a.guard.members, a.receive_map) if len(a.sends) == 1 else a.name
 
     by_key: dict = {}
     for a in protocol.actions:
-        by_key.setdefault(key(a), set()).update((s.src, s.dst) for s in a.sends)
-    return {a.name: by_key[key(a)] for a in protocol.actions}
+        if len(a.sends) == 1:
+            by_key.setdefault(key(a), set()).update(
+                (s.src, s.dst) for s in a.sends)
+    return {a.name: by_key.get(key(a), set()) for a in protocol.actions}
 
 
 def classify_free(protocol: Protocol) -> tuple[Edge, ...]:
@@ -101,8 +104,10 @@ def classify_free(protocol: Protocol) -> tuple[Edge, ...]:
         else:
             send_free, reason = False, None
         for i, s in enumerate(a.sends):
+            free = send_free and not (a.kind == MAXIMAL and any(
+                o.src == s.src and o.dst != s.dst for o in a.sends))
             edges.append(Edge(a.name, "send", s.src, s.dst,
-                              send_free, reason, i))
+                              free, reason if free else None, i))
         for src, dst in enumerate(a.receive_map):
             if src == dst:
                 continue

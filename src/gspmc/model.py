@@ -8,8 +8,8 @@ A protocol is one process template. Global actions come in two core kinds:
   is present, with min(available, declared) senders participating per
   source state; which of a state's send slots they take is a
   nondeterministic choice. :meth:`Action.outcomes` states this rule once,
-  for the forward engine (memoised per digit width in
-  ``Action.packed_tables``) and the backward one (``participations``).
+  as the senders' ``(u, uplus)`` counts, for the forward engine (memoised
+  in ``Action.packed_tables``) and the backward one (``participations``).
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -95,11 +95,6 @@ class Action:
         return tuple(map(len, self._slots))
 
     @cached_property
-    def moved(self) -> tuple[tuple[int, int], ...]:
-        """``(s, receive_map[s])`` for the states the receive map moves."""
-        return tuple((s, r) for s, r in enumerate(self.receive_map) if r != s)
-
-    @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """``preimages[t]``: the states the receive map sends to t."""
         pre: list[list[int]] = [[] for _ in self.receive_map]
@@ -121,7 +116,7 @@ class Action:
                      for s in self.sources)
 
     def outcomes(self, key: tuple[int, ...]) -> tuple[tuple, ...]:
-        """The distinct ``(u, uplus, moves)`` outcomes of firing with
+        """The distinct ``(u, uplus)`` outcomes of firing with
         ``key[i]`` senders from the i-th ``sources`` state.
 
         With c processes in a source state that has k send slots,
@@ -132,10 +127,7 @@ class Action:
         order of :func:`itertools.product` over the sources (ascending
         state) of the :func:`itertools.combinations` of each source's
         slots (ascending send index). The guard is not checked here.
-
-        ``u`` and ``uplus`` count the senders per source and destination
-        state, and ``moves`` is their net move as the nonzero
-        ``(state, change)`` pairs.
+        ``u`` and ``uplus`` count the senders per source and destination.
         """
         if not any(key) or (self.kind == SENDER and key != self.caps):
             return ()
@@ -144,18 +136,15 @@ class Action:
         for s, k in zip(self.sources, key):
             u[s] = k
         u = tuple(u)
-        out = {}
-        for taken in itertools.product(
-                *map(itertools.combinations, self._slots, key)):
-            uplus = tally(n, itertools.chain.from_iterable(taken))
-            if uplus not in out:
-                out[uplus] = (u, uplus, tuple(
-                    (s, b - a) for s, (a, b) in enumerate(zip(u, uplus)) if a != b))
-        return tuple(out.values())
+        uplus = dict.fromkeys(
+            tally(n, itertools.chain.from_iterable(taken))
+            for taken in itertools.product(
+                *map(itertools.combinations, self._slots, key)))
+        return tuple((u, x) for x in uplus)
 
     @cached_property
     def participations(self) -> tuple[tuple, ...]:
-        """``(u, uplus, moves, allowed)`` per outcome of :meth:`outcomes`
+        """``(u, uplus, allowed)`` per outcome of :meth:`outcomes`
         on every key, so a predecessor search considers exactly the
         sender subsets that forward firing takes.
 
@@ -172,8 +161,8 @@ class Action:
                 continue
             pinned = {s for s, k, c in zip(self.sources, key, self.caps) if k < c}
             allowed = tuple(sorted(guard - pinned))
-            for u, uplus, moves in self.outcomes(key):
-                out.append((u, uplus, moves, allowed))
+            for u, uplus in self.outcomes(key):
+                out.append((u, uplus, allowed))
         return tuple(out)
 
 

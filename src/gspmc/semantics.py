@@ -17,31 +17,16 @@ holds iff ``code & outside`` is 0), ``field`` masks the digits of its
 ``sources``, and ``moved`` holds ``(W*s, B[r] - B[s])`` per state the
 receive map moves, B[s] being ``1 << W*s``. A successor is ``code +
 sum(digit_s * (B[r] - B[s])) + delta``: the receive map applied to
-every process, then one delta per outcome, which puts the senders back
-and makes their ``moves``. The deltas are memoised per ``code & field``
-from ``Action.outcomes``, so the firing rule stays in one place.
+every process, then one delta per outcome ``(u, uplus)``, which moves
+the ``u`` senders from where the receive map put them to ``uplus``. The
+deltas are memoised per ``code & field`` from ``Action.outcomes``, so
+the firing rule stays in one place.
 
 The search unpacks only its trace (:func:`unpack`); :func:`fire` runs
-one action on one counter vector through the same tables. Only the
-backward engine uses :func:`route`, to fire its candidate predecessors
-with the ``moves`` of ``Action.participations``, from the same rule.
+one action on one counter vector through the same tables.
 """
 
 import weakref
-
-
-def route(action, q, u, moves):
-    """Successor of q when the senders ``u`` make the ``moves`` and every
-    other process follows the action's receive map."""
-    succ = list(q)
-    for s, c in moves:
-        succ[s] += c
-    for s, r in action.moved:
-        rest = q[s] - u[s]
-        if rest:
-            succ[s] -= rest
-            succ[r] += rest
-    return tuple(succ)
 
 
 class _Deltas(dict):
@@ -50,7 +35,7 @@ class _Deltas(dict):
     a configuration offers in the ``sources`` states are clipped to the
     action's ``caps``, and the keys that clip to one key share its
     deltas. A delta takes each sender out of the digit the receive map
-    moved it to and makes the ``moves``."""
+    moved it to and adds it at its destination."""
 
     __slots__ = ("action", "width", "sources", "caps", "receive_map")
 
@@ -76,15 +61,10 @@ class _Deltas(dict):
         if clipped != key:
             out = self[key] = self[clipped]
             return out
-        out = []
-        for u, _, moves in self.action().outcomes(tuple(offered)):
-            delta = 0
-            for s, c in moves:
-                delta += c << w * s
-            for s in self.sources:
-                delta += u[s] * ((1 << w * s) - (1 << w * self.receive_map[s]))
-            out.append(delta)
-        out = self[key] = tuple(out)
+        out = self[key] = tuple(
+            sum(c << w * t for t, c in enumerate(uplus))
+            - sum(u[s] << w * self.receive_map[s] for s in self.sources)
+            for u, uplus in self.action().outcomes(tuple(offered)))
         return out
 
 

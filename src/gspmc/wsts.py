@@ -24,6 +24,10 @@ loop stops after the first round that adds nothing. The antichain
 groups vectors by guard profile, since the guard-refined order never
 relates vectors whose profiles differ, and compares component-wise
 within a group.
+
+Predecessors are built, not searched for: each is an outcome's senders
+plus receivers placed so that firing it covers the element, so no
+candidate is fired forward (:func:`_action_preds`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import le
 
-from gspmc import semantics, wellbehaved
+from gspmc import wellbehaved
 from gspmc.model import Protocol, ValidationError
 
 
@@ -54,10 +58,10 @@ class Wqo:
 
     def profile(self, q):
         """Which guards contain the support of q."""
-        supp = 0
-        for s, c in enumerate(q):
-            if c:
-                supp |= 1 << s
+        return self.support_profile(sum(1 << s for s, c in enumerate(q) if c))
+
+    def support_profile(self, supp):
+        """Which guards contain the states of the bitmask ``supp``."""
         return tuple(not supp & out for out in self._outside)
 
     def leq(self, q, p):
@@ -182,9 +186,11 @@ def _receiver_options(deficit, slots):
 
 
 def _componentwise_placements(pre, deficits, allowed):
-    """The one receiver placement of the component-wise order: each
-    destination's deficit spread over its allowed preimages in every way."""
+    """The one receiver placement of the component-wise order, each
+    deficit spread over its allowed preimages in every way, with the
+    bitmask of the destinations it reaches."""
     per_dest = []
+    reached = 0
     for t, deficit in enumerate(deficits):
         if deficit == 0:
             continue
@@ -192,15 +198,18 @@ def _componentwise_placements(pre, deficits, allowed):
         if not slots:
             return
         per_dest.append((slots, list(_compositions(deficit, len(slots)))))
-    yield per_dest
+        reached |= 1 << t
+    yield per_dest, reached
 
 
 def _refined_placements(pre, deficits, allowed):
     """Receiver placements of the guard-refined order, one per surplus
-    support rho drawn from the allowed states."""
+    support rho drawn from the allowed states, each with the bitmask of
+    the destinations it reaches (the receive-map image of rho)."""
     for r_size in range(len(allowed) + 1):
         for rho in itertools.combinations(allowed, r_size):
             per_dest = []
+            reached = 0
             for t, deficit in enumerate(deficits):
                 slots = [s for s in pre[t] if s in rho]
                 options = _receiver_options(deficit, slots)
@@ -208,56 +217,58 @@ def _refined_placements(pre, deficits, allowed):
                     break
                 if slots:
                     per_dest.append((slots, options))
+                    reached |= 1 << t
             else:
-                yield per_dest
+                yield per_dest, reached
 
 
 def _action_preds(wqo, action, b):
     """Minimal predecessors of the upward closure of ``b`` through one action.
 
-    Candidates place the participating senders (``u``) plus surplus
-    receivers distributed so that each destination's deficit against
-    ``b`` is covered by its receive-map preimages. Under the
-    guard-refined order the surplus support itself matters: a minimal
-    predecessor may need receivers in zero-deficit states so that its
-    own support (and the successor's) realizes the right guard profile,
-    so candidates additionally range over surplus-support subsets.
+    A candidate is a participation's senders ``u`` plus receivers P on
+    receive-map preimages of each destination, covering its deficit
+    ``max(b - uplus, 0)``: its successor ``uplus + R(P)`` (R applying
+    the receive map) lies component-wise above b, by construction.
     Receivers only go to the participation's ``allowed`` states
-    (unpinned, inside the action's guard), so every candidate's support
-    lies in the guard. Every candidate is verified by firing it forward,
-    with the participation's stored ``moves``, through :func:`semantics.route`.
+    (unpinned, inside the action's guard). Under the guard-refined order
+    candidates also range over the surplus support rho, since receivers
+    in zero-deficit states may be needed to realize b's guard profile.
+    Every state of rho holds a receiver, so the successor's support is
+    that of ``uplus`` with the receive-map image of rho, and its profile
+    is compared with b's once per (participation, rho).
     """
     pre = action.preimages
-    placements = (_componentwise_placements if wqo.guards is None
-                  else _refined_placements)
-
+    if wqo.guards is None:
+        placements, profile = _componentwise_placements, None
+    else:
+        placements, profile = _refined_placements, wqo.profile(b)
     found = set()
-    for u, uplus, moves, allowed in action.participations:
+    for u, uplus, allowed in action.participations:
         deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
-        for per_dest in placements(pre, deficits, allowed):
+        if profile is not None:
+            sent = sum(1 << t for t, c in enumerate(uplus) if c)
+        for per_dest, reached in placements(pre, deficits, allowed):
+            if (profile is not None
+                    and wqo.support_profile(sent | reached) != profile):
+                continue
             for choice in itertools.product(*(opts for _, opts in per_dest)):
                 q = list(u)
                 for (slots, _), counts in zip(per_dest, choice):
                     for s, c in zip(slots, counts):
                         q[s] += c
-                q = tuple(q)
-                if wqo.leq(b, semantics.route(action, q, u, moves)):
-                    found.add(q)
+                found.add(tuple(q))
     return found
 
 
-def _insert_preds(protocol, wqo, chain, frontier, memo):
+def _insert_preds(protocol, wqo, chain, frontier, provenance):
     """Insert the minimal predecessors of each ``frontier`` element into
-    ``chain``, computing them through ``memo``, which maps (action index,
-    element) to the element's minimal predecessors through that action."""
+    ``chain``. ``provenance`` keeps, per predecessor, the first (action
+    name, element) pair that produced it, in the order they are computed."""
     for b in frontier:
-        for ai, action in enumerate(protocol.actions):
-            key = (ai, b)
-            preds = memo.get(key)
-            if preds is None:
-                preds = memo[key] = _action_preds(wqo, action, b)
-            for q in preds:
+        for action in protocol.actions:
+            for q in _action_preds(wqo, action, b):
                 chain.insert(q)
+                provenance.setdefault(q, (action.name, b))
 
 
 @dataclass
@@ -284,13 +295,13 @@ def decide(protocol, target, threshold):
             "guarded protocol failed guard-compatibility certification")
 
     start = target_basis(protocol, wqo, target, threshold)
-    memo = {}
+    provenance = dict.fromkeys(start.basis)
     chain = Antichain(wqo, start.basis)
     basis = frontier = start.basis
     iterations = 0
     while frontier:
         iterations += 1
-        _insert_preds(protocol, wqo, chain, frontier, memo)
+        _insert_preds(protocol, wqo, chain, frontier, provenance)
         step = chain.basis()
         frontier = sorted(set(step).difference(basis))
         basis = step
@@ -303,12 +314,6 @@ def decide(protocol, target, threshold):
     best = min(covering, key=lambda b: b[protocol.init])
     min_n = best[protocol.init]
     assert min_n >= 1
-    # each vector's parent is the first (action, element) pair, in the
-    # order the steps computed them, that produced it as a predecessor
-    provenance = {b: None for b in start.basis}
-    for (ai, b), preds in memo.items():
-        for c in preds:
-            provenance.setdefault(c, (protocol.actions[ai].name, b))
     witness = []
     cur = best
     while provenance[cur] is not None:

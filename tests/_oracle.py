@@ -190,7 +190,8 @@ def pred_basis(protocol, wqo, ucs):
     engine, ``wsts._insert_preds`` into a ``wsts.Antichain``, for the
     grid oracles above to check."""
     chain = wsts.Antichain(wqo, ucs.basis)
-    wsts._insert_preds(protocol, wqo, chain, ucs.basis, {})
+    wsts._insert_preds(protocol, wqo, chain, ucs.basis,
+                       provenance=dict.fromkeys(ucs.basis))
     return wsts.Ucs(wqo, chain.basis())
 
 

@@ -483,9 +483,6 @@ class TestKnownDisagreements:
         _, mc = invoke_json("mc", path, *query, "--n", "1")
         assert mc["result"]["reachable"] is True
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "lemma L2 counts the receive I->T as free because the action's "
-        "own send makes that move, so its cutoff misses the third process"))
     def test_lemma_l2_cutoff(self, tmp_path):
         path = write_model(tmp_path, {
             "states": ["I", "A", "T"], "init": "I",

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from gspmc import wellbehaved
 from gspmc.cutoff import (
     FREE_INTERNAL,
     FREE_NEGOTIATION,
@@ -16,6 +19,9 @@ from gspmc.cutoff import (
 from gspmc.explicit import ReachQuery, check_fixed
 from gspmc.model import validate
 from gspmc.wsts import decide
+
+import _gen
+from conftest import perfbench_protocols
 
 
 def edge_table(protocol):
@@ -284,3 +290,59 @@ class TestCertifiedCutoffCheck:
                 assert fixed.reachable == v.holds
             verdict = decide(smoke, report, threshold)
             assert verdict.reachable == v.holds
+
+
+# The two smallest shapes on which L2 lifted a verdict that one more
+# process breaks, both with count 2: a receive I->T backed only by the
+# action's own send I->T, and a maximal source S0 whose two slots part
+# ways. Each reaches its target with 3 processes, not with 2.
+L2_OWN_SEND = {
+    "states": ["I", "A", "T"], "init": "I",
+    "actions": [{"name": "m", "kind": "maximal",
+                 "sends": [["I", "A"], ["I", "T"]],
+                 "receives": [["I", "T"]]}]}
+L2_SPLIT_SLOTS = {
+    "states": ["S0", "S1", "S2"], "init": "S0",
+    "guards": {"G0": ["S0", "S2"]},
+    "actions": [{"name": "a0", "kind": "maximal",
+                 "sends": [["S0", "S1"], ["S0", "S2"]]}]}
+
+
+def lifts_by_bfs(p, target, count):
+    """Whether L1 or L2 decides the query; if so, assert that BFS agrees
+    with its verdict at every n from the cutoff m to m + 3."""
+    v = certified_cutoff_check(p, target, count)
+    if v.lemma not in ("L1", "L2"):
+        return False
+    for n in range(v.cutoff, v.cutoff + 4):
+        got = check_fixed(p, ReachQuery(target, count, n)).reachable
+        assert got == v.holds, (p.state_names, v.lemma, target, count, n)
+    return True
+
+
+class TestLemmaSoundness:
+    @pytest.mark.parametrize("raw, target", [
+        (L2_OWN_SEND, "T"), (L2_SPLIT_SLOTS, "S1")])
+    def test_minimal_l2_shapes(self, raw, target):
+        p = validate(raw)
+        t = p.state_index(target)
+        assert not check_fixed(p, ReachQuery(t, 2, 2)).reachable
+        assert check_fixed(p, ReachQuery(t, 2, 3)).reachable
+        assert not check_lemma2(p, t)
+        lifts_by_bfs(p, t, 2)
+
+    def test_random_protocols(self):
+        corpus = [_gen.random_protocol(random.Random(1000 + i),
+                                       max_states=4, max_actions=3)
+                  for i in range(400)]
+        # draw 301 here and draw 394 of the benchmark's generator got L2
+        # verdicts that BFS contradicts before both free-edge fixes
+        protocols = perfbench_protocols()
+        for i in range(400):
+            p = validate(protocols.random_model(random.Random(f"x-{i}")))
+            if wellbehaved.certify(p).well_behaved:
+                corpus.append(p)
+        lifted = sum(lifts_by_bfs(p, t, count)
+                     for p in corpus for t in range(p.n_states)
+                     if t != p.init for count in (1, 2, 3))
+        assert lifted > 3000

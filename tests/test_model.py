@@ -133,13 +133,13 @@ class TestSenderTallies:
         # states: Env, Ask, Idle, Pick, Report
         assert a.receive_map == (2, 3, 2, 3, 4)
         assert (a.sources, a.caps) == ((1,), (1,))
-        assert [uplus for _, uplus, _ in a.outcomes((1,))] == [(0, 0, 0, 1, 0)]
+        assert [uplus for _, uplus in a.outcomes((1,))] == [(0, 0, 0, 1, 0)]
 
     def test_choose_tallies(self, smoke):
         a = smoke.action("Choose")
         assert a.receive_map == (0, 1, 2, 2, 4)
         assert (a.sources, a.caps) == ((3,), (2,))
-        assert [uplus for _, uplus, _ in a.outcomes((2,))] == [(0, 0, 0, 0, 2)]
+        assert [uplus for _, uplus in a.outcomes((2,))] == [(0, 0, 0, 0, 2)]
 
     def test_sender_tallies_sum_to_arity(self):
         rng = random.Random(1)
@@ -151,7 +151,7 @@ class TestSenderTallies:
                                   tuple(range(states)),
                                   model.Guard("ALL", frozenset(range(states))))
             assert sum(action.caps) == len(sends)
-            [(u, uplus, _)] = action.outcomes(action.caps)
+            [(u, uplus)] = action.outcomes(action.caps)
             assert u == model.tally(states, (s.src for s in sends))
             assert sum(uplus) == len(sends)
 

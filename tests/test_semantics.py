@@ -50,13 +50,13 @@ class TestFire:
         # one Ask sends to Pick; the other two follow Ask->Pick; both Env->Idle
         a = smoke.action("Smoke")
         assert fire(q, a) == [config(smoke, Idle=2, Pick=3)]
-        assert [u for u, _, _ in a.outcomes((1,))] == [config(smoke, Ask=1)]
+        assert [u for u, _ in a.outcomes((1,))] == [config(smoke, Ask=1)]
 
     def test_choose_two_sender(self, smoke_2sender):
         p = smoke_2sender
         a = p.action("Choose")
         assert fire(config(p, Idle=1, Pick=4), a) == [config(p, Idle=3, Report=2)]
-        assert [u for u, _, _ in a.outcomes((2,))] == [config(p, Pick=2)]
+        assert [u for u, _ in a.outcomes((2,))] == [config(p, Pick=2)]
 
     def test_choose_two_maximal_partial(self, smoke):
         # only one Pick available: u = min(q, v) pointwise, and both of
@@ -64,7 +64,7 @@ class TestFire:
         a = smoke.action("Choose")
         out = fire(config(smoke, Idle=4, Pick=1), a)
         assert out == [config(smoke, Idle=4, Report=1)]
-        assert [u for u, _, _ in a.outcomes((1,))] == [config(smoke, Pick=1)]
+        assert [u for u, _ in a.outcomes((1,))] == [config(smoke, Pick=1)]
 
     def test_fire_requires_enabled(self, smoke):
         assert fire(config(smoke, Env=1), smoke.action("Smoke")) == []
@@ -134,7 +134,7 @@ class TestOracleAgreement:
                 assert succ in fire(q, a)
                 assert sum(succ) == sum(q)
                 key = tuple(min(q[s], c) for s, c in zip(a.sources, a.caps))
-                for u, _, _ in a.outcomes(key):
+                for u, _ in a.outcomes(key):
                     if a.kind == "sender":
                         assert sum(u) == a.arity
                     else:
@@ -169,9 +169,9 @@ class TestSharedSourceSlots:
         p = validate(SHARED_SOURCE)
         m = p.action("m")
         assert fire((1, 0, 0, 0), m) == [(0, 1, 0, 0), (0, 0, 1, 0)]
-        assert [u for u, _, _ in m.outcomes((1,))] == [(1, 0, 0, 0)] * 2
+        assert [u for u, _ in m.outcomes((1,))] == [(1, 0, 0, 0)] * 2
         assert fire((3, 0, 0, 1), m) == [(1, 1, 1, 1)]
-        assert [u for u, _, _ in m.outcomes((2,))] == [(2, 0, 0, 0)]
+        assert [u for u, _ in m.outcomes((2,))] == [(2, 0, 0, 0)]
         check_against_oracle(p, total=4)
 
     def test_slot_order_orders_outcomes(self):

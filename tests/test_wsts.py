@@ -25,6 +25,7 @@ from gspmc.wsts import (
 import _gen
 import _oracle
 from conftest import config, load_fixture, perfbench_protocols
+from test_semantics import FIXTURES
 
 vectors = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple)
 
@@ -181,6 +182,45 @@ class TestPredBasis:
         out = _oracle.pred_basis(smoke, wqo, ucs)
         for b in ucs.basis:
             assert any(wqo.leq(c, b) for c in out.basis)
+
+
+def check_preds_by_construction(protocol, wqo):
+    """Every predecessor ``_action_preds`` builds for an element b fires,
+    through its action, to a successor above b. The elements are those
+    of every target basis with count 2 and of their first backward step.
+    Returns the number of predecessors checked."""
+    checked = 0
+    for target in range(protocol.n_states):
+        start = target_basis(protocol, wqo, target, 2)
+        first = _oracle.pred_basis(protocol, wqo, start).basis
+        for b in set(start.basis).union(first):
+            for action in protocol.actions:
+                for q in wsts._action_preds(wqo, action, b):
+                    assert any(wqo.leq(b, succ)
+                               for succ in semantics.fire(q, action)), (
+                        protocol.state_names, action.name, b, q)
+                    checked += 1
+    return checked
+
+
+class TestPredsByConstruction:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        # both orders for the guarded fixtures; the unguarded
+        # cutoff_witness only under its own, as the guard-refined order
+        # ranges over every surplus support of its 11 states (seconds)
+        p = load_fixture(name)
+        for wqo in {COMPONENT_WISE, wqo_for(p)}:
+            assert check_preds_by_construction(p, wqo)
+
+    def test_random_protocols(self):
+        rng = random.Random(60)
+        checked = 0
+        for _ in range(60):
+            p = _gen.random_protocol(rng, certified_only=False, max_states=4)
+            for wqo in (COMPONENT_WISE, guard_refined(p)):
+                checked += check_preds_by_construction(p, wqo)
+        assert checked > 4000
 
 
 def replay_witness(protocol, n, witness, target, threshold):

@@ -131,6 +131,20 @@ class GuardCompatReport:
     notes: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class _Context:
+    """What every check on one protocol reads, built once per :func:`certify`."""
+
+    guards: tuple
+    order: StateOrder
+    reach: InternalReach
+
+
+def _context(protocol: Protocol) -> _Context:
+    return _Context(protocol.used_guards(), StateOrder(protocol),
+                    InternalReach(protocol))
+
+
 def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
     """Strong (C1, C2.1, C2.2) or weak (C1w, C2.1w, C2.2w) conditions.
 
@@ -156,10 +170,13 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
     inside G' would have certified the action, a note records that the
     strict reading was the deciding factor.
     """
+    return _check_action(protocol, a, weak, _context(protocol))
+
+
+def _check_action(protocol, a, weak, ctx):
     names = protocol.state_names
     n = protocol.n_states
-    order = StateOrder(protocol)
-    reach = InternalReach(protocol) if weak else None
+    order, reach = ctx.order, ctx.reach
     w = "w" if weak else ""
     violations = []
     notes = []
@@ -171,7 +188,7 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
 
     if a.kind == SENDER:
         dests = {s.dst for s in a.sends}
-        for gp in protocol.used_guards():
+        for gp in ctx.guards:
             if dests <= gp.members:
                 for s in sorted(a.guard.members):
                     t = a.receive_map[s]
@@ -189,7 +206,7 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
     sources = {s.src for s in a.sends}
     rest = sorted(a.guard.members - sources)
     all_dests = [s.dst for s in a.sends]
-    for gp in protocol.used_guards():
+    for gp in ctx.guards:
         in_guard_dests = [d for d in all_dests if d in gp.members]
         if in_guard_dests:
             for s in rest:
@@ -240,15 +257,18 @@ def check_c3w(protocol: Protocol, a: Action) -> CheckResult:
     """
     if not is_internal(a):
         raise ValueError(f"check_c3w applies to internal actions, got {a.name!r}")
+    return _check_c3w(protocol, a, _context(protocol))
+
+
+def _check_c3w(protocol, a, ctx):
     names = protocol.state_names
-    order = StateOrder(protocol)
-    reach = InternalReach(protocol)
+    order, reach = ctx.order, ctx.reach
     n = protocol.n_states
     src, dst = a.sends[0].src, a.sends[0].dst
     below_dst = {t for t in range(n) if order.below(t, dst)}
     bound = frozenset(a.guard.members | below_dst)
     violations = []
-    for gp in protocol.used_guards():
+    for gp in ctx.guards:
         if src not in gp.members and dst in gp.members:
             for t in sorted(a.guard.members):
                 if not any(order.below(tp, dst) and reach.guarded(t, tp, bound)
@@ -268,21 +288,22 @@ def certify(protocol: Protocol) -> GuardCompatReport:
     the dedicated entering-a-guard condition as a last resort. The
     protocol is well-behaved iff no action ends in violation.
     """
+    ctx = _context(protocol)
     statuses = []
     notes = []
     for a in protocol.actions:
-        strong = check_action(protocol, a, weak=False)
+        strong = _check_action(protocol, a, False, ctx)
         if strong.ok:
             statuses.append(ActionStatus(a.name, "strong", strong.condition))
             continue
-        weak = check_action(protocol, a, weak=True)
+        weak = _check_action(protocol, a, True, ctx)
         notes.extend(weak.notes)
         if weak.ok:
             statuses.append(ActionStatus(a.name, "weak", weak.condition,
                                          notes=weak.notes))
             continue
         if is_internal(a):
-            c3 = check_c3w(protocol, a)
+            c3 = _check_c3w(protocol, a, ctx)
             if c3.ok:
                 statuses.append(ActionStatus(a.name, "weak", "C3w"))
                 continue

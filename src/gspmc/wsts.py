@@ -23,11 +23,35 @@ same basis as re-minimizing the whole predecessor set would, and the
 loop stops after the first round that adds nothing. The antichain
 groups vectors by guard profile, since the guard-refined order never
 relates vectors whose profiles differ, and compares component-wise
-within a group.
+within a group, where it buckets them by support bitmask: b <= q needs
+supp(b) to lie inside supp(q), so an insert only visits the buckets
+whose mask is a subset or a superset of its own.
 
 Predecessors are built, not searched for: each is an outcome's senders
 plus receivers placed so that firing it covers the element, so no
 candidate is fired forward (:func:`_action_preds`).
+
+Under the guard-refined order a predecessor of b through a participation
+(u, uplus) also fixes a surplus support rho, the allowed states holding
+a receiver; its support is supp(u) | rho and its successor's is
+supp(uplus) | R(rho), R being the receive map's image. rho is a bitmask,
+enumerated by increasing size, and only a rho that meets the preimages
+of every destination with a nonzero deficit, gives the successor b's
+profile, and has no removable state gets any placement built. A state s
+of rho, t = R(s), is removable when t keeps a slot per missing process
+without s (deficit(t) < |pre(t) & rho|) and dropping s keeps the profile
+of supp(u) | rho. Then every candidate q from rho puts exactly one
+receiver on s, and q - e_s is a candidate from rho - {s} with q's
+profile, so by induction some candidate from an irredundant subset of
+rho lies strictly below q. Once that one is inserted, q can never enter
+the basis: leaving q out changes no basis and no provenance that a
+witness follows. The successor's profile needs no test of its own:
+supp(b) lies inside supp(uplus) | R(rho - {s}), which lies inside
+supp(uplus) | R(rho), and the profiles of b and of the latter agree, so
+the middle one's does too. In an irredundant rho each state is needed
+by a deficit (at most sum(deficits) of them) or is the one state of
+supp(u) | rho outside some guard, so rho has at most
+sum(deficits) + |guards| states, and the enumeration stops there.
 """
 
 from __future__ import annotations
@@ -96,33 +120,45 @@ class Antichain:
     """Minimal elements of the vectors inserted so far under one order.
 
     Vectors are grouped by guard profile (a single group under the
-    component-wise order); two vectors are related only inside a group,
-    and there exactly when they are component-wise.
+    component-wise order), and inside a group bucketed by support
+    bitmask. Two vectors are related only inside a group, and there
+    exactly when they are component-wise, which needs the smaller one's
+    support to lie inside the larger one's: an insert compares q only
+    with the buckets whose mask is a subset (could cover q) or a
+    superset (could be evicted by q) of q's support.
     """
 
     def __init__(self, wqo, vectors=()):
-        self._profile = wqo.profile if wqo.guards is not None else None
-        self._groups = {}
+        self._profile = wqo.support_profile
+        self._groups = {}  # profile -> {support mask: [vectors]}
         for q in vectors:
             self.insert(q)
 
     def insert(self, q):
         """Add q unless an element is below it, evicting the elements above it."""
-        key = self._profile(q) if self._profile else None
-        group = self._groups.get(key)
-        if group is None:
-            self._groups[key] = [q]
-            return
-        for b in group:
-            if all(map(le, b, q)):
-                return
-        group[:] = [b for b in group if not all(map(le, q, b))]
-        group.append(q)
+        supp = 0
+        for s, c in enumerate(q):
+            if c:
+                supp |= 1 << s
+        group = self._groups.setdefault(self._profile(supp), {})
+        for m, bucket in group.items():
+            if not m & ~supp:
+                for b in bucket:
+                    if all(map(le, b, q)):
+                        return
+        for m in [m for m in group if not supp & ~m]:
+            kept = [b for b in group[m] if not all(map(le, q, b))]
+            if kept:
+                group[m] = kept
+            else:
+                del group[m]
+        group.setdefault(supp, []).append(q)
 
     def basis(self):
         """The elements, lexicographically sorted."""
-        groups = self._groups.values()
-        return tuple(sorted(itertools.chain.from_iterable(groups)))
+        return tuple(sorted(itertools.chain.from_iterable(
+            bucket for group in self._groups.values()
+            for bucket in group.values())))
 
 
 def minimize(wqo, vectors):
@@ -173,12 +209,10 @@ def _receiver_options(deficit, slots):
     """Minimal receiver placements for one destination.
 
     ``slots`` are the predecessor states whose surplus must be >= 1 (the
-    chosen support). When there are at least ``deficit`` slots, one
-    process per slot is the unique minimum; otherwise every split of the
-    deficit into positive parts is minimal.
+    chosen support, not empty). When there are at least ``deficit``
+    slots, one process per slot is the unique minimum; otherwise every
+    split of the deficit into positive parts is minimal.
     """
-    if not slots:
-        return [()] if deficit == 0 else []
     if deficit <= len(slots):
         return [(1,) * len(slots)]
     return [tuple(c + 1 for c in comp)
@@ -187,10 +221,8 @@ def _receiver_options(deficit, slots):
 
 def _componentwise_placements(pre, deficits, allowed):
     """The one receiver placement of the component-wise order, each
-    deficit spread over its allowed preimages in every way, with the
-    bitmask of the destinations it reaches."""
+    deficit spread over its allowed preimages in every way."""
     per_dest = []
-    reached = 0
     for t, deficit in enumerate(deficits):
         if deficit == 0:
             continue
@@ -198,28 +230,46 @@ def _componentwise_placements(pre, deficits, allowed):
         if not slots:
             return
         per_dest.append((slots, list(_compositions(deficit, len(slots)))))
-        reached |= 1 << t
-    yield per_dest, reached
+    yield per_dest
 
 
-def _refined_placements(pre, deficits, allowed):
+def _refined_placements(wqo, action, u, uplus, deficits, allowed, profile):
     """Receiver placements of the guard-refined order, one per surplus
-    support rho drawn from the allowed states, each with the bitmask of
-    the destinations it reaches (the receive-map image of rho)."""
-    for r_size in range(len(allowed) + 1):
-        for rho in itertools.combinations(allowed, r_size):
-            per_dest = []
-            reached = 0
-            for t, deficit in enumerate(deficits):
-                slots = [s for s in pre[t] if s in rho]
-                options = _receiver_options(deficit, slots)
-                if not options:
+    support rho drawn from the allowed states whose successors have b's
+    guard ``profile`` and that has no removable state (module
+    docstring), in increasing size up to the irredundance bound."""
+    rmap, pre = action.receive_map, action.preimages
+    allowed_mask = sum(1 << s for s in allowed)
+    premask = [sum(1 << s for s in ss) & allowed_mask for ss in pre]
+    needed = [premask[t] for t, d in enumerate(deficits) if d]
+    if not all(needed):
+        return
+    usupp = sum(1 << s for s, c in enumerate(u) if c)
+    sent = sum(1 << t for t, c in enumerate(uplus) if c)
+    profile_of = wqo.support_profile
+    bound = sum(deficits) + len(wqo.guards)
+    for size in range(min(bound, len(allowed)) + 1):
+        for states in itertools.combinations(allowed, size):
+            rho = reached = 0
+            for s in states:
+                rho |= 1 << s
+                reached |= 1 << rmap[s]
+            if (not all(rho & m for m in needed)
+                    or profile_of(sent | reached) != profile):
+                continue
+            q_profile = profile_of(usupp | rho)
+            for s in states:  # a removable s
+                k = (premask[rmap[s]] & rho).bit_count()
+                if (deficits[rmap[s]] < k
+                        and profile_of(usupp | rho & ~(1 << s)) == q_profile):
                     break
-                if slots:
-                    per_dest.append((slots, options))
-                    reached |= 1 << t
             else:
-                yield per_dest, reached
+                per_dest = []
+                for t, deficit in enumerate(deficits):
+                    if premask[t] & rho:
+                        slots = [s for s in pre[t] if rho >> s & 1]
+                        per_dest.append((slots, _receiver_options(deficit, slots)))
+                yield per_dest
 
 
 def _action_preds(wqo, action, b):
@@ -231,26 +281,21 @@ def _action_preds(wqo, action, b):
     the receive map) lies component-wise above b, by construction.
     Receivers only go to the participation's ``allowed`` states
     (unpinned, inside the action's guard). Under the guard-refined order
-    candidates also range over the surplus support rho, since receivers
-    in zero-deficit states may be needed to realize b's guard profile.
-    Every state of rho holds a receiver, so the successor's support is
-    that of ``uplus`` with the receive-map image of rho, and its profile
-    is compared with b's once per (participation, rho).
+    candidates also range over the irredundant surplus supports rho
+    (:func:`_refined_placements`), since receivers in zero-deficit
+    states may be needed to realize b's guard profile.
     """
-    pre = action.preimages
-    if wqo.guards is None:
-        placements, profile = _componentwise_placements, None
-    else:
-        placements, profile = _refined_placements, wqo.profile(b)
+    profile = None if wqo.guards is None else wqo.profile(b)
     found = set()
     for u, uplus, allowed in action.participations:
         deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
-        if profile is not None:
-            sent = sum(1 << t for t, c in enumerate(uplus) if c)
-        for per_dest, reached in placements(pre, deficits, allowed):
-            if (profile is not None
-                    and wqo.support_profile(sent | reached) != profile):
-                continue
+        if profile is None:
+            placements = _componentwise_placements(
+                action.preimages, deficits, allowed)
+        else:
+            placements = _refined_placements(
+                wqo, action, u, uplus, deficits, allowed, profile)
+        for per_dest in placements:
             for choice in itertools.product(*(opts for _, opts in per_dest)):
                 q = list(u)
                 for (slots, _), counts in zip(per_dest, choice):

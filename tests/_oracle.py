@@ -6,13 +6,18 @@ multisets, sharing no code with the package's counter-vector paths.
 The backward fixpoint reference is the textbook loop: each round unites
 the basis with the predecessors of every basis element and re-minimizes
 the union pairwise. The guard-inclusion preorder is restated as a
-boolean matrix over the used guards.
+boolean matrix over the used guards. The guard-refined predecessor
+enumeration over every surplus support, and the antichain that scans
+a whole profile group per insert, are the engine's earlier forms, kept
+as references for the pruned enumeration and the support-bucketed
+antichain.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from operator import le
 
 from gspmc import semantics, wsts
 from gspmc.model import SENDER
@@ -183,6 +188,66 @@ def pairwise_minimize(wqo, vectors):
     basis = [v for v in vs
              if not any(u != v and wqo.leq(u, v) for u in vs)]
     return tuple(sorted(basis))
+
+
+class LinearAntichain:
+    """Minimal elements of the inserted vectors, one flat list per guard
+    profile, scanned whole for "covered" and for eviction."""
+
+    def __init__(self, wqo, vectors=()):
+        self._profile = wqo.profile if wqo.guards is not None else None
+        self._groups = {}
+        for q in vectors:
+            self.insert(q)
+
+    def insert(self, q):
+        key = self._profile(q) if self._profile else None
+        group = self._groups.setdefault(key, [])
+        if any(all(map(le, b, q)) for b in group):
+            return
+        group[:] = [b for b in group if not all(map(le, q, b))]
+        group.append(q)
+
+    def basis(self):
+        return tuple(sorted(itertools.chain.from_iterable(self._groups.values())))
+
+
+def exhaustive_refined_preds(wqo, action, b):
+    """Guard-refined predecessors of ``b`` through one action over every
+    surplus support rho of every participation: a receiver on each
+    state of rho, each deficit covered by rho's preimages of its
+    destination (one per slot, or every positive split when there are
+    fewer slots than the deficit), kept when the successor's support
+    ``supp(uplus) | R(rho)`` has b's guard profile. Not minimized."""
+    profile = wqo.profile(b)
+    found = set()
+    for u, uplus, allowed in action.participations:
+        deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
+        sent = sum(1 << t for t, c in enumerate(uplus) if c)
+        for r_size in range(len(allowed) + 1):
+            for rho in itertools.combinations(allowed, r_size):
+                per_dest = []
+                reached = 0
+                for t, deficit in enumerate(deficits):
+                    slots = [s for s in action.preimages[t] if s in rho]
+                    if deficit and not slots:
+                        break
+                    if slots:
+                        per_dest.append((slots, [
+                            tuple(c + 1 for c in comp) for comp in
+                            wsts._compositions(max(deficit - len(slots), 0),
+                                               len(slots))]))
+                        reached |= 1 << t
+                else:
+                    if wqo.support_profile(sent | reached) != profile:
+                        continue
+                    for choice in itertools.product(*(o for _, o in per_dest)):
+                        q = list(u)
+                        for (slots, _), counts in zip(per_dest, choice):
+                            for s, c in zip(slots, counts):
+                                q[s] += c
+                        found.add(tuple(q))
+    return found
 
 
 def pred_basis(protocol, wqo, ucs):

@@ -61,6 +61,22 @@ def internal_ring(length: int) -> model.Protocol:
                    "to": ring[(j + 1) % length]} for j in range(length)]})
 
 
+def chain(n: int) -> model.Protocol:
+    """States S0..S(n-1) joined by internal steps t_i from S_i to
+    S_(i+1), plus a sender ``b`` under the guard G = S0..S(n//2) that
+    sends S0 to S(n-1) and receives S1 into S0. Two processes reach
+    S(n-1); the guard-refined engine ranges over surplus supports of
+    up to n//2 + 1 states for a basis of a few dozen elements."""
+    states = [f"S{i}" for i in range(n)]
+    actions = [{"name": f"t{i}", "kind": "sender",
+                "sends": [[states[i], states[i + 1]]]} for i in range(n - 1)]
+    actions.append({"name": "b", "kind": "sender", "guard": "G",
+                    "sends": [["S0", states[-1]]], "receives": [["S1", "S0"]]})
+    return model.validate({"states": states, "init": "S0",
+                           "guards": {"G": states[:n // 2 + 1]},
+                           "actions": actions})
+
+
 @pytest.fixture(scope="session")
 def smoke() -> model.Protocol:
     return load_fixture("smoke_detector.json")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gspmc import wellbehaved
 from gspmc.model import validate
 from gspmc.wellbehaved import (
     InternalReach,
@@ -354,3 +355,16 @@ class TestCertify:
         report = certify(p)
         assert report.well_behaved
         assert all(s.status == "strong" for s in report.actions)
+
+    def test_builds_order_and_reach_once(self, monkeypatch):
+        # the strong, weak and C3w checks of every action share them
+        built = []
+        for cls in (StateOrder, InternalReach):
+            class Counted(cls):
+                def __init__(self, protocol, name=cls.__name__):
+                    built.append(name)
+                    super().__init__(protocol)
+            monkeypatch.setattr(wellbehaved, cls.__name__, Counted)
+        report = certify(validate(entering_internal_raw(wide_guard=True)))
+        assert {s.condition for s in report.actions} >= {"C3w"}
+        assert sorted(built) == ["InternalReach", "StateOrder"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from gspmc.wsts import (
 
 import _gen
 import _oracle
-from conftest import config, load_fixture, perfbench_protocols
+from conftest import chain, config, load_fixture, perfbench_protocols
 from test_semantics import FIXTURES
 
 vectors = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple)
@@ -184,23 +185,45 @@ class TestPredBasis:
             assert any(wqo.leq(c, b) for c in out.basis)
 
 
-def check_preds_by_construction(protocol, wqo):
-    """Every predecessor ``_action_preds`` builds for an element b fires,
-    through its action, to a successor above b. The elements are those
-    of every target basis with count 2 and of their first backward step.
-    Returns the number of predecessors checked."""
-    checked = 0
+def backward_elements(protocol, wqo):
+    """The elements of every target basis with count 2 and of their
+    first backward step."""
+    elements = set()
     for target in range(protocol.n_states):
         start = target_basis(protocol, wqo, target, 2)
-        first = _oracle.pred_basis(protocol, wqo, start).basis
-        for b in set(start.basis).union(first):
-            for action in protocol.actions:
-                for q in wsts._action_preds(wqo, action, b):
-                    assert any(wqo.leq(b, succ)
-                               for succ in semantics.fire(q, action)), (
-                        protocol.state_names, action.name, b, q)
-                    checked += 1
+        elements.update(start.basis, _oracle.pred_basis(protocol, wqo, start).basis)
+    return elements
+
+
+def check_preds_by_construction(protocol, wqo):
+    """Every predecessor ``_action_preds`` builds for an element b of
+    :func:`backward_elements` fires, through its action, to a successor
+    above b. Returns the number of predecessors checked."""
+    checked = 0
+    for b in backward_elements(protocol, wqo):
+        for action in protocol.actions:
+            for q in wsts._action_preds(wqo, action, b):
+                assert any(wqo.leq(b, succ)
+                           for succ in semantics.fire(q, action)), (
+                    protocol.state_names, action.name, b, q)
+                checked += 1
     return checked
+
+
+def check_preds_match_exhaustive(protocol, wqo, sample=None):
+    """The minimal predecessors ``_action_preds`` gives for each element
+    of :func:`backward_elements` (a seeded ``sample`` of them, if given)
+    and each action are those of the enumeration over every surplus
+    support."""
+    elements = sorted(backward_elements(protocol, wqo))
+    if sample is not None:
+        elements = random.Random(0).sample(elements, sample)
+    for b in elements:
+        for action in protocol.actions:
+            got = minimize(wqo, wsts._action_preds(wqo, action, b))
+            want = _oracle.LinearAntichain(
+                wqo, _oracle.exhaustive_refined_preds(wqo, action, b)).basis()
+            assert got == want, (protocol.state_names, action.name, b)
 
 
 class TestPredsByConstruction:
@@ -214,13 +237,53 @@ class TestPredsByConstruction:
             assert check_preds_by_construction(p, wqo)
 
     def test_random_protocols(self):
+        # reducible surplus supports build no predecessors, so the floor
+        # needs 150 draws
         rng = random.Random(60)
         checked = 0
-        for _ in range(60):
+        for _ in range(150):
             p = _gen.random_protocol(rng, certified_only=False, max_states=4)
             for wqo in (COMPONENT_WISE, guard_refined(p)):
                 checked += check_preds_by_construction(p, wqo)
         assert checked > 4000
+
+
+class TestPrunedPreds:
+    """Skipping reducible surplus supports loses no minimal predecessor."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        # the enumeration over every surplus support of cutoff_witness's
+        # 11 states takes about a third of a second per element
+        p = load_fixture(name)
+        sample = 4 if name == "cutoff_witness.json" else None
+        for wqo in (COMPONENT_WISE, guard_refined(p)):
+            check_preds_match_exhaustive(p, wqo, sample)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_protocols(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            p = _gen.random_protocol(rng, certified_only=False, max_states=5)
+            for wqo in (COMPONENT_WISE, guard_refined(p)):
+                check_preds_match_exhaustive(p, wqo)
+
+
+class TestAntichain:
+    def test_matches_linear_antichain(self):
+        rng = random.Random(404)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            wqo = random_wqo(rng, n)
+            stream = [tuple(rng.randint(0, 2) for _ in range(n))
+                      for _ in range(rng.randint(0, 40))]
+            stream += rng.choices(stream, k=len(stream) // 2)
+            rng.shuffle(stream)
+            bucketed, linear = wsts.Antichain(wqo), _oracle.LinearAntichain(wqo)
+            for q in stream:
+                bucketed.insert(q)
+                linear.insert(q)
+                assert bucketed.basis() == linear.basis(), (wqo, stream)
 
 
 def replay_witness(protocol, n, witness, target, threshold):
@@ -271,6 +334,17 @@ class TestDecide:
         v = decide(witness, target, 1)
         assert (v.iterations, len(v.basis.basis), v.min_n) == (19, 58, 16)
         replay_witness(witness, v.min_n, v.witness, target, 1)
+
+    def test_chain_12(self):
+        # walking every surplus support of the 7 guarded states per
+        # frontier element and participation takes about 22 s
+        p = chain(12)
+        start = time.perf_counter()
+        v = decide(p, p.state_index("S11"), 2)
+        assert time.perf_counter() - start < 10
+        assert (v.reachable, v.min_n, v.iterations, len(v.basis.basis)) == (
+            True, 2, 21, 78)
+        replay_witness(p, v.min_n, v.witness, p.state_index("S11"), 2)
 
     # both seeds draw queries in which two frontier elements share a
     # predecessor, so the witness depends on the order of the frontier

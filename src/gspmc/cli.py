@@ -206,7 +206,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
     if args.command == "verify":
         target, count = _resolve_query(protocol, mf, args)
         verdict = wsts.decide(protocol, target, count)
-        order = "component-wise" if verdict.basis.wqo.guards is None \
+        order = "component-wise" if not verdict.basis.wqo.guards \
             else "guard-refined"
         payload = {
             "target": protocol.state_names[target],

@@ -29,29 +29,44 @@ whose mask is a subset or a superset of its own.
 
 Predecessors are built, not searched for: each is an outcome's senders
 plus receivers placed so that firing it covers the element, so no
-candidate is fired forward (:func:`_action_preds`).
-
-Under the guard-refined order a predecessor of b through a participation
-(u, uplus) also fixes a surplus support rho, the allowed states holding
-a receiver; its support is supp(u) | rho and its successor's is
-supp(uplus) | R(rho), R being the receive map's image. rho is a bitmask,
-enumerated by increasing size, and only a rho that meets the preimages
-of every destination with a nonzero deficit, gives the successor b's
-profile, and has no removable state gets any placement built. A state s
-of rho, t = R(s), is removable when t keeps a slot per missing process
+candidate is fired forward (:func:`_action_preds`). One construction
+serves both orders; the component-wise order is the guard-refined one
+with no guards. Through a participation (u, uplus), each deficit
+max(b - uplus, 0) is split over the allowed preimages of its
+destination in every way, zeros allowed. A split P gives the candidate
+u + P, whose surplus support rho_D = supp(P) the receive map sends onto
+the destinations with a nonzero deficit. Component-wise, that is all.
+With guards, b's profile may need further receivers, so a candidate
+also puts one receiver on each state of a set X of at most |guards|
+allowed states outside rho_D and outside some guard, and u + P + 1_X is
+kept when its surplus support rho = rho_D | X passes two tests: the
+successor's support supp(uplus) | R(rho), R being the receive map's
+image, has b's profile, and rho has no removable state. A state s of
+rho, t = R(s), is removable when t keeps a slot per missing process
 without s (deficit(t) < |pre(t) & rho|) and dropping s keeps the profile
-of supp(u) | rho. Then every candidate q from rho puts exactly one
-receiver on s, and q - e_s is a candidate from rho - {s} with q's
-profile, so by induction some candidate from an irredundant subset of
-rho lies strictly below q. Once that one is inserted, q can never enter
-the basis: leaving q out changes no basis and no provenance that a
-witness follows. The successor's profile needs no test of its own:
-supp(b) lies inside supp(uplus) | R(rho - {s}), which lies inside
-supp(uplus) | R(rho), and the profiles of b and of the latter agree, so
-the middle one's does too. In an irredundant rho each state is needed
-by a deficit (at most sum(deficits) of them) or is the one state of
-supp(u) | rho outside some guard, so rho has at most
-sum(deficits) + |guards| states, and the enumeration stops there.
+of supp(u) | rho. With no guards, X is only the empty set and both
+tests hold vacuously.
+
+This loses no minimal predecessor. Take any surplus support rho and its
+minimal placements: per destination with slots pre(t) & rho, every
+split of the deficit into positive parts, or one receiver per slot when
+there are more slots than the deficit. If rho has a removable state s,
+each such candidate q puts exactly one receiver on s, and q - e_s is one
+from rho - {s} with q's profile, so by induction a candidate from an
+irredundant subset of rho lies strictly below q. The successor's
+profile needs no test of its own: supp(b) lies inside
+supp(uplus) | R(rho - {s}), which lies inside supp(uplus) | R(rho), and
+the profiles of b and of the latter agree, so the middle one's does
+too. In an irredundant rho, a slot of a destination with more slots than
+its deficit d, and a state of a destination with no deficit, is the one
+state of supp(u) | rho outside some guard, a distinct guard each. So
+putting d of such a destination's slots into rho_D, one receiver each,
+and the rest into X gives |X| <= |guards|: every minimal candidate of an
+irredundant rho is some u + P + 1_X the loop keeps. A candidate it keeps
+beyond those has some rho as support and covers each destination's
+minimal placement on rho, so it lies above a candidate from the same
+rho and is never minimal: leaving it in changes no basis, and no
+provenance that a witness follows.
 """
 
 from __future__ import annotations
@@ -70,15 +85,16 @@ class NotCertifiedWellBehaved(Exception):
 
 @dataclass(frozen=True)
 class Wqo:
-    """Ordering on counter vectors; ``guards`` is None for component-wise."""
+    """Ordering on counter vectors: component-wise, with the same guard
+    profile on both sides; ``guards`` is empty for component-wise."""
 
-    guards: tuple[frozenset[int], ...] | None
+    guards: tuple[frozenset[int], ...]
     # per guard, the bitmask of the states outside it
     _outside: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_outside", tuple(
-            ~sum(1 << s for s in g) for g in self.guards or ()))
+            ~sum(1 << s for s in g) for g in self.guards))
 
     def profile(self, q):
         """Which guards contain the support of q."""
@@ -92,20 +108,17 @@ class Wqo:
         """Whether q is below p; both have one entry per protocol state."""
         if any(a > b for a, b in zip(q, p)):
             return False
-        if self.guards is None:
-            return True
         return self.profile(q) == self.profile(p)
 
 
-COMPONENT_WISE = Wqo(None)
-
-
-def guard_refined(protocol: Protocol) -> Wqo:
-    return Wqo(tuple(g.members for g in protocol.used_guards()))
+COMPONENT_WISE = Wqo(())
 
 
 def wqo_for(protocol: Protocol) -> Wqo:
-    return COMPONENT_WISE if protocol.is_unguarded else guard_refined(protocol)
+    """The order refined by the protocol's used guards, component-wise
+    when it uses none."""
+    guards = tuple(g.members for g in protocol.used_guards())
+    return Wqo(guards) if guards else COMPONENT_WISE
 
 
 @dataclass(frozen=True)
@@ -169,25 +182,24 @@ def minimize(wqo, vectors):
 def target_basis(protocol, wqo, target, threshold):
     """Basis of {q : q(target) >= threshold} under the given order.
 
-    Component-wise, the single minimal element puts the threshold on the
-    target and zero elsewhere. Guard-refined, every support pattern of
-    the other states induces its own guard profile, so candidates range
-    over 0/1 occupancy of the non-target states before minimizing.
+    Candidates put the threshold on the target and 1 on each of at most
+    len(wqo.guards) other states, and are minimized. In a minimal element
+    each other state is the one state of its support outside some guard,
+    a distinct guard each, so the bound is exact: component-wise, the
+    threshold on the target alone is the one candidate.
     """
     if threshold < 1:
         raise ValidationError("threshold must be at least 1")
     n = protocol.n_states
-    if wqo.guards is None:
-        base = tuple(threshold if s == target else 0 for s in range(n))
-        return Ucs(wqo, (base,))
     others = [s for s in range(n) if s != target]
     candidates = []
-    for bits in itertools.product((0, 1), repeat=len(others)):
-        q = [0] * n
-        q[target] = threshold
-        for s, bit in zip(others, bits):
-            q[s] = bit
-        candidates.append(tuple(q))
+    for size in range(min(len(wqo.guards), len(others)) + 1):
+        for extra in itertools.combinations(others, size):
+            q = [0] * n
+            for s in extra:
+                q[s] = 1
+            q[target] = threshold
+            candidates.append(tuple(q))
     return Ucs(wqo, minimize(wqo, candidates))
 
 
@@ -205,103 +217,80 @@ def _compositions(total, parts):
             yield (head,) + rest
 
 
-def _receiver_options(deficit, slots):
-    """Minimal receiver placements for one destination.
-
-    ``slots`` are the predecessor states whose surplus must be >= 1 (the
-    chosen support, not empty). When there are at least ``deficit``
-    slots, one process per slot is the unique minimum; otherwise every
-    split of the deficit into positive parts is minimal.
-    """
-    if deficit <= len(slots):
-        return [(1,) * len(slots)]
-    return [tuple(c + 1 for c in comp)
-            for comp in _compositions(deficit - len(slots), len(slots))]
-
-
-def _componentwise_placements(pre, deficits, allowed):
-    """The one receiver placement of the component-wise order, each
-    deficit spread over its allowed preimages in every way."""
-    per_dest = []
-    for t, deficit in enumerate(deficits):
-        if deficit == 0:
-            continue
-        slots = [s for s in pre[t] if s in allowed]
-        if not slots:
-            return
-        per_dest.append((slots, list(_compositions(deficit, len(slots)))))
-    yield per_dest
-
-
-def _refined_placements(wqo, action, u, uplus, deficits, allowed, profile):
-    """Receiver placements of the guard-refined order, one per surplus
-    support rho drawn from the allowed states whose successors have b's
-    guard ``profile`` and that has no removable state (module
-    docstring), in increasing size up to the irredundance bound."""
-    rmap, pre = action.receive_map, action.preimages
-    allowed_mask = sum(1 << s for s in allowed)
-    premask = [sum(1 << s for s in ss) & allowed_mask for ss in pre]
-    needed = [premask[t] for t, d in enumerate(deficits) if d]
-    if not all(needed):
-        return
-    usupp = sum(1 << s for s, c in enumerate(u) if c)
-    sent = sum(1 << t for t, c in enumerate(uplus) if c)
-    profile_of = wqo.support_profile
-    bound = sum(deficits) + len(wqo.guards)
-    for size in range(min(bound, len(allowed)) + 1):
-        for states in itertools.combinations(allowed, size):
-            rho = reached = 0
-            for s in states:
-                rho |= 1 << s
-                reached |= 1 << rmap[s]
-            if (not all(rho & m for m in needed)
-                    or profile_of(sent | reached) != profile):
-                continue
-            q_profile = profile_of(usupp | rho)
-            for s in states:  # a removable s
-                k = (premask[rmap[s]] & rho).bit_count()
-                if (deficits[rmap[s]] < k
-                        and profile_of(usupp | rho & ~(1 << s)) == q_profile):
-                    break
-            else:
-                per_dest = []
-                for t, deficit in enumerate(deficits):
-                    if premask[t] & rho:
-                        slots = [s for s in pre[t] if rho >> s & 1]
-                        per_dest.append((slots, _receiver_options(deficit, slots)))
-                yield per_dest
+def _removable(rho, usupp, deficits, premask, rmap, profile_of):
+    """Whether the surplus support ``rho`` has a removable state (module
+    docstring)."""
+    q_profile = profile_of(usupp | rho)
+    rest = rho
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        t = rmap[bit.bit_length() - 1]
+        if (deficits[t] < (premask[t] & rho).bit_count()
+                and profile_of(usupp | rho & ~bit) == q_profile):
+            return True
+    return False
 
 
 def _action_preds(wqo, action, b):
-    """Minimal predecessors of the upward closure of ``b`` through one action.
+    """The minimal predecessors of the upward closure of ``b`` through one
+    action, with some predecessors above them (module docstring).
 
     A candidate is a participation's senders ``u`` plus receivers P on
     receive-map preimages of each destination, covering its deficit
     ``max(b - uplus, 0)``: its successor ``uplus + R(P)`` (R applying
     the receive map) lies component-wise above b, by construction.
     Receivers only go to the participation's ``allowed`` states
-    (unpinned, inside the action's guard). Under the guard-refined order
-    candidates also range over the irredundant surplus supports rho
-    (:func:`_refined_placements`), since receivers in zero-deficit
-    states may be needed to realize b's guard profile.
+    (unpinned, inside the action's guard). Under an order with guards a
+    candidate also takes one receiver on each of at most
+    ``len(wqo.guards)`` guard-breaking states outside supp(P), kept when
+    its surplus support passes the profile and removability tests.
     """
-    profile = None if wqo.guards is None else wqo.profile(b)
+    guards, pre = wqo.guards, action.preimages
+    if guards:
+        profile_of, rmap = wqo.support_profile, action.receive_map
+        profile = wqo.profile(b)
+        premask = [sum(1 << s for s in ss) for ss in pre]
+        outside = {s for g in guards for s in range(len(b)) if s not in g}
     found = set()
     for u, uplus, allowed in action.participations:
         deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
-        if profile is None:
-            placements = _componentwise_placements(
-                action.preimages, deficits, allowed)
+        per_dest = []
+        for t, deficit in enumerate(deficits):
+            if deficit:
+                slots = [s for s in pre[t] if s in allowed]
+                if not slots:
+                    break
+                per_dest.append((slots, list(_compositions(deficit, len(slots)))))
         else:
-            placements = _refined_placements(
-                wqo, action, u, uplus, deficits, allowed, profile)
-        for per_dest in placements:
+            if guards:
+                usupp = sum(1 << s for s, c in enumerate(u) if c)
+                sent = sum(1 << t for t, c in enumerate(uplus) if c)
+                reached_d = sum(1 << t for t, d in enumerate(deficits) if d)
+                breakers = [s for s in allowed if s in outside]
             for choice in itertools.product(*(opts for _, opts in per_dest)):
                 q = list(u)
                 for (slots, _), counts in zip(per_dest, choice):
                     for s, c in zip(slots, counts):
                         q[s] += c
-                found.add(tuple(q))
+                if not guards:
+                    found.add(tuple(q))
+                    continue
+                rho_d = sum(1 << s for s, (x, y) in enumerate(zip(q, u)) if x > y)
+                free = [s for s in breakers if not rho_d >> s & 1]
+                for size in range(min(len(guards), len(free)) + 1):
+                    for extra in itertools.combinations(free, size):
+                        rho, reached = rho_d, sent | reached_d
+                        for s in extra:
+                            rho |= 1 << s
+                            reached |= 1 << rmap[s]
+                        if (profile_of(reached) != profile or _removable(
+                                rho, usupp, deficits, premask, rmap, profile_of)):
+                            continue
+                        qx = q[:]
+                        for s in extra:
+                            qx[s] += 1
+                        found.add(tuple(qx))
     return found
 
 
@@ -335,7 +324,7 @@ def decide(protocol, target, threshold):
     minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
-    if wqo.guards is not None and not wellbehaved.certify(protocol).well_behaved:
+    if wqo.guards and not wellbehaved.certify(protocol).well_behaved:
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 

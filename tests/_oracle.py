@@ -7,10 +7,12 @@ The backward fixpoint reference is the textbook loop: each round unites
 the basis with the predecessors of every basis element and re-minimizes
 the union pairwise. The guard-inclusion preorder is restated as a
 boolean matrix over the used guards. The guard-refined predecessor
-enumeration over every surplus support, and the antichain that scans
-a whole profile group per insert, are the engine's earlier forms, kept
-as references for the pruned enumeration and the support-bucketed
-antichain.
+enumeration over every surplus support, the component-wise placement
+enumeration, the target basis over every 0/1 occupancy of the other
+states, and the antichain that scans a whole profile group per insert,
+are the engine's earlier forms, kept as references for the one
+predecessor construction, the bounded target basis and the
+support-bucketed antichain.
 """
 
 from __future__ import annotations
@@ -195,14 +197,13 @@ class LinearAntichain:
     profile, scanned whole for "covered" and for eviction."""
 
     def __init__(self, wqo, vectors=()):
-        self._profile = wqo.profile if wqo.guards is not None else None
+        self._profile = wqo.profile
         self._groups = {}
         for q in vectors:
             self.insert(q)
 
     def insert(self, q):
-        key = self._profile(q) if self._profile else None
-        group = self._groups.setdefault(key, [])
+        group = self._groups.setdefault(self._profile(q), [])
         if any(all(map(le, b, q)) for b in group):
             return
         group[:] = [b for b in group if not all(map(le, q, b))]
@@ -210,6 +211,44 @@ class LinearAntichain:
 
     def basis(self):
         return tuple(sorted(itertools.chain.from_iterable(self._groups.values())))
+
+
+def full_target_basis(protocol, wqo, target, threshold):
+    """Basis of {q : q(target) >= threshold}: the threshold on the
+    target and every 0/1 occupancy of the other states, minimized."""
+    n = protocol.n_states
+    others = [s for s in range(n) if s != target]
+    candidates = []
+    for bits in itertools.product((0, 1), repeat=len(others)):
+        q = [0] * n
+        q[target] = threshold
+        for s, bit in zip(others, bits):
+            q[s] = bit
+        candidates.append(tuple(q))
+    return LinearAntichain(wqo, candidates).basis()
+
+
+def componentwise_preds(action, b):
+    """Component-wise predecessors of ``b`` through one action: per
+    participation, the senders plus each deficit spread over its
+    allowed preimages in every way. Not minimized."""
+    found = set()
+    for u, uplus, allowed in action.participations:
+        per_dest = []
+        for t, (x, y) in enumerate(zip(b, uplus)):
+            if x > y:
+                slots = [s for s in action.preimages[t] if s in allowed]
+                if not slots:
+                    break
+                per_dest.append((slots, list(wsts._compositions(x - y, len(slots)))))
+        else:
+            for choice in itertools.product(*(o for _, o in per_dest)):
+                q = list(u)
+                for (slots, _), counts in zip(per_dest, choice):
+                    for s, c in zip(slots, counts):
+                        q[s] += c
+                found.add(tuple(q))
+    return found
 
 
 def exhaustive_refined_preds(wqo, action, b):

@@ -173,10 +173,7 @@ def test_criterion_6_pred_basis_oracle(report_line):
         n_states = 5 if instances % 5 == 4 else rng.randint(3, 4)
         p = _gen.random_protocol(rng, certified_only=False,
                                  max_states=n_states)
-        if rng.random() < 0.5 or p.is_unguarded:
-            wqo = COMPONENT_WISE
-        else:
-            wqo = wsts.guard_refined(p)
+        wqo = COMPONENT_WISE if rng.random() < 0.5 else wsts.wqo_for(p)
         b = tuple(rng.randint(0, 4) for _ in range(p.n_states))
         if not any(b):
             continue

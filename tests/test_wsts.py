@@ -17,7 +17,6 @@ from gspmc.wsts import (
     Ucs,
     Wqo,
     decide,
-    guard_refined,
     minimize,
     target_basis,
     wqo_for,
@@ -47,7 +46,7 @@ class TestWqo:
         assert not COMPONENT_WISE.leq((0, 2, 2), (1, 1, 3))
 
     def test_guard_refinement_splits_comparable_pair(self, smoke):
-        wqo = guard_refined(smoke)
+        wqo = wqo_for(smoke)
         idle = config(smoke, Idle=1)
         env_idle = config(smoke, Env=1, Idle=1)
         assert COMPONENT_WISE.leq(idle, env_idle)
@@ -58,11 +57,11 @@ class TestWqo:
         assert not wqo.leq(env_idle, idle)
 
     def test_equal_profiles_compare_componentwise(self, smoke):
-        wqo = guard_refined(smoke)
+        wqo = wqo_for(smoke)
         assert wqo.leq(config(smoke, Idle=1), config(smoke, Idle=2, Pick=0))
 
     def test_wqo_for_selects_order(self, smoke):
-        assert wqo_for(smoke).guards is not None
+        assert wqo_for(smoke).guards
         rng = random.Random(0)
         p = _gen.unguarded_protocol(rng)
         assert wqo_for(p) is COMPONENT_WISE
@@ -103,7 +102,7 @@ class TestMinimize:
         got = minimize(COMPONENT_WISE, [(1, 1), (0, 2), (2, 2), (1, 1)])
         assert got == ((0, 2), (1, 1))
 
-    @given(st.one_of(st.none(), st.lists(
+    @given(st.one_of(st.just(()), st.lists(
                st.frozensets(st.integers(0, 2), min_size=1),
                min_size=1, max_size=3).map(tuple)),
            st.lists(vectors, max_size=16))
@@ -119,7 +118,7 @@ class TestTargetBasis:
         assert ucs.basis == ((0, 0, 0, 0, 3),)
 
     def test_guard_refined_smoke(self, smoke):
-        ucs = target_basis(smoke, guard_refined(smoke), 4, 3)
+        ucs = target_basis(smoke, wqo_for(smoke), 4, 3)
         assert ucs.basis == (
             (0, 0, 0, 0, 3),
             (0, 0, 0, 1, 3),
@@ -129,7 +128,7 @@ class TestTargetBasis:
 
     @pytest.mark.parametrize("order", ["cw", "gr"])
     def test_grid_semantics(self, smoke, order):
-        wqo = COMPONENT_WISE if order == "cw" else guard_refined(smoke)
+        wqo = COMPONENT_WISE if order == "cw" else wqo_for(smoke)
         ucs = target_basis(smoke, wqo, 4, 2)
         for q in itertools.product(range(4), repeat=5):
             assert any(wqo.leq(b, q) for b in ucs.basis) == (q[4] >= 2)
@@ -137,6 +136,27 @@ class TestTargetBasis:
     def test_bad_threshold(self, smoke):
         with pytest.raises(ValidationError, match="at least 1"):
             target_basis(smoke, COMPONENT_WISE, 4, 0)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_match_full_enumeration(self, name):
+        p = load_fixture(name)
+        for wqo in {COMPONENT_WISE, wqo_for(p)}:
+            for target in range(p.n_states):
+                for threshold in (1, 2, 3):
+                    assert target_basis(p, wqo, target, threshold).basis == (
+                        _oracle.full_target_basis(p, wqo, target, threshold))
+
+    def test_random_guards_match_full_enumeration(self):
+        rng = random.Random(1212)
+        for _ in range(150):
+            p = _gen.random_protocol(rng, certified_only=False, max_states=7)
+            n = p.n_states
+            wqo = Wqo(tuple(frozenset(rng.sample(range(n), rng.randint(1, n)))
+                            for _ in range(rng.randint(1, 3))))
+            target = rng.randrange(n)
+            threshold = rng.randint(1, 3)
+            assert target_basis(p, wqo, target, threshold).basis == (
+                _oracle.full_target_basis(p, wqo, target, threshold)), (wqo, target)
 
 
 def grid_pred_basis(protocol, wqo, b):
@@ -154,7 +174,7 @@ def grid_pred_basis(protocol, wqo, b):
 
 class TestPredBasis:
     def test_smoke_guard_refined(self, smoke):
-        wqo = guard_refined(smoke)
+        wqo = wqo_for(smoke)
         for b in target_basis(smoke, wqo, 4, 2).basis:
             got = _oracle.pred_basis(smoke, wqo, Ucs(wqo, (b,))).basis
             assert got == grid_pred_basis(smoke, wqo, b)
@@ -178,7 +198,7 @@ class TestPredBasis:
             assert got == grid_pred_basis(p, wqo, b), (p.state_names, b)
 
     def test_contains_input_closure(self, smoke):
-        wqo = guard_refined(smoke)
+        wqo = wqo_for(smoke)
         ucs = target_basis(smoke, wqo, 4, 2)
         out = _oracle.pred_basis(smoke, wqo, ucs)
         for b in ucs.basis:
@@ -243,7 +263,7 @@ class TestPredsByConstruction:
         checked = 0
         for _ in range(150):
             p = _gen.random_protocol(rng, certified_only=False, max_states=4)
-            for wqo in (COMPONENT_WISE, guard_refined(p)):
+            for wqo in (COMPONENT_WISE, wqo_for(p)):
                 checked += check_preds_by_construction(p, wqo)
         assert checked > 4000
 
@@ -257,7 +277,7 @@ class TestPrunedPreds:
         # 11 states takes about a third of a second per element
         p = load_fixture(name)
         sample = 4 if name == "cutoff_witness.json" else None
-        for wqo in (COMPONENT_WISE, guard_refined(p)):
+        for wqo in (COMPONENT_WISE, wqo_for(p)):
             check_preds_match_exhaustive(p, wqo, sample)
 
     @pytest.mark.parametrize("seed", [11, 12])
@@ -265,8 +285,35 @@ class TestPrunedPreds:
         rng = random.Random(seed)
         for _ in range(40):
             p = _gen.random_protocol(rng, certified_only=False, max_states=5)
-            for wqo in (COMPONENT_WISE, guard_refined(p)):
+            for wqo in (COMPONENT_WISE, wqo_for(p)):
                 check_preds_match_exhaustive(p, wqo)
+
+
+class TestComponentwisePreds:
+    """Under the component-wise order the one construction adds nothing
+    to the placements of each deficit over its allowed preimages."""
+
+    @staticmethod
+    def check(protocol):
+        for b in backward_elements(protocol, COMPONENT_WISE):
+            for action in protocol.actions:
+                assert wsts._action_preds(COMPONENT_WISE, action, b) == (
+                    _oracle.componentwise_preds(action, b)), (
+                    protocol.state_names, action.name, b)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        self.check(load_fixture(name))
+
+    @pytest.mark.parametrize("k, m, clocks",
+                             [(2, 2, 2), (2, 3, 2), (3, 2, 3), (4, 4, 2)])
+    def test_ring_family(self, k, m, clocks):
+        self.check(validate(perfbench_protocols().ring_family(k, m, clocks)))
+
+    def test_random_protocols(self):
+        rng = random.Random(1200)
+        for _ in range(100):
+            self.check(_gen.unguarded_protocol(rng))
 
 
 class TestAntichain:
@@ -305,7 +352,7 @@ class TestDecide:
         assert v.min_n is None and v.witness is None
         assert v.iterations == 1  # the target set is already inductive
         assert v.basis.basis == target_basis(
-            smoke, guard_refined(smoke), 4, 3).basis
+            smoke, wqo_for(smoke), 4, 3).basis
 
     def test_smoke_two_reachable(self, smoke):
         v = decide(smoke, smoke.state_index("Report"), 2)
@@ -335,16 +382,20 @@ class TestDecide:
         assert (v.iterations, len(v.basis.basis), v.min_n) == (19, 58, 16)
         replay_witness(witness, v.min_n, v.witness, target, 1)
 
-    def test_chain_12(self):
-        # walking every surplus support of the 7 guarded states per
-        # frontier element and participation takes about 22 s
-        p = chain(12)
+    @pytest.mark.parametrize("n, iterations, size",
+                             [(12, 21, 78), (16, 29, 136)], ids=["12", "16"])
+    def test_chain(self, n, iterations, size):
+        # the budget fails an engine that walks every surplus support of
+        # the n//2 + 1 guarded states per frontier element and
+        # participation (about 22 s at n = 12)
+        p = chain(n)
+        target = p.state_index(f"S{n - 1}")
         start = time.perf_counter()
-        v = decide(p, p.state_index("S11"), 2)
+        v = decide(p, target, 2)
         assert time.perf_counter() - start < 10
         assert (v.reachable, v.min_n, v.iterations, len(v.basis.basis)) == (
-            True, 2, 21, 78)
-        replay_witness(p, v.min_n, v.witness, p.state_index("S11"), 2)
+            True, 2, iterations, size)
+        replay_witness(p, v.min_n, v.witness, target, 2)
 
     # both seeds draw queries in which two frontier elements share a
     # predecessor, so the witness depends on the order of the frontier
@@ -356,7 +407,7 @@ class TestDecide:
                 p = _gen.unguarded_protocol(rng)
             else:
                 p = _gen.random_protocol(rng, require_guarded=True)
-            assert (wqo_for(p).guards is None) == (order == "cw")
+            assert (not wqo_for(p).guards) == (order == "cw")
             target = rng.randrange(p.n_states)
             threshold = rng.randint(1, 3)
             v = decide(p, target, threshold)

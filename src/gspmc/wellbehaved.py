@@ -14,19 +14,25 @@ Conditions come in strong and weak flavors per action shape:
   receiver from the action's own guard must land inside it too.
 - C2.1/C2.2 (k-maximal): as C1 for non-sending states, plus a coherence
   requirement between comparable sender sources.
-- C1w/C2.1w/C2.2w: weak variants that allow a receiver to miss the
-  guard if an unguarded internal path leads it to a state below the
-  send destinations.
+- C1w/C2.1w/C2.2w: each is its strong condition plus an escape: a
+  receiver may miss the guard if an unguarded internal path leads it
+  to a state below the send destinations.
 - C3w (internal actions): entering a guard can be mimicked by the
   smaller configuration via internal paths available under a bound
   computed from the action's guard.
+
+Because each weak condition only forgives failures of its strong one,
+:func:`certify` walks an action's conditions once: the walk lists each
+strong failure with whether it escapes, and the action is strong with
+no failure, weak when every failure escapes, and otherwise (failing C3w
+too, for an internal action) a violation citing the strong failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gspmc.model import SENDER, Action, Protocol, is_internal, reachable
+from gspmc.model import SENDER, Protocol, is_internal, reachable
 
 
 class StateOrder:
@@ -103,19 +109,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one condition family: its violations, in used-guard order."""
-
-    condition: str
-    violations: tuple[Violation, ...]
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
 class ActionStatus:
     action: str
     status: str  # "strong" | "weak" | "violation"
@@ -131,22 +124,8 @@ class GuardCompatReport:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class _Context:
-    """What every check on one protocol reads, built once per :func:`certify`."""
-
-    guards: tuple
-    order: StateOrder
-    reach: InternalReach
-
-
-def _context(protocol: Protocol) -> _Context:
-    return _Context(protocol.used_guards(), StateOrder(protocol),
-                    InternalReach(protocol))
-
-
-def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
-    """Strong (C1, C2.1, C2.2) or weak (C1w, C2.1w, C2.2w) conditions.
+def _failures(protocol, a, guards, order, reach):
+    """Every failure of the action's strong condition, in used-guard order.
 
     For each used guard G':
 
@@ -163,152 +142,125 @@ def check_action(protocol: Protocol, a: Action, *, weak: bool) -> CheckResult:
       receive must stay in G' — otherwise a configuration holding fewer
       senders could be forced out of the guard.
 
-    ``weak`` allows the internal-path escape: a receiver may leave G' if
-    an unguarded internal path takes it to a state below the relevant
-    send destinations. For C2.1w the destination comparison quantifies
-    over *all* send destinations; when restricting it to destinations
-    inside G' would have certified the action, a note records that the
-    strict reading was the deciding factor.
+    Each failure is ``(violation, escapes, note)``. ``escapes`` says
+    whether the weak variant forgives it: an unguarded internal path
+    takes the receiver to a state below the relevant send destinations
+    (a C2.2 send that misses G' never escapes). For C2.1w the
+    comparison quantifies over *all* send destinations; when it fails
+    but restricting it to the destinations inside G' would have
+    escaped, ``note`` records that the strict reading was the deciding
+    factor.
     """
-    return _check_action(protocol, a, weak, _context(protocol))
-
-
-def _check_action(protocol, a, weak, ctx):
     names = protocol.state_names
     n = protocol.n_states
-    order, reach = ctx.order, ctx.reach
-    w = "w" if weak else ""
-    violations = []
-    notes = []
 
-    def escapes(s, ok_dest) -> bool:
-        t = a.receive_map[s]
-        return weak and any(ok_dest(sp) and reach.unguarded(t, sp)
-                            for sp in range(n))
+    def escapes(t, ok_dest) -> bool:
+        return any(ok_dest(sp) and reach.unguarded(t, sp) for sp in range(n))
 
     if a.kind == SENDER:
         dests = {s.dst for s in a.sends}
-        for gp in ctx.guards:
+        for gp in guards:
             if dests <= gp.members:
                 for s in sorted(a.guard.members):
                     t = a.receive_map[s]
-                    if t in gp.members or escapes(
-                            s, lambda sp: order.below_set(sp, dests)):
-                        continue
-                    violations.append(Violation(
-                        "C1" + w, gp.name, (names[s], names[t]),
-                        "no unguarded internal path to a state below "
-                        "the send destinations" if weak else
-                        f"receiver {names[s]} leaves {gp.name} while all "
-                        f"send destinations lie inside it"))
-        return CheckResult("C1" + w, tuple(violations))
+                    if t not in gp.members:
+                        yield (Violation(
+                            "C1", gp.name, (names[s], names[t]),
+                            f"receiver {names[s]} leaves {gp.name} while all "
+                            f"send destinations lie inside it"),
+                            escapes(t, lambda sp: order.below_set(sp, dests)),
+                            None)
+        return
 
     sources = {s.src for s in a.sends}
     rest = sorted(a.guard.members - sources)
     all_dests = [s.dst for s in a.sends]
-    for gp in ctx.guards:
+    for gp in guards:
         in_guard_dests = [d for d in all_dests if d in gp.members]
         if in_guard_dests:
             for s in rest:
                 t = a.receive_map[s]
-                if t in gp.members or escapes(
-                        s, lambda sp: all(order.below(sp, d) for d in all_dests)):
+                if t in gp.members:
                     continue
-                if escapes(s, lambda sp: all(order.below(sp, d)
-                                             for d in in_guard_dests)):
-                    notes.append(
-                        f"{a.name}/{gp.name}: C2.1w fails only under the "
-                        f"all-destinations reading (receiver {names[s]})")
-                violations.append(Violation(
-                    "C2.1" + w, gp.name, (names[s], names[t]),
-                    "no unguarded internal path to a state below every "
-                    "send destination" if weak else
+                escaped = escapes(
+                    t, lambda sp: all(order.below(sp, d) for d in all_dests))
+                note = None
+                if not escaped and escapes(
+                        t, lambda sp: all(order.below(sp, d)
+                                          for d in in_guard_dests)):
+                    note = (f"{a.name}/{gp.name}: C2.1w fails only under the "
+                            f"all-destinations reading (receiver {names[s]})")
+                yield (Violation(
+                    "C2.1", gp.name, (names[s], names[t]),
                     f"receiver {names[s]} leaves {gp.name} while some "
-                    f"send destination enters it"))
+                    f"send destination enters it"), escaped, note)
         for i, si in enumerate(a.sends):
             for j, sj in enumerate(a.sends):
                 if not (order.below(si.src, sj.src) and sj.dst in gp.members):
                     continue
                 if si.dst not in gp.members:
-                    violations.append(Violation(
-                        "C2.2" + w, gp.name, (names[si.src], names[si.dst]),
+                    yield (Violation(
+                        "C2.2", gp.name, (names[si.src], names[si.dst]),
                         f"send #{i} misses {gp.name} although the comparable "
-                        f"send #{j} enters it"))
+                        f"send #{j} enters it"), False, None)
                 t = a.receive_map[si.src]
-                if t in gp.members or escapes(
-                        si.src, lambda sp: order.below(sp, si.dst)):
-                    continue
-                violations.append(Violation(
-                    "C2.2" + w, gp.name, (names[si.src], names[t]),
-                    "no unguarded internal path to a state below the "
-                    "sender's own destination" if weak else
-                    f"receive from sender source {names[si.src]} leaves "
-                    f"{gp.name} although send #{j} enters it"))
-    return CheckResult(f"C2.1{w}∧C2.2{w}", tuple(violations), tuple(notes))
+                if t not in gp.members:
+                    yield (Violation(
+                        "C2.2", gp.name, (names[si.src], names[t]),
+                        f"receive from sender source {names[si.src]} leaves "
+                        f"{gp.name} although send #{j} enters it"),
+                        escapes(t, lambda sp: order.below(sp, si.dst)), None)
 
 
-def check_c3w(protocol: Protocol, a: Action) -> CheckResult:
-    """Weak condition for internal actions that enter a guard.
+def _c3w(a, guards, order, reach, n) -> bool:
+    """Weak condition for an internal action that enters a guard.
 
-    When the move s -> s' enters G' from outside, every state t of the
-    action's own guard needs an internal path (enabled while the
+    When the move s -> s' enters some G' from outside, every state t of
+    the action's own guard needs an internal path (enabled while the
     support stays within guard(a) plus the states below s') to some t'
     below s'; a smaller configuration can then mimic the guard change.
     """
-    if not is_internal(a):
-        raise ValueError(f"check_c3w applies to internal actions, got {a.name!r}")
-    return _check_c3w(protocol, a, _context(protocol))
-
-
-def _check_c3w(protocol, a, ctx):
-    names = protocol.state_names
-    order, reach = ctx.order, ctx.reach
-    n = protocol.n_states
     src, dst = a.sends[0].src, a.sends[0].dst
-    below_dst = {t for t in range(n) if order.below(t, dst)}
-    bound = frozenset(a.guard.members | below_dst)
-    violations = []
-    for gp in ctx.guards:
-        if src not in gp.members and dst in gp.members:
-            for t in sorted(a.guard.members):
-                if not any(order.below(tp, dst) and reach.guarded(t, tp, bound)
-                           for tp in range(n)):
-                    violations.append(Violation(
-                        "C3w", gp.name, (names[src], names[dst]),
-                        f"state {names[t]} has no internal path (under the "
-                        f"guard bound) to any state below {names[dst]}"))
-    return CheckResult("C3w", tuple(violations))
+    if not any(src not in gp.members and dst in gp.members for gp in guards):
+        return True
+    below_dst = [t for t in range(n) if order.below(t, dst)]
+    bound = a.guard.members.union(below_dst)
+    return all(any(reach.guarded(t, tp, bound) for tp in below_dst)
+               for t in a.guard.members)
 
 
 def certify(protocol: Protocol) -> GuardCompatReport:
     """Certify every action, preferring the strongest passing condition.
 
-    Strong checks run first so the report cites the strongest
-    certificate; weak checks are the fallback, and internal actions get
-    the dedicated entering-a-guard condition as a last resort. The
-    protocol is well-behaved iff no action ends in violation.
+    One walk per action lists the failures of its strong condition. With
+    none the action is strong; when every failure escapes it is weak;
+    an internal action that is neither gets the entering-a-guard
+    condition C3w as a last resort. Otherwise the action ends in
+    violation and the report cites its strong violations. The protocol
+    is well-behaved iff no action ends in violation.
     """
-    ctx = _context(protocol)
+    guards = protocol.used_guards()
+    order, reach = StateOrder(protocol), InternalReach(protocol)
     statuses = []
     notes = []
     for a in protocol.actions:
-        strong = _check_action(protocol, a, False, ctx)
-        if strong.ok:
-            statuses.append(ActionStatus(a.name, "strong", strong.condition))
+        failures = list(_failures(protocol, a, guards, order, reach))
+        strong, weak = (("C1", "C1w") if a.kind == SENDER
+                        else ("C2.1∧C2.2", "C2.1w∧C2.2w"))
+        if not failures:
+            statuses.append(ActionStatus(a.name, "strong", strong))
             continue
-        weak = _check_action(protocol, a, True, ctx)
-        notes.extend(weak.notes)
-        if weak.ok:
-            statuses.append(ActionStatus(a.name, "weak", weak.condition,
-                                         notes=weak.notes))
-            continue
-        if is_internal(a):
-            c3 = _check_c3w(protocol, a, ctx)
-            if c3.ok:
-                statuses.append(ActionStatus(a.name, "weak", "C3w"))
-                continue
-        statuses.append(ActionStatus(a.name, "violation", None,
-                                     violations=strong.violations,
-                                     notes=weak.notes))
+        # a note only comes with a failure that does not escape
+        action_notes = tuple(note for _, _, note in failures if note)
+        notes.extend(action_notes)
+        if all(escaped for _, escaped, _ in failures):
+            statuses.append(ActionStatus(a.name, "weak", weak))
+        elif is_internal(a) and _c3w(a, guards, order, reach, protocol.n_states):
+            statuses.append(ActionStatus(a.name, "weak", "C3w"))
+        else:
+            statuses.append(ActionStatus(
+                a.name, "violation", None,
+                violations=tuple(v for v, _, _ in failures),
+                notes=action_notes))
     return GuardCompatReport(all(s.status != "violation" for s in statuses),
                              tuple(statuses), tuple(notes))

@@ -12,7 +12,9 @@ enumeration, the target basis over every 0/1 occupancy of the other
 states, and the antichain that scans a whole profile group per insert,
 are the engine's earlier forms, kept as references for the one
 predecessor construction, the bounded target basis and the
-support-bucketed antichain.
+support-bucketed antichain. The two-pass certifier (strong conditions,
+then the weak ones in a second walk, then C3w) is the earlier form of
+``wellbehaved.certify``'s single walk.
 """
 
 from __future__ import annotations
@@ -21,8 +23,17 @@ import itertools
 from collections import Counter, deque
 from operator import le
 
+from dataclasses import dataclass
+
 from gspmc import semantics, wsts
-from gspmc.model import SENDER
+from gspmc.model import SENDER, is_internal
+from gspmc.wellbehaved import (
+    ActionStatus,
+    GuardCompatReport,
+    InternalReach,
+    StateOrder,
+    Violation,
+)
 
 
 def multiset_fire(states: Counter, action) -> list[Counter]:
@@ -339,3 +350,200 @@ def from_scratch_fixpoint(protocol, target, threshold):
         name, cur = provenance[cur]
         witness.append(name)
     return basis, iterations, best[protocol.init], tuple(witness)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one condition family: its violations, in used-guard order."""
+
+    condition: str
+    violations: tuple[Violation, ...]
+    notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+@dataclass(frozen=True)
+class _Context:
+    """What every check on one protocol reads, built once per
+    :func:`two_pass_certify`."""
+
+    guards: tuple
+    order: StateOrder
+    reach: InternalReach
+
+
+def _context(protocol) -> _Context:
+    return _Context(protocol.used_guards(), StateOrder(protocol),
+                    InternalReach(protocol))
+
+
+def check_action(protocol, a, *, weak: bool) -> CheckResult:
+    """Strong (C1, C2.1, C2.2) or weak (C1w, C2.1w, C2.2w) conditions.
+
+    For each used guard G':
+
+    - C1 (k-sender): if every send destination lies in G', every
+      receiver starting inside the action's own guard must be mapped
+      into G' as well.
+    - C2.1 (k-maximal): if any send destination lies in G', receivers
+      from the action's guard minus the sender sources must land in G'
+      (sender sources may fire instead of receiving, so they are exempt
+      here).
+    - C2.2 (k-maximal): for sender sources with comparable guard
+      profiles (s_i below s_j, including i = j) whose higher destination
+      enters G', the lower send must enter G' and the lower source's
+      receive must stay in G' — otherwise a configuration holding fewer
+      senders could be forced out of the guard.
+
+    ``weak`` allows the internal-path escape: a receiver may leave G' if
+    an unguarded internal path takes it to a state below the relevant
+    send destinations. For C2.1w the destination comparison quantifies
+    over *all* send destinations; when restricting it to destinations
+    inside G' would have certified the action, a note records that the
+    strict reading was the deciding factor.
+    """
+    return _check_action(protocol, a, weak, _context(protocol))
+
+
+def _check_action(protocol, a, weak, ctx):
+    names = protocol.state_names
+    n = protocol.n_states
+    order, reach = ctx.order, ctx.reach
+    w = "w" if weak else ""
+    violations = []
+    notes = []
+
+    def escapes(s, ok_dest) -> bool:
+        t = a.receive_map[s]
+        return weak and any(ok_dest(sp) and reach.unguarded(t, sp)
+                            for sp in range(n))
+
+    if a.kind == SENDER:
+        dests = {s.dst for s in a.sends}
+        for gp in ctx.guards:
+            if dests <= gp.members:
+                for s in sorted(a.guard.members):
+                    t = a.receive_map[s]
+                    if t in gp.members or escapes(
+                            s, lambda sp: order.below_set(sp, dests)):
+                        continue
+                    violations.append(Violation(
+                        "C1" + w, gp.name, (names[s], names[t]),
+                        "no unguarded internal path to a state below "
+                        "the send destinations" if weak else
+                        f"receiver {names[s]} leaves {gp.name} while all "
+                        f"send destinations lie inside it"))
+        return CheckResult("C1" + w, tuple(violations))
+
+    sources = {s.src for s in a.sends}
+    rest = sorted(a.guard.members - sources)
+    all_dests = [s.dst for s in a.sends]
+    for gp in ctx.guards:
+        in_guard_dests = [d for d in all_dests if d in gp.members]
+        if in_guard_dests:
+            for s in rest:
+                t = a.receive_map[s]
+                if t in gp.members or escapes(
+                        s, lambda sp: all(order.below(sp, d) for d in all_dests)):
+                    continue
+                if escapes(s, lambda sp: all(order.below(sp, d)
+                                             for d in in_guard_dests)):
+                    notes.append(
+                        f"{a.name}/{gp.name}: C2.1w fails only under the "
+                        f"all-destinations reading (receiver {names[s]})")
+                violations.append(Violation(
+                    "C2.1" + w, gp.name, (names[s], names[t]),
+                    "no unguarded internal path to a state below every "
+                    "send destination" if weak else
+                    f"receiver {names[s]} leaves {gp.name} while some "
+                    f"send destination enters it"))
+        for i, si in enumerate(a.sends):
+            for j, sj in enumerate(a.sends):
+                if not (order.below(si.src, sj.src) and sj.dst in gp.members):
+                    continue
+                if si.dst not in gp.members:
+                    violations.append(Violation(
+                        "C2.2" + w, gp.name, (names[si.src], names[si.dst]),
+                        f"send #{i} misses {gp.name} although the comparable "
+                        f"send #{j} enters it"))
+                t = a.receive_map[si.src]
+                if t in gp.members or escapes(
+                        si.src, lambda sp: order.below(sp, si.dst)):
+                    continue
+                violations.append(Violation(
+                    "C2.2" + w, gp.name, (names[si.src], names[t]),
+                    "no unguarded internal path to a state below the "
+                    "sender's own destination" if weak else
+                    f"receive from sender source {names[si.src]} leaves "
+                    f"{gp.name} although send #{j} enters it"))
+    return CheckResult(f"C2.1{w}∧C2.2{w}", tuple(violations), tuple(notes))
+
+
+def check_c3w(protocol, a) -> CheckResult:
+    """Weak condition for internal actions that enter a guard.
+
+    When the move s -> s' enters G' from outside, every state t of the
+    action's own guard needs an internal path (enabled while the
+    support stays within guard(a) plus the states below s') to some t'
+    below s'; a smaller configuration can then mimic the guard change.
+    """
+    if not is_internal(a):
+        raise ValueError(f"check_c3w applies to internal actions, got {a.name!r}")
+    return _check_c3w(protocol, a, _context(protocol))
+
+
+def _check_c3w(protocol, a, ctx):
+    names = protocol.state_names
+    order, reach = ctx.order, ctx.reach
+    n = protocol.n_states
+    src, dst = a.sends[0].src, a.sends[0].dst
+    below_dst = {t for t in range(n) if order.below(t, dst)}
+    bound = frozenset(a.guard.members | below_dst)
+    violations = []
+    for gp in ctx.guards:
+        if src not in gp.members and dst in gp.members:
+            for t in sorted(a.guard.members):
+                if not any(order.below(tp, dst) and reach.guarded(t, tp, bound)
+                           for tp in range(n)):
+                    violations.append(Violation(
+                        "C3w", gp.name, (names[src], names[dst]),
+                        f"state {names[t]} has no internal path (under the "
+                        f"guard bound) to any state below {names[dst]}"))
+    return CheckResult("C3w", tuple(violations))
+
+
+def two_pass_certify(protocol) -> GuardCompatReport:
+    """Certify every action, preferring the strongest passing condition.
+
+    Strong checks run first so the report cites the strongest
+    certificate; weak checks are the fallback, and internal actions get
+    the dedicated entering-a-guard condition as a last resort. The
+    protocol is well-behaved iff no action ends in violation.
+    """
+    ctx = _context(protocol)
+    statuses = []
+    notes = []
+    for a in protocol.actions:
+        strong = _check_action(protocol, a, False, ctx)
+        if strong.ok:
+            statuses.append(ActionStatus(a.name, "strong", strong.condition))
+            continue
+        weak = _check_action(protocol, a, True, ctx)
+        notes.extend(weak.notes)
+        if weak.ok:
+            statuses.append(ActionStatus(a.name, "weak", weak.condition,
+                                         notes=weak.notes))
+            continue
+        if is_internal(a):
+            c3 = _check_c3w(protocol, a, ctx)
+            if c3.ok:
+                statuses.append(ActionStatus(a.name, "weak", "C3w"))
+                continue
+        statuses.append(ActionStatus(a.name, "violation", None,
+                                     violations=strong.violations,
+                                     notes=weak.notes))
+    return GuardCompatReport(all(s.status != "violation" for s in statuses),
+                             tuple(statuses), tuple(notes))

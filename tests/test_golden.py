@@ -69,17 +69,29 @@ def test_matches_golden(name, command, tmp_path):
 
 
 def test_readme_sessions_match_golden():
-    """Every README console session of a golden command on a bundled
-    fixture, without further options, shows the command's real output."""
+    """Every README console session shows the command's real output: the
+    golden text for a golden command on a bundled fixture without
+    options, else what ``cli.run`` prints, and a block elided with a
+    closing ``...`` line matches line by line up to it."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     readme = README.read_text(encoding="utf-8")
     shown = 0
     for block in re.findall(r"```console\n(.*?)```", readme, re.S):
         for session in block.split("$ gspmc ")[1:]:
             head, _, text = session.partition("\n")
-            command, path = head.split()[:2]
+            command, path, *options = head.split()
             key = f"{command} {Path(path).name}"
-            if len(head.split()) == 2 and key in golden:
-                assert text.strip("\n") == golden[key]["text"]["stdout"].strip("\n")
-                shown += 1
-    assert shown >= 4
+            if not options and key in golden:
+                real = golden[key]["text"]["stdout"]
+            else:
+                out = io.StringIO()
+                cli.run([command, str(README.parent / path), *options], out=out)
+                real = out.getvalue()
+            lines = text.strip("\n").split("\n")
+            real_lines = real.strip("\n").split("\n")
+            if lines[-1].strip() == "...":
+                lines.pop()
+                real_lines = real_lines[:len(lines)]
+            assert lines == real_lines, head
+            shown += 1
+    assert shown >= 7

@@ -12,8 +12,6 @@ from gspmc.wellbehaved import (
     StateOrder,
     Violation,
     certify,
-    check_action,
-    check_c3w,
 )
 
 import _gen
@@ -85,12 +83,9 @@ def note_fixture_raw() -> dict:
     }
 
 
-def strong(protocol, name):
-    return check_action(protocol, protocol.action(name), weak=False)
-
-
-def weak(protocol, name):
-    return check_action(protocol, protocol.action(name), weak=True)
+def status(protocol, name):
+    """The certify report's entry for one action."""
+    return {s.action: s for s in certify(protocol).actions}[name]
 
 
 FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
@@ -186,16 +181,12 @@ class TestStrongConditions:
     def test_smoke_all_strong(self, smoke):
         for name, condition in (("Smoke", "C1"), ("Choose", "C2.1∧C2.2"),
                                 ("i", "C1"), ("Reset#1", "C1")):
-            res = strong(smoke, name)
-            assert res.ok and res.condition == condition
-
-    def test_kind_preconditions(self, smoke):
-        with pytest.raises(ValueError, match="internal"):
-            check_c3w(smoke, smoke.action("Smoke"))
+            res = status(smoke, name)
+            assert res.status == "strong" and res.condition == condition
 
     def test_mutant_c1_violation(self, smoke_mutant):
-        res = strong(smoke_mutant, "Choose")
-        assert not res.ok
+        res = status(smoke_mutant, "Choose")
+        assert res.status == "violation"
         assert Violation(
             "C1", "G3", ("Pick", "Env"),
             "receiver Pick leaves G3 while all send destinations lie "
@@ -206,8 +197,8 @@ class TestStrongConditions:
         # graft a 2-maximal whose non-sender receiver Env->Env stays
         # outside G3 although a send enters it
         p = validate(_smoke_raw_with_grab())
-        res = strong(p, "Grab")
-        assert not res.ok
+        res = status(p, "Grab")
+        assert res.status == "violation"
         got = {(v.condition, v.guard, v.transition) for v in res.violations}
         assert got == {
             ("C2.1", "G3", ("Env", "Env")),
@@ -227,7 +218,7 @@ class TestStrongConditions:
                 for kind in ("sender", "maximal"):
                     entry["kind"] = kind
                     p = validate(raw)
-                    oks.append(strong(p, entry["name"]).ok)
+                    oks.append(status(p, entry["name"]).status == "strong")
                 assert oks[0] == oks[1]
                 compared += 1
         assert compared >= 20
@@ -246,24 +237,22 @@ def _smoke_raw_with_grab() -> dict:
 
 class TestWeakConditions:
     def test_sender_escape_route(self):
+        # receiver B stays outside GP, but drifts to D unguarded
         p = validate(weak_sender_raw(guarded_escape=False))
-        assert not strong(p, "t").ok  # receiver B stays outside GP
-        res = weak(p, "t")
-        assert res.ok and res.condition == "C1w"
+        res = status(p, "t")
+        assert res.status == "weak" and res.condition == "C1w"
 
     def test_guarding_the_escape_breaks_it(self):
         p = validate(weak_sender_raw(guarded_escape=True))
-        res = weak(p, "t")
-        assert not res.ok
-        assert any(v.condition == "C1w" and v.guard == "GP"
+        res = status(p, "t")
+        assert res.status == "violation"
+        assert any(v.condition == "C1" and v.guard == "GP"
                    and v.transition == ("B", "B") for v in res.violations)
 
     def test_all_destinations_reading_note(self):
-        p = validate(note_fixture_raw())
-        res = weak(p, "m")
-        assert not res.ok
-        assert res.condition == "C2.1w∧C2.2w"
-        assert any(v.condition == "C2.1w" and v.guard == "G1"
+        res = status(validate(note_fixture_raw()), "m")
+        assert res.status == "violation"
+        assert any(v.condition == "C2.1" and v.guard == "G1"
                    and v.transition == ("E", "A") for v in res.violations)
         notes = [n for n in res.notes if "receiver E" in n]
         assert notes == ["m/G1: C2.1w fails only under the "
@@ -272,37 +261,46 @@ class TestWeakConditions:
     def test_note_surfaces_in_report(self):
         report = certify(validate(note_fixture_raw()))
         assert not report.well_behaved
-        assert any("all-destinations reading" in n for n in report.notes)
+        assert ["m/G1: C2.1w fails only under the all-destinations "
+                "reading (receiver E)"] == [
+                    n for n in report.notes if "receiver E" in n]
 
     def test_strong_implies_weak(self):
+        # an action passing the strong conditions is reported strong,
+        # never weak or in violation, and passes the weak ones too
         rng = random.Random(606)
         for _ in range(40):
             p = _gen.random_protocol(rng, certified_only=False,
                                      require_guarded=True)
+            by_name = {s.action: s for s in certify(p).actions}
             for a in p.actions:
-                if check_action(p, a, weak=False).ok:
-                    assert check_action(p, a, weak=True).ok, (
+                if _oracle.check_action(p, a, weak=False).ok:
+                    assert by_name[a.name].status == "strong", (
                         p.state_names, a.name)
+                    assert _oracle.check_action(p, a, weak=True).ok
 
 
 class TestEnteringInternal:
     def test_guard_bound_path_exists(self):
         p = validate(entering_internal_raw(wide_guard=True))
-        res = check_c3w(p, p.action("v"))
-        assert res.ok
+        res = status(p, "v")
+        assert res.status == "weak" and res.condition == "C3w"
 
     def test_narrow_guard_blocks_the_path(self):
+        # B's internal step to A leaves the bound GV | {C}: neither guard
+        # state reaches C, and the report cites v's strong C1 failures
         p = validate(entering_internal_raw(wide_guard=False))
-        res = check_c3w(p, p.action("v"))
-        assert not res.ok
-        assert {v.transition for v in res.violations} == {("A", "C")}
-        assert {v.guard for v in res.violations} == {"GC"}
-        details = sorted(v.detail for v in res.violations)
-        assert "state A" in details[0] and "state B" in details[1]
+        res = status(p, "v")
+        assert res.status == "violation" and res.condition is None
+        assert {(v.condition, v.guard, v.transition)
+                for v in res.violations} == {("C1", "GC", ("A", "A")),
+                                             ("C1", "GC", ("B", "B"))}
 
     def test_self_loop_entering_nothing(self):
-        p = validate(entering_internal_raw(wide_guard=True))
-        assert check_c3w(p, p.action("g")).ok  # src == dst never enters a guard
+        for wide in (True, False):
+            p = validate(entering_internal_raw(wide_guard=wide))
+            res = status(p, "g")  # src == dst never leaves or enters a guard
+            assert res.status == "strong" and res.condition == "C1"
 
 
 class TestCertify:
@@ -357,7 +355,7 @@ class TestCertify:
         assert all(s.status == "strong" for s in report.actions)
 
     def test_builds_order_and_reach_once(self, monkeypatch):
-        # the strong, weak and C3w checks of every action share them
+        # the walk and the C3w check of every action share them
         built = []
         for cls in (StateOrder, InternalReach):
             class Counted(cls):
@@ -368,3 +366,36 @@ class TestCertify:
         report = certify(validate(entering_internal_raw(wide_guard=True)))
         assert {s.condition for s in report.actions} >= {"C3w"}
         assert sorted(built) == ["InternalReach", "StateOrder"]
+
+    def test_matches_two_pass_oracle(self):
+        """Field-by-field the same report as the strong walk, weak walk
+        and C3w check run one after the other, on the fixtures, the
+        hand-written protocols and seeded random corpora."""
+        protocols = [load_fixture(name) for name in FIXTURES]
+        protocols += [validate(raw) for raw in (
+            _smoke_raw_with_grab(), note_fixture_raw(),
+            *(weak_sender_raw(flag) for flag in (True, False)),
+            *(entering_internal_raw(flag) for flag in (True, False)))]
+        rng = random.Random(606)
+        protocols += [_gen.random_protocol(rng, certified_only=False,
+                                           require_guarded=True)
+                      for _ in range(40)]
+        protocols += [_gen.random_protocol(
+            random.Random(3000 + i), certified_only=False,
+            require_guarded=True, max_states=6) for i in range(600)]
+        protocols += [_gen.random_protocol(random.Random(5000 + i),
+                                           certified_only=False)
+                      for i in range(400)]
+        random_model = perfbench_protocols().random_model
+        protocols += [validate(random_model(random.Random(f"id-{i}")))
+                      for i in range(600)]
+        statuses = set()
+        for p in protocols:
+            report, oracle = certify(p), _oracle.two_pass_certify(p)
+            assert report.well_behaved == oracle.well_behaved
+            assert report.notes == oracle.notes
+            assert report.actions == oracle.actions, p.state_names
+            statuses.update((s.status, s.condition) for s in report.actions)
+        # the corpus reaches every outcome of the walk
+        assert {("weak", "C1w"), ("weak", "C2.1w∧C2.2w"), ("weak", "C3w"),
+                ("violation", None)} <= statuses

@@ -217,6 +217,10 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
             "witness": None if verdict.witness is None else list(verdict.witness),
             "iterations": verdict.iterations,
             "basis": [list(b) for b in verdict.basis.basis],
+            "supports": sorted(
+                sorted(name for s, name in enumerate(protocol.state_names)
+                       if m >> s & 1)
+                for m in verdict.supports),
         }
         lines = [f"order: {order}"]
         if verdict.reachable:

@@ -67,6 +67,42 @@ beyond those has some rho as support and covers each destination's
 minimal placement on rho, so it lies above a candidate from the same
 rho and is never minimal: leaving it in changes no basis, and no
 provenance that a witness follows.
+
+The fixpoint keeps only vectors whose support a run can occupy, the
+forward-invariant restriction of Ganty, Raskin & Van Begin (VMCAI
+2006), with a monotone bound in place of the exact set of reachable
+supports. :func:`support_bound` starts from {init} and, for each of its
+elements M and each participation (u, uplus, allowed) of an action with
+supp(u) inside M, steps to supp(uplus) | R(M & allowed), R applying the
+receive map to every state of the mask. A step result inside an
+element is skipped; otherwise it is added, and the elements inside it
+are evicted. This is sound: a configuration with support inside M that
+fires through the participation keeps its non-senders on ``allowed``
+states (with guards, ``participations`` already leaves out senders
+outside the guard), so its successor's support lies inside the step's
+result. The step is monotone in M, so an evicted element's successors
+lie inside its evictor's, and keeping only maximal elements loses
+nothing. The exact set can be exponential where the bound is not: on
+a cycle of 24 internal steps every subset of the cycle is a reachable
+support, and the bound is the one mask of the whole cycle.
+
+:func:`decide` drops every target-basis element and predecessor whose
+support lies inside no bound element, before it reaches the antichain
+or the provenance. The test is component-wise under both orders, which
+is sound for the guard-refined one too: a vector with no reachable
+configuration above it component-wise has none above it in the refined
+order, which implies the component-wise one. Dropping changes no
+verdict, ``min_n`` or witness. The dropped vectors form an upward-closed
+set, since a vector above one has a larger support, so a dropped vector
+never covers or evicts a kept one. The kept ones are closed under
+successors, as the bound is closed under the step, and a predecessor's
+successor covers its element: so every predecessor of a dropped vector
+is dropped too, and the kept elements, their provenance and the order
+they are inserted in are those of the unpruned loop. A vector on the
+initial state alone is always kept, and so is every element of a
+witness chain, which covers a configuration reached from the initial
+vector. The basis is the unpruned basis's kept elements, and the loop
+stops no later.
 """
 
 from __future__ import annotations
@@ -81,6 +117,15 @@ from gspmc.model import Protocol, ValidationError
 
 class NotCertifiedWellBehaved(Exception):
     """Refused to run the guard-refined engine without certification."""
+
+
+def _support(q):
+    """The bitmask of the states q occupies."""
+    supp = 0
+    for s, c in enumerate(q):
+        if c:
+            supp |= 1 << s
+    return supp
 
 
 @dataclass(frozen=True)
@@ -98,7 +143,7 @@ class Wqo:
 
     def profile(self, q):
         """Which guards contain the support of q."""
-        return self.support_profile(sum(1 << s for s, c in enumerate(q) if c))
+        return self.support_profile(_support(q))
 
     def support_profile(self, supp):
         """Which guards contain the states of the bitmask ``supp``."""
@@ -149,10 +194,7 @@ class Antichain:
 
     def insert(self, q):
         """Add q unless an element is below it, evicting the elements above it."""
-        supp = 0
-        for s, c in enumerate(q):
-            if c:
-                supp |= 1 << s
+        supp = _support(q)
         group = self._groups.setdefault(self._profile(supp), {})
         for m, bucket in group.items():
             if not m & ~supp:
@@ -264,8 +306,7 @@ def _action_preds(wqo, action, b):
                 per_dest.append((slots, list(_compositions(deficit, len(slots)))))
         else:
             if guards:
-                usupp = sum(1 << s for s, c in enumerate(u) if c)
-                sent = sum(1 << t for t, c in enumerate(uplus) if c)
+                usupp, sent = _support(u), _support(uplus)
                 reached_d = sum(1 << t for t, d in enumerate(deficits) if d)
                 breakers = [s for s in allowed if s in outside]
             for choice in itertools.product(*(opts for _, opts in per_dest)):
@@ -294,15 +335,63 @@ def _action_preds(wqo, action, b):
     return found
 
 
-def _insert_preds(protocol, wqo, chain, frontier, provenance):
-    """Insert the minimal predecessors of each ``frontier`` element into
-    ``chain``. ``provenance`` keeps, per predecessor, the first (action
-    name, element) pair that produced it, in the order they are computed."""
+def _insert_preds(protocol, wqo, chain, frontier, provenance, keep):
+    """Insert the minimal predecessors of each ``frontier`` element that
+    pass ``keep`` into ``chain``. ``provenance`` keeps, per kept
+    predecessor, the first (action name, element) pair that produced it,
+    in the order they are computed."""
     for b in frontier:
         for action in protocol.actions:
             for q in _action_preds(wqo, action, b):
-                chain.insert(q)
-                provenance.setdefault(q, (action.name, b))
+                if keep(q):
+                    chain.insert(q)
+                    provenance.setdefault(q, (action.name, b))
+
+
+def support_bound(protocol):
+    """The maximal support bitmasks of a monotone forward
+    over-approximation, ascending: the support of every configuration
+    reachable from the initial state, at any system size, lies inside
+    one of them (module docstring)."""
+    steps = dict.fromkeys(
+        (_support(u), _support(uplus), sum(1 << s for s in allowed),
+         action.receive_map)
+        for action in protocol.actions
+        for u, uplus, allowed in action.participations)
+    start = 1 << protocol.init
+    bound, work = {start}, [start]
+    while work:
+        m = work.pop()
+        if m not in bound:
+            continue  # evicted: its successors lie inside the evictor's
+        for used, sent, allowed, rmap in steps:
+            if used & ~m:
+                continue
+            succ, rest = sent, m & allowed
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                succ |= 1 << rmap[bit.bit_length() - 1]
+            if any(not succ & ~e for e in bound):
+                continue
+            bound = {e for e in bound if e & ~succ}
+            bound.add(succ)
+            work.append(succ)
+    return tuple(sorted(bound))
+
+
+def _inside(bound):
+    """Whether a vector's support lies inside an element of ``bound``,
+    memoised per support mask."""
+    memo = {}
+
+    def keep(q):
+        supp = _support(q)
+        hit = memo.get(supp)
+        if hit is None:
+            hit = memo[supp] = any(not supp & ~e for e in bound)
+        return hit
+    return keep
 
 
 @dataclass
@@ -310,8 +399,11 @@ class ParamVerdict:
     reachable: bool
     min_n: int | None
     witness: tuple[str, ...] | None  # action sequence, forward order
-    basis: Ucs  # fixpoint basis (unreachability certificate)
+    basis: Ucs  # fixpoint basis, pruned to ``supports``
     iterations: int
+    # :func:`support_bound` of the protocol; with ``basis``, the
+    # unreachability certificate
+    supports: tuple[int, ...]
 
 
 def decide(protocol, target, threshold):
@@ -320,22 +412,26 @@ def decide(protocol, target, threshold):
     Guarded protocols are analyzed under the guard-refined order, which
     is only sound for certified guard-compatible protocols, so they are
     certified first and refused when certification fails.
-    Iterates the backward closure to the full fixpoint so the returned
-    minimal witness size is exact.
+    Iterates the backward closure, pruned to the vectors whose support
+    lies inside an element of :func:`support_bound`, to the full
+    fixpoint so the returned minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
     if wqo.guards and not wellbehaved.certify(protocol).well_behaved:
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
-    start = target_basis(protocol, wqo, target, threshold)
-    provenance = dict.fromkeys(start.basis)
-    chain = Antichain(wqo, start.basis)
-    basis = frontier = start.basis
+    supports = support_bound(protocol)
+    keep = _inside(supports)
+    start = tuple(filter(
+        keep, target_basis(protocol, wqo, target, threshold).basis))
+    provenance = dict.fromkeys(start)
+    chain = Antichain(wqo, start)
+    basis = frontier = start
     iterations = 0
     while frontier:
         iterations += 1
-        _insert_preds(protocol, wqo, chain, frontier, provenance)
+        _insert_preds(protocol, wqo, chain, frontier, provenance, keep)
         step = chain.basis()
         frontier = sorted(set(step).difference(basis))
         basis = step
@@ -344,7 +440,7 @@ def decide(protocol, target, threshold):
     covering = [b for b in fixpoint.basis
                 if all(c == 0 for s, c in enumerate(b) if s != protocol.init)]
     if not covering:
-        return ParamVerdict(False, None, None, fixpoint, iterations)
+        return ParamVerdict(False, None, None, fixpoint, iterations, supports)
     best = min(covering, key=lambda b: b[protocol.init])
     min_n = best[protocol.init]
     assert min_n >= 1
@@ -354,4 +450,5 @@ def decide(protocol, target, threshold):
         action_name, parent = provenance[cur]
         witness.append(action_name)
         cur = parent
-    return ParamVerdict(True, min_n, tuple(witness), fixpoint, iterations)
+    return ParamVerdict(True, min_n, tuple(witness), fixpoint, iterations,
+                        supports)

@@ -28,7 +28,7 @@ def random_raw(rng: random.Random, *, max_states: int = 5,
                  if guards and rng.random() < guard_bias else None)
         pool = guards[gname] if gname else states
         sends = [[rng.choice(pool), rng.choice(states)]]
-        if max_arity >= 2 and rng.random() < 0.5:
+        while len(sends) < max_arity and rng.random() < 0.5:
             sends.append([rng.choice(pool), rng.choice(states)])
         receives = [[s, rng.choice(states)]
                     for s in states if rng.random() < 0.4]

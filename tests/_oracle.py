@@ -302,34 +302,44 @@ def exhaustive_refined_preds(wqo, action, b):
 
 def pred_basis(protocol, wqo, ucs):
     """Basis of Pred(U) united with U itself: one backward step of the
-    engine, ``wsts._insert_preds`` into a ``wsts.Antichain``, for the
-    grid oracles above to check."""
+    engine, ``wsts._insert_preds`` into a ``wsts.Antichain`` with no
+    support pruning, for the grid oracles above to check."""
     chain = wsts.Antichain(wqo, ucs.basis)
     wsts._insert_preds(protocol, wqo, chain, ucs.basis,
-                       provenance=dict.fromkeys(ucs.basis))
+                       provenance=dict.fromkeys(ucs.basis),
+                       keep=lambda q: True)
     return wsts.Ucs(wqo, chain.basis())
 
 
-def from_scratch_fixpoint(protocol, target, threshold):
+def from_scratch_fixpoint(protocol, target, threshold, supports=None):
     """(basis, iterations, min_n, witness) of the backward fixpoint,
     re-minimizing the whole predecessor set every round.
 
     Predecessors through one action come from the engine's own
     ``wsts._action_preds``, which the grid oracles check separately;
     this reference checks only the loop and the antichain around it.
+    With ``supports``, a list of state bitmasks, it keeps only the
+    target-basis elements and predecessors whose occupied states all
+    lie in one of them; without, it is the unpruned fixpoint.
     """
+    def kept(q):
+        return supports is None or any(
+            all(not c or m >> s & 1 for s, c in enumerate(q)) for m in supports)
+
     wqo = wsts.wqo_for(protocol)
-    start = wsts.target_basis(protocol, wqo, target, threshold).basis
+    start = tuple(filter(kept, wsts.target_basis(
+        protocol, wqo, target, threshold).basis))
     memo = {}
     basis = start
     iterations = 0
-    while True:
+    while basis:  # an empty basis is a fixpoint before any round
         iterations += 1
         candidates = set(basis)
         for b in basis:
             for ai, action in enumerate(protocol.actions):
                 if (ai, b) not in memo:
-                    memo[ai, b] = wsts._action_preds(wqo, action, b)
+                    memo[ai, b] = set(filter(
+                        kept, wsts._action_preds(wqo, action, b)))
                 candidates |= memo[ai, b]
         step = pairwise_minimize(wqo, candidates)
         if step == basis:

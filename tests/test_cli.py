@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from gspmc import cli, modelfile
 from gspmc.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_WITNESS, run
 
+import _oracle
 import test_cutoff
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, load_fixture
 
 SMOKE = fixture_path("smoke_detector.json")
 MUTANT = fixture_path("smoke_detector_mutant.json")
@@ -264,8 +265,15 @@ class TestVerify:
         assert res["order"] == "guard-refined"
         assert res["reachable"] is False
         assert res["iterations"] == 1
-        assert sorted(map(tuple, res["basis"])) == [
-            (0, 0, 0, 0, 3), (0, 0, 0, 1, 3), (0, 1, 0, 0, 3), (1, 0, 0, 0, 3)]
+        assert res["basis"] == [[0, 0, 0, 0, 3]]
+        assert res["supports"] == [
+            ["Ask", "Env"], ["Idle", "Pick"], ["Idle", "Report"]]
+        # without the support pruning, the basis is the whole target basis
+        smoke = load_fixture("smoke_detector.json")
+        basis, iterations, *_ = _oracle.from_scratch_fixpoint(smoke, 4, 3)
+        assert iterations == 1
+        assert basis == (
+            (0, 0, 0, 0, 3), (0, 0, 0, 1, 3), (0, 1, 0, 0, 3), (1, 0, 0, 0, 3))
 
     def test_reachable_with_witness(self):
         code, report = invoke_json("verify", SMOKE, "--count", "2")

@@ -18,13 +18,14 @@ from gspmc.wsts import (
     Wqo,
     decide,
     minimize,
+    support_bound,
     target_basis,
     wqo_for,
 )
 
 import _gen
 import _oracle
-from conftest import chain, config, load_fixture, perfbench_protocols
+from conftest import chain, config, internal_ring, load_fixture, perfbench_protocols
 from test_semantics import FIXTURES
 
 vectors = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple)
@@ -351,8 +352,11 @@ class TestDecide:
         assert not v.reachable
         assert v.min_n is None and v.witness is None
         assert v.iterations == 1  # the target set is already inductive
-        assert v.basis.basis == target_basis(
-            smoke, wqo_for(smoke), 4, 3).basis
+        # the target-basis elements with Env, Ask or Pick beside Report
+        # have supports no run occupies
+        assert v.basis.basis == ((0, 0, 0, 0, 3),)
+        assert _oracle.from_scratch_fixpoint(smoke, 4, 3) == (
+            target_basis(smoke, wqo_for(smoke), 4, 3).basis, 1, None, None)
 
     def test_smoke_two_reachable(self, smoke):
         v = decide(smoke, smoke.state_index("Report"), 2)
@@ -364,7 +368,11 @@ class TestDecide:
     def test_two_sender_variant(self, smoke_2sender):
         p = smoke_2sender
         report = p.state_index("Report")
-        assert not decide(p, report, 3).reachable
+        v = decide(p, report, 3)
+        assert not v.reachable
+        assert (v.basis.basis, v.iterations) == (((0, 0, 0, 0, 3),), 1)
+        assert _oracle.from_scratch_fixpoint(p, report, 3) == (
+            target_basis(p, wqo_for(p), report, 3).basis, 1, None, None)
         v = decide(p, report, 2)
         assert v.reachable and v.min_n == 2
         replay_witness(p, v.min_n, v.witness, report, 2)
@@ -379,8 +387,12 @@ class TestDecide:
     def test_cutoff_witness_fixpoint(self, witness):
         target = witness.state_index("s_E")
         v = decide(witness, target, 1)
-        assert (v.iterations, len(v.basis.basis), v.min_n) == (19, 58, 16)
+        assert (v.iterations, len(v.basis.basis), v.min_n) == (17, 17, 16)
         replay_witness(witness, v.min_n, v.witness, target, 1)
+        basis, iterations, min_n, path = _oracle.from_scratch_fixpoint(
+            witness, target, 1)
+        assert (iterations, len(basis), min_n, path) == (
+            19, 58, 16, v.witness)
 
     @pytest.mark.parametrize("n, iterations, size",
                              [(12, 21, 78), (16, 29, 136)], ids=["12", "16"])
@@ -411,8 +423,11 @@ class TestDecide:
             target = rng.randrange(p.n_states)
             threshold = rng.randint(1, 3)
             v = decide(p, target, threshold)
-            got = (v.basis.basis, v.iterations, v.min_n, v.witness)
-            assert got == _oracle.from_scratch_fixpoint(p, target, threshold)
+            pruned = _oracle.from_scratch_fixpoint(
+                p, target, threshold, wsts.support_bound(p))
+            unpruned = _oracle.from_scratch_fixpoint(p, target, threshold)
+            assert (v.basis.basis, v.iterations) == pruned[:2]
+            assert (v.min_n, v.witness) == pruned[2:] == unpruned[2:]
 
     def test_agrees_with_bfs_on_shared_source_slots(self):
         # the benchmark's guarded-mix draw 193, loaded from the benchmark's
@@ -453,3 +468,126 @@ class TestDecide:
                         p, ReachQuery(target, threshold, n)).reachable
             agreements += 1
         assert agreements == 30
+
+
+def reached_configs(protocol, n):
+    """Every configuration the packed search reaches from n processes in
+    the initial state, unpacked."""
+    packed = semantics.packed(protocol, n)
+    start = n << packed.width * protocol.init
+    seen, todo = {start}, [start]
+    while todo:
+        for succ in semantics.successors(packed, todo.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+    return [semantics.unpack(packed, code) for code in seen]
+
+
+def mask(q):
+    return sum(1 << s for s, c in enumerate(q) if c)
+
+
+class TestSupportBound:
+    def test_covers_every_reached_support(self):
+        rng = random.Random(1400)
+        checked = 0
+        for i in range(300):
+            if i % 2:
+                p = _gen.random_protocol(rng, certified_only=False,
+                                         max_arity=3, max_states=6)
+            else:
+                p = _gen.unguarded_protocol(rng, max_states=6)
+            bound = support_bound(p)
+            for a, b in itertools.permutations(bound, 2):
+                assert a & ~b, (p, bound)  # maximal elements only
+            for n in range(1, 6):
+                for q in reached_configs(p, n):
+                    assert any(not mask(q) & ~m for m in bound), (p, n, q, bound)
+                    checked += 1
+        assert checked > 4000
+
+    def test_internal_ring_is_polynomial(self):
+        # with 24 or more processes every non-empty subset of the ring is
+        # a reachable support; building those 2**24 - 1 sets takes
+        # minutes, the monotone bound is the one ring mask
+        p = internal_ring(24)
+        target = p.state_index("r23")
+        start = time.perf_counter()
+        assert support_bound(p) == ((1 << 24) - 1,)
+        v = decide(p, target, 2)
+        assert time.perf_counter() - start < 10
+        assert (v.reachable, v.min_n) == (True, 2)
+        replay_witness(p, v.min_n, v.witness, target, 2)
+
+
+def check_certificate(protocol, v):
+    """An unreachable verdict's basis is inductive relative to its
+    supports, checked by firing vectors forward with ``semantics.fire``:
+    no vector on the initial state alone is above the basis, and a
+    vector in the box up to the basis maximum plus one, with its support
+    inside a bound element, that has a successor above the basis is
+    above it too. Returns the number of vectors fired."""
+    wqo, basis, n = v.basis.wqo, v.basis.basis, protocol.n_states
+    keyed = [(mask(b), wqo.profile(b), b) for b in basis]
+    memo = {}
+
+    def covered(q):
+        if q not in memo:
+            m, profile = mask(q), wqo.profile(q)
+            memo[q] = any(not bm & ~m and bp == profile
+                          and all(x <= y for x, y in zip(b, q))
+                          for bm, bp, b in keyed)
+        return memo[q]
+
+    cap = max(map(max, basis), default=0) + 1
+    for k in range(1, cap + 1):
+        assert not covered(tuple(k if s == protocol.init else 0
+                                 for s in range(n)))
+    box = set()
+    for m in v.supports:
+        states = [s for s in range(n) if m >> s & 1]
+        for counts in itertools.product(range(cap + 1), repeat=len(states)):
+            q = [0] * n
+            for s, c in zip(states, counts):
+                q[s] = c
+            box.add(tuple(q))
+    box.discard((0,) * n)
+    for q in box:
+        if covered(q):
+            continue
+        for action in protocol.actions:
+            for succ in semantics.fire(q, action):
+                assert not covered(succ), (protocol, action.name, q, succ)
+    return len(box)
+
+
+class TestCertificate:
+    """The pruned basis is a relative-inductive certificate."""
+
+    @staticmethod
+    def check_all(protocol, targets, counts=(1, 2, 3)):
+        fired = 0
+        for target in targets:
+            for count in counts:
+                v = decide(protocol, target, count)
+                if not v.reachable:
+                    fired += check_certificate(protocol, v)
+        return fired
+
+    @pytest.mark.parametrize("name", [f for f in FIXTURES if "mutant" not in f])
+    def test_fixtures(self, name):
+        p = load_fixture(name)
+        self.check_all(p, [t for t in range(p.n_states) if t != p.init])
+
+    def test_random_protocols(self):
+        rng = random.Random(1401)
+        fired = 0
+        for i in range(100):
+            if i % 2:
+                p = _gen.random_protocol(rng, require_guarded=True)
+            else:
+                p = _gen.unguarded_protocol(rng)
+            target = rng.choice([t for t in range(p.n_states) if t != p.init])
+            fired += self.check_all(p, [target])
+        assert fired > 1000

@@ -3,10 +3,11 @@
 Commands: ``validate``, ``desugar``, ``certify``, ``cutoff``, ``mc``,
 ``verify``, ``sweep``. Every command reads one model file; analysis
 commands take the target state and count from ``--target``/``--count``
-(falling back to the file's ``property`` block). Exit codes: 0 when the
-property was refuted or the analysis passed, 1 when a witness or
-violation was found, 2 on any usage, parse, validation or resource
-error, which is reported as one line on stderr.
+(falling back to the file's ``property`` block); ``--json`` prints the
+report as one JSON line. Exit codes: 0 when the property was refuted or
+the analysis passed, 1 when a witness or violation was found, 2 on any
+usage, parse, validation or resource error, which is reported as one
+line on stderr.
 A reader that closes stdout early does not change the exit code.
 """
 
@@ -25,6 +26,9 @@ EXIT_CLEAN = 0
 EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
+# a report holds no cycle, so the encoder need not track the containers
+_REPORT_JSON = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+
 
 class UsageError(Exception):
     """The command line does not parse."""
@@ -39,7 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: it is the same for every call."""
+    """The argument parser, built once: it is the same for every call.
+    Its ``commands`` map each command name to that command's parser."""
     parser = _Parser(
         prog="gspmc",
         description="Model checker for globally synchronizing protocols.")
@@ -74,7 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, dest="max_n",
                    help="largest system size to try")
     p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """A known command's arguments go straight to its own parser; the
+    top-level parser reports a missing or unknown command and prints the
+    top-level help."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _resolve_query(protocol, mf, args):
@@ -266,7 +284,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         started = time.monotonic()
         mf = modelfile.parse_model(args.model)
         protocol = model.validate(mf.raw)
@@ -289,7 +307,7 @@ def run(argv=None, out=None) -> int:
             "result": payload,
             "duration_s": round(time.monotonic() - started, 6),
         }
-        lines = [json.dumps(report, indent=2, ensure_ascii=False)]
+        lines = [_REPORT_JSON.encode(report)]
     try:
         for line in lines:
             out.write(line + "\n")

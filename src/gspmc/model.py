@@ -258,11 +258,20 @@ _JSON_TYPES = {str: "a string", list: "a list", dict: "an object",
                type(None): "null"}
 
 
-def _typed(value, kind, what: str):
-    """``value`` itself when it has JSON type ``kind``, else a ValidationError."""
+def _where(what: str, key=None, entries: bool = False) -> str:
+    """The name of a checked value: ``what``, or its entry ``key``, or
+    (``entries``) the members of that; built only for an error message."""
+    if key is not None:
+        what = f"{what}: {key!r}"
+    return f"{what} entries" if entries else what
+
+
+def _typed(value, kind, what: str, key=None, entries: bool = False):
+    """``value`` itself when it has JSON type ``kind``, else a ValidationError
+    naming it by ``_where(what, key, entries)``."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    raise ValidationError(f"{what} must be {_JSON_TYPES[kind]}, "
+    raise ValidationError(f"{_where(what, key, entries)} must be {_JSON_TYPES[kind]}, "
                           f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
 
 
@@ -270,25 +279,39 @@ def _field(spec: dict, key: str, kind, what: str):
     """Required entry ``key`` of the object ``spec``, type-checked."""
     if key not in spec:
         raise ValidationError(f"{what}: missing {key!r}")
-    return _typed(spec[key], kind, f"{what}: {key!r}")
+    return _typed(spec[key], kind, what, key)
 
 
-def _names(value, what: str) -> list[str]:
-    return [_typed(s, str, f"{what} entries") for s in _typed(value, list, what)]
+def _names(value, what: str, key=None, entries: bool = False) -> list[str]:
+    """A list of names, itself named as by :func:`_typed`."""
+    for s in _typed(value, list, what, key, entries):
+        if not isinstance(s, str):
+            _typed(s, str, what, key, True)
+    return value
 
 
-def _pair(value, what: str) -> tuple[str, str]:
-    names = _names(value, what)
+def _pair(value, what: str, key=None, entries: bool = False) -> tuple[str, str]:
+    names = _names(value, what, key, entries)
     if len(names) != 2:
-        raise ValidationError(f"{what} must be a [from, to] pair, got {len(names)} names")
+        got = f"{len(names)} name" + "s" * (len(names) != 1)
+        raise ValidationError(
+            f"{_where(what, key, entries)} must be a [from, to] pair, got {got}")
     return names[0], names[1]
 
 
-def _pairs(value, what: str, *, mapping: bool = False) -> list[tuple[str, str]]:
-    """A list of [from, to] pairs, or (when ``mapping``) an object from -> to."""
+def _pairs(value, what: str, key: str, *, mapping: bool = False) -> list:
+    """Entry ``key`` of ``what``: a list of [from, to] pairs, or (when
+    ``mapping``) an object from -> to, as a list of pairs."""
     if mapping and isinstance(value, dict):
-        return [(s, _typed(t, str, f"{what} entries")) for s, t in value.items()]
-    return [_pair(p, f"{what} entries") for p in _typed(value, list, what)]
+        for t in value.values():
+            if not isinstance(t, str):
+                _typed(t, str, what, key, True)
+        return list(value.items())
+    for p in _typed(value, list, what, key):
+        if not (isinstance(p, list) and len(p) == 2
+                and isinstance(p[0], str) and isinstance(p[1], str)):
+            _pair(p, what, key, True)
+    return value
 
 
 def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Action]:
@@ -309,7 +332,7 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
         ref = _field(decl, "action", str, what)
         if ref not in actions:
             raise ValidationError(f"disjunctive guard references unknown action {ref!r}")
-        witnesses = _names(decl.get("witnesses", []), f"{what}: 'witnesses'")
+        witnesses = _names(decl.get("witnesses", []), what, "witnesses")
         if not witnesses:
             raise ValidationError("disjunctive guard needs at least one witness state")
         base = actions[ref]
@@ -327,7 +350,7 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
         return [Action(name, SENDER, (Send(src, dst),), identity, g)]
 
     if kind == "negotiation":
-        items = _pairs(decl.get("map"), f"{what}: 'map'", mapping=True)
+        items = _pairs(decl.get("map"), what, "map", mapping=True)
         if not items:
             raise ValidationError("negotiation map must be non-empty")
         pairs = [(state(s), state(t)) for s, t in items]
@@ -338,8 +361,8 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
         ]
 
     # pairwise / async rendezvous
-    s_from, s_to = map(state, _pair(decl.get("send"), f"{what}: 'send'"))
-    r_from, r_to = map(state, _pair(decl.get("recv"), f"{what}: 'recv'"))
+    s_from, s_to = map(state, _pair(decl.get("send"), what, "send"))
+    r_from, r_to = map(state, _pair(decl.get("recv"), what, "recv"))
     core_kind = SENDER if kind == "pairwise" else MAXIMAL
     return [Action(name, core_kind, (Send(s_from, s_to), Send(r_from, r_to)),
                    identity, g)]
@@ -377,7 +400,7 @@ def validate(raw: dict) -> Protocol:
         return index[name]
 
     def guard(gname, what):
-        if _typed(gname, str, f"{what}: 'guard'") not in guards:
+        if _typed(gname, str, what, "guard") not in guards:
             raise ValidationError(f"{what}: unknown guard {gname!r}")
         return guards[gname]
 
@@ -389,9 +412,9 @@ def validate(raw: dict) -> Protocol:
     if prop is None:
         prop = {}
     if "target" in _typed(prop, dict, "'property'"):
-        _typed(prop["target"], str, "'property': 'target'")
+        _typed(prop["target"], str, "'property'", "target")
     if "count" in prop:
-        _typed(prop["count"], int, "'property': 'count'")
+        _typed(prop["count"], int, "'property'", "count")
 
     trivial = Guard(TRIVIAL_GUARD_NAME, frozenset(range(n)))
     guards: dict[str, Guard] = {TRIVIAL_GUARD_NAME: trivial}
@@ -413,22 +436,21 @@ def validate(raw: dict) -> Protocol:
     for i, spec in enumerate(_typed(raw.get("actions", []), list, "'actions'")):
         what = f"actions[{i}]"
         spec = _typed(spec, dict, what)
-        extra = set(spec) - _ACTION_KEYS
-        if extra:
-            raise ValidationError(
-                f"unknown keys {sorted(extra)} in action {spec.get('name')!r}")
+        if not _ACTION_KEYS.issuperset(spec):
+            raise ValidationError(f"unknown keys {sorted(set(spec) - _ACTION_KEYS)} "
+                                  f"in action {spec.get('name')!r}")
         name = _field(spec, "name", str, what)
         kind = spec.get("kind", SENDER)
         if kind not in (SENDER, MAXIMAL):
             raise ValidationError(f"action {name!r}: unknown kind {kind!r}")
         sends = tuple(Send(state(s), state(t))
-                      for s, t in _pairs(spec.get("sends", []), f"{what}: 'sends'"))
+                      for s, t in _pairs(spec.get("sends", []), what, "sends"))
         if not sends:
             raise ValidationError(f"action {name!r} declares no send")
         if "arity" in spec and _field(spec, "arity", int, what) != len(sends):
             raise ValidationError(
                 f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
-        pairs = _pairs(spec.get("receives", []), f"{what}: 'receives'", mapping=True)
+        pairs = _pairs(spec.get("receives", []), what, "receives", mapping=True)
         rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], n)
         g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
         add(Action(name, kind, sends, rmap, g))

@@ -35,12 +35,14 @@ class ModelFile:
 
 
 def _no_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def loads(text: str) -> ModelFile:
@@ -55,13 +57,15 @@ def loads(text: str) -> ModelFile:
 
 def parse_model(path) -> ModelFile:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except OSError as e:
         raise IoError(f"cannot read {path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         reason = f"{e.reason} at byte {e.start}"
         raise ParseError(f"{path}: not UTF-8 text ({reason})") from None
+    if "\r" in text:  # text mode's universal newlines, for error positions
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return loads(text)
     except ParseError as e:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gspmc.model import SENDER, Protocol, is_internal, reachable
+from gspmc.model import SENDER, Protocol, is_internal
 
 
 class StateOrder:
@@ -44,23 +44,46 @@ class StateOrder:
     form: every guard containing all of ``dests`` contains ``t``.
 
     Each state keeps one bitmask of the used guards that contain it, bit
-    i for the i-th used guard, so both tests are a few ``&``.
+    i for ``guards[i]``, so both tests are a few ``&``.
+    ``below_common(dests)`` is the bitmask of the states t with
+    ``below_set(t, dests)``, and ``below_each(dests)`` that of the states
+    below every state of ``dests``.
     """
 
     def __init__(self, protocol: Protocol):
-        guards = protocol.used_guards()
+        self.guards = guards = protocol.used_guards()
         self._all = (1 << len(guards)) - 1
-        self._in = tuple(sum(1 << i for i, g in enumerate(guards) if s in g.members)
-                         for s in range(protocol.n_states))
+        held = [0] * protocol.n_states
+        for i, g in enumerate(guards):
+            for s in g.members:
+                held[s] |= 1 << i
+        self._in = tuple(held)
 
     def below(self, t: int, s: int) -> bool:
         return not self._in[s] & ~self._in[t]
 
     def below_set(self, t: int, dests) -> bool:
-        common = self._all
+        return bool(self.below_common(dests) >> t & 1)
+
+    def below_common(self, dests) -> int:
+        need = self._all
         for d in dests:
-            common &= self._in[d]
-        return not common & ~self._in[t]
+            need &= self._in[d]
+        return self._holding(need)
+
+    def below_each(self, dests) -> int:
+        need = 0
+        for d in dests:
+            need |= self._in[d]
+        return self._holding(need)
+
+    def _holding(self, need: int) -> int:
+        """Bitmask of the states in every used guard of bitmask ``need``."""
+        mask = 0
+        for t, held in enumerate(self._in):
+            if not need & ~held:
+                mask |= 1 << t
+        return mask
 
 
 class InternalReach:
@@ -71,31 +94,40 @@ class InternalReach:
     ``bound`` (so the moves stay enabled while the configuration's
     support is contained in ``bound``). ``unguarded(s, t)`` is the
     special case bound = all states, i.e. only trivially guarded
-    internal transitions qualify.
+    internal transitions qualify; ``unguarded_masks[s]`` is the bitmask
+    of the states it reaches from ``s``.
     """
 
     def __init__(self, protocol: Protocol):
         self._n = protocol.n_states
         self._edges = tuple((a.sends[0].src, a.sends[0].dst, a.guard.members)
                             for a in protocol.actions if is_internal(a))
-        self._cache: dict[frozenset[int], list[set[int]]] = {}
+        self._cache: dict[frozenset[int], list[int]] = {}
+        self.unguarded_masks = self.closure(frozenset(range(self._n)))
 
-    def _closure(self, bound: frozenset[int]) -> list[set[int]]:
+    def closure(self, bound: frozenset[int]) -> list[int]:
+        """Per state s, the bitmask of the states ``guarded`` reaches
+        from s under ``bound``."""
         reach = self._cache.get(bound)
         if reach is None:
-            adj = [set() for _ in range(self._n)]
-            for src, dst, members in self._edges:
-                if bound <= members:
-                    adj[src].add(dst)
-            reach = [reachable(adj, s) for s in range(self._n)]
+            edges = [(src, dst) for src, dst, members in self._edges
+                     if bound <= members]
+            reach = [1 << s for s in range(self._n)]
+            changed = bool(edges)
+            while changed:
+                changed = False
+                for src, dst in edges:
+                    if reach[dst] & ~reach[src]:
+                        reach[src] |= reach[dst]
+                        changed = True
             self._cache[bound] = reach
         return reach
 
     def unguarded(self, s: int, t: int) -> bool:
-        return t in self._closure(frozenset(range(self._n)))[s]
+        return bool(self.unguarded_masks[s] >> t & 1)
 
     def guarded(self, s: int, t: int, bound) -> bool:
-        return t in self._closure(frozenset(bound))[s]
+        return bool(self.closure(frozenset(bound))[s] >> t & 1)
 
 
 @dataclass(frozen=True)
@@ -124,6 +156,18 @@ class GuardCompatReport:
     notes: tuple[str, ...] = ()
 
 
+_LEAVES_ALL = "receiver {src} leaves {guard} while all send destinations lie inside it"
+_LEAVES_SOME = "receiver {src} leaves {guard} while some send destination enters it"
+_MISSES = "send #{i} misses {guard} although the comparable send #{j} enters it"
+_SOURCE_LEAVES = ("receive from sender source {src} leaves {guard} although "
+                  "send #{j} enters it")
+
+
+def _violation(names, condition, gp, src, dst, detail, i=0, j=0) -> Violation:
+    return Violation(condition, gp.name, (names[src], names[dst]),
+                     detail.format(src=names[src], guard=gp.name, i=i, j=j))
+
+
 def _failures(protocol, a, guards, order, reach):
     """Every failure of the action's strong condition, in used-guard order.
 
@@ -145,36 +189,35 @@ def _failures(protocol, a, guards, order, reach):
     Each failure is ``(violation, escapes, note)``. ``escapes`` says
     whether the weak variant forgives it: an unguarded internal path
     takes the receiver to a state below the relevant send destinations
-    (a C2.2 send that misses G' never escapes). For C2.1w the
-    comparison quantifies over *all* send destinations; when it fails
-    but restricting it to the destinations inside G' would have
-    escaped, ``note`` records that the strict reading was the deciding
-    factor.
+    (a C2.2 send that misses G' never escapes), tested as the receiver's
+    unguarded-reach mask against a below-mask. For C2.1w the comparison
+    quantifies over *all* send destinations; when it fails but
+    restricting it to the destinations inside G' would have escaped,
+    ``note`` records that the strict reading was the deciding factor.
+    ``violation`` holds the arguments of :func:`_violation`, whose text
+    is built only for an action that ends in violation.
     """
     names = protocol.state_names
-    n = protocol.n_states
-
-    def escapes(t, ok_dest) -> bool:
-        return any(ok_dest(sp) and reach.unguarded(t, sp) for sp in range(n))
+    free = reach.unguarded_masks
 
     if a.kind == SENDER:
         dests = {s.dst for s in a.sends}
+        ok = order.below_common(dests)
+        members = sorted(a.guard.members)
         for gp in guards:
             if dests <= gp.members:
-                for s in sorted(a.guard.members):
+                for s in members:
                     t = a.receive_map[s]
                     if t not in gp.members:
-                        yield (Violation(
-                            "C1", gp.name, (names[s], names[t]),
-                            f"receiver {names[s]} leaves {gp.name} while all "
-                            f"send destinations lie inside it"),
-                            escapes(t, lambda sp: order.below_set(sp, dests)),
-                            None)
+                        yield ("C1", gp, s, t, _LEAVES_ALL), free[t] & ok, None
         return
 
     sources = {s.src for s in a.sends}
     rest = sorted(a.guard.members - sources)
     all_dests = [s.dst for s in a.sends]
+    ok = order.below_each(all_dests)
+    comparable = [(i, si, j, sj) for i, si in enumerate(a.sends)
+                  for j, sj in enumerate(a.sends) if order.below(si.src, sj.src)]
     for gp in guards:
         in_guard_dests = [d for d in all_dests if d in gp.members]
         if in_guard_dests:
@@ -182,34 +225,21 @@ def _failures(protocol, a, guards, order, reach):
                 t = a.receive_map[s]
                 if t in gp.members:
                     continue
-                escaped = escapes(
-                    t, lambda sp: all(order.below(sp, d) for d in all_dests))
+                escaped = free[t] & ok
                 note = None
-                if not escaped and escapes(
-                        t, lambda sp: all(order.below(sp, d)
-                                          for d in in_guard_dests)):
+                if not escaped and free[t] & order.below_each(in_guard_dests):
                     note = (f"{a.name}/{gp.name}: C2.1w fails only under the "
                             f"all-destinations reading (receiver {names[s]})")
-                yield (Violation(
-                    "C2.1", gp.name, (names[s], names[t]),
-                    f"receiver {names[s]} leaves {gp.name} while some "
-                    f"send destination enters it"), escaped, note)
-        for i, si in enumerate(a.sends):
-            for j, sj in enumerate(a.sends):
-                if not (order.below(si.src, sj.src) and sj.dst in gp.members):
-                    continue
-                if si.dst not in gp.members:
-                    yield (Violation(
-                        "C2.2", gp.name, (names[si.src], names[si.dst]),
-                        f"send #{i} misses {gp.name} although the comparable "
-                        f"send #{j} enters it"), False, None)
-                t = a.receive_map[si.src]
-                if t not in gp.members:
-                    yield (Violation(
-                        "C2.2", gp.name, (names[si.src], names[t]),
-                        f"receive from sender source {names[si.src]} leaves "
-                        f"{gp.name} although send #{j} enters it"),
-                        escapes(t, lambda sp: order.below(sp, si.dst)), None)
+                yield ("C2.1", gp, s, t, _LEAVES_SOME), escaped, note
+        for i, si, j, sj in comparable:
+            if sj.dst not in gp.members:
+                continue
+            if si.dst not in gp.members:
+                yield ("C2.2", gp, si.src, si.dst, _MISSES, i, j), False, None
+            t = a.receive_map[si.src]
+            if t not in gp.members:
+                yield (("C2.2", gp, si.src, t, _SOURCE_LEAVES, i, j),
+                       free[t] & order.below_each((si.dst,)), None)
 
 
 def _c3w(a, guards, order, reach, n) -> bool:
@@ -223,10 +253,10 @@ def _c3w(a, guards, order, reach, n) -> bool:
     src, dst = a.sends[0].src, a.sends[0].dst
     if not any(src not in gp.members and dst in gp.members for gp in guards):
         return True
-    below_dst = [t for t in range(n) if order.below(t, dst)]
-    bound = a.guard.members.union(below_dst)
-    return all(any(reach.guarded(t, tp, bound) for tp in below_dst)
-               for t in a.guard.members)
+    below_dst = order.below_each((dst,))
+    bound = a.guard.members.union(t for t in range(n) if below_dst >> t & 1)
+    reach_from = reach.closure(bound)
+    return all(reach_from[t] & below_dst for t in a.guard.members)
 
 
 def certify(protocol: Protocol) -> GuardCompatReport:
@@ -239,8 +269,8 @@ def certify(protocol: Protocol) -> GuardCompatReport:
     violation and the report cites its strong violations. The protocol
     is well-behaved iff no action ends in violation.
     """
-    guards = protocol.used_guards()
     order, reach = StateOrder(protocol), InternalReach(protocol)
+    guards = order.guards
     statuses = []
     notes = []
     for a in protocol.actions:
@@ -260,7 +290,8 @@ def certify(protocol: Protocol) -> GuardCompatReport:
         else:
             statuses.append(ActionStatus(
                 a.name, "violation", None,
-                violations=tuple(v for v, _, _ in failures),
+                violations=tuple(_violation(protocol.state_names, *v)
+                                 for v, _, _ in failures),
                 notes=action_notes))
     return GuardCompatReport(all(s.status != "violation" for s in statuses),
                              tuple(statuses), tuple(notes))

@@ -120,3 +120,22 @@ def test_traced_cutoff_records_amenability(tracer):
     assert code == 0
     assert recorded(tr, "cutoff.certified_cutoff_check") == [
         {"amenable": report["result"]["amenable"]}]
+
+
+def test_traced_cutoff_spans_the_front_end(tracer):
+    """``cli.run`` calls parsing, validation and certification through
+    their module attributes, so each shows as a span under its
+    ``cli.run`` span; a call through a local alias would not."""
+    tr, code, _ = traced_run(tracer, "cutoff", fixture_path("smoke_detector.json"))
+    assert code == 0
+    run_span = [s[0] for s in tr.spans].index("cli.run")
+
+    def under_run(idx):
+        while idx != -1:
+            if idx == run_span:
+                return True
+            idx = tr.spans[idx][3]
+        return False
+
+    for name in ("modelfile.parse_model", "model.validate", "wellbehaved.certify"):
+        assert any(span[0] == name and under_run(span[3]) for span in tr.spans), name

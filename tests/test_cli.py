@@ -101,6 +101,31 @@ MALFORMED = {
     "count-not-an-integer": ({"states": ["A"], "init": "A",
                               "property": {"target": "A", "count": [1]}},
                              "'property': 'count' must be an integer, got a list"),
+    "send-entry-not-a-string": ({"states": ["A", "B"], "init": "A", "actions": [
+        {"name": "t", "sends": [["A", True]]}]},
+        "actions[0]: 'sends' entries must be a string, got a boolean"),
+    "receive-target-not-a-string": ({"states": ["A", "B"], "init": "A", "actions": [
+        {"name": "t", "sends": [["A", "B"]], "receives": {"A": 1}}]},
+        "actions[0]: 'receives' entries must be a string, got an integer"),
+    "one-name-receive-pair": ({"states": ["A", "B"], "init": "A", "actions": [
+        {"name": "t", "sends": [["A", "B"]], "receives": [["A"]]}]},
+        "actions[0]: 'receives' entries must be a [from, to] pair, got 1 name"),
+    "guard-member-not-a-string": ({"states": ["A", "B"], "init": "A",
+                                   "guards": {"G": ["A", 3]}},
+                                  "guard 'G' entries must be a string, got an integer"),
+    "sends-not-a-list": ({"states": ["A", "B"], "init": "A", "actions": [
+        {"name": "t", "sends": "AB"}]},
+        "actions[0]: 'sends' must be a list, got a string"),
+    "action-not-an-object": ({"states": ["A", "B"], "init": "A", "actions": [5]},
+                             "actions[0] must be an object, got an integer"),
+    "pairwise-send-not-a-pair": ({"states": ["A", "B"], "init": "A", "sugar": [
+        {"type": "pairwise", "name": "p", "send": ["A", "B", "A"],
+         "recv": ["A", "B"]}]},
+        "sugar 'pairwise': 'send' must be a [from, to] pair, got 3 names"),
+    "witnesses-not-a-list": ({"states": ["A", "B"], "init": "A", "actions": [
+        {"name": "t", "sends": [["A", "B"]]}], "sugar": [
+        {"type": "disjunctive", "action": "t", "witnesses": "A"}]},
+        "sugar 'disjunctive': 'witnesses' must be a list, got a string"),
 }
 
 
@@ -156,6 +181,52 @@ class TestMalformedInput:
         if code == EXIT_ERROR:
             assert err.getvalue().startswith("error [")
             assert err.getvalue().count("\n") == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate", SMOKE], "argument command: invalid choice: 'frobnicate'"),
+        (["verify", SMOKE, "--frob"], "unrecognized arguments: --frob"),
+        (["verify", SMOKE, "--count", "x"],
+         "argument --count: invalid int value: 'x'"),
+        (["sweep", SMOKE], "the following arguments are required: --max"),
+    ], ids=["no-arguments", "unknown-command", "unknown-option", "count-not-int",
+            "sweep-without-max"])
+    def test_one_error_line(self, argv, message, capsys):
+        assert invoke(*argv) == (EXIT_ERROR, "")
+        err = capsys.readouterr().err
+        if argv[:1] == ["frobnicate"]:
+            # how argparse lists the choices varies between Python versions
+            err = err.partition(" (choose from ")[0] + "\n"
+        assert err == f"error [cli]: {message}\n"
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["mc", "-h"], "usage: gspmc mc "),
+        (["-h"], "usage: gspmc [-h] {validate,desugar,certify,cutoff,mc,verify,sweep}"),
+    ])
+    def test_help(self, argv, usage, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["gspmc", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == EXIT_CLEAN
+        out = capsys.readouterr().out
+        assert out.startswith(usage)
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["desugar"], ["certify"], ["cutoff"], ["mc", "--n", "3"],
+        ["verify"], ["sweep", "--max", "4"]], ids=lambda argv: argv[0])
+    def test_one_line(self, argv):
+        _, text = invoke(argv[0], SMOKE, *argv[1:], "--json")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text)["command"] == argv[0]
+
+    def test_desugar_text_stays_indented(self):
+        _, text = invoke("desugar", SMOKE)
+        assert text.startswith('{\n  "states": [\n    "Env",')
+        assert text == modelfile.render(json.loads(text))
 
 
 class BrokenPipe(io.StringIO):

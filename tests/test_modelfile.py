@@ -63,6 +63,16 @@ class TestParseModel:
         with pytest.raises(ParseError, match="bad.json"):
             parse_model(bad)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_error_position_counts_every_line_break(self, tmp_path, newline):
+        bad = tmp_path / "bad.json"
+        lines = ["{", '  "init": "A",', '  "states": [,]', "}"]
+        bad.write_bytes(newline.join(lines).encode())
+        with pytest.raises(ParseError,
+                           match=r"bad\.json: line 3, column 14: Expecting value$"):
+            parse_model(bad)
+
 
 class TestCoreDocument:
     def test_smoke_shape(self, smoke):

@@ -249,6 +249,64 @@ class TestWeakConditions:
         assert any(v.condition == "C1" and v.guard == "GP"
                    and v.transition == ("B", "B") for v in res.violations)
 
+    def test_sender_escape_below_the_common_guards(self):
+        """C1w's escape target need only be in every guard holding all the
+        send destinations (GBC), not in each guard holding one (GB)."""
+        p = validate({
+            "states": ["A", "B", "C", "S", "T", "X"], "init": "A",
+            "guards": {"GBC": ["B", "C", "S"], "GB": ["B", "X"]},
+            "actions": [{"name": "t", "kind": "sender",
+                         "sends": [["A", "B"], ["A", "C"]],
+                         "receives": [["A", "B"], ["X", "S"]]}],
+            "sugar": [{"type": "internal", "name": "u", "from": "T", "to": "S"},
+                      {"type": "internal", "name": "v", "from": "X", "to": "B",
+                       "guard": "GB"},
+                      {"type": "internal", "name": "w", "from": "C", "to": "S",
+                       "guard": "GBC"}]})
+        res = status(p, "t")
+        assert res.status == "weak" and res.condition == "C1w"
+        assert _oracle.check_action(p, p.action("t"), weak=True).ok
+        assert not _oracle.check_action(p, p.action("t"), weak=False).ok
+
+    def test_source_receive_escape_below_its_own_send(self):
+        """C2.2w forgives the receive of sender source D when it drifts
+        below D's own destination C (into G1), though not below B (G2)."""
+        p = validate({
+            "states": ["A", "D", "B", "C", "S", "T"], "init": "A",
+            "guards": {"G1": ["B", "C", "S"], "G2": ["A", "B"]},
+            "actions": [{"name": "m", "kind": "maximal",
+                         "sends": [["A", "B"], ["D", "C"]],
+                         "receives": [["A", "B"], ["D", "T"], ["C", "B"],
+                                      ["S", "B"], ["T", "B"]]}],
+            "sugar": [{"type": "internal", "name": "u", "from": "T", "to": "S"},
+                      {"type": "internal", "name": "v", "from": "S", "to": "C",
+                       "guard": "G1"},
+                      {"type": "internal", "name": "w", "from": "A", "to": "B",
+                       "guard": "G2"}]})
+        res = status(p, "m")
+        assert res.status == "weak" and res.condition == "C2.1w∧C2.2w"
+        assert certify(p) == _oracle.two_pass_certify(p)
+
+    def test_note_reads_each_destination_inside_the_guard(self):
+        """No note when the receiver's drift target S lies in the guard G1
+        common to both destinations but not in G2, which holds only B."""
+        p = validate({
+            "states": ["A", "B", "C", "R", "S", "T"], "init": "A",
+            "guards": {"G1": ["B", "C", "S"], "G2": ["B", "R"]},
+            "actions": [{"name": "n", "kind": "maximal",
+                         "sends": [["A", "B"], ["A", "C"]],
+                         "receives": [["R", "T"]]}],
+            "sugar": [{"type": "internal", "name": "u", "from": "T", "to": "S"},
+                      {"type": "internal", "name": "v", "from": "S", "to": "C",
+                       "guard": "G1"},
+                      {"type": "internal", "name": "w", "from": "R", "to": "B",
+                       "guard": "G2"}]})
+        res = status(p, "n")
+        assert res.status == "violation" and res.notes == ()
+        assert any(v.condition == "C2.1" and v.guard == "G1"
+                   and v.transition == ("R", "T") for v in res.violations)
+        assert certify(p) == _oracle.two_pass_certify(p)
+
     def test_all_destinations_reading_note(self):
         res = status(validate(note_fixture_raw()), "m")
         assert res.status == "violation"

@@ -45,9 +45,17 @@ def _no_duplicate_keys(pairs):
     return obj
 
 
+# one decoder for every document: ``json.loads`` with a keyword builds a
+# new decoder and scanner per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_no_duplicate_keys)
+
+
 def loads(text: str) -> ModelFile:
     try:
-        raw = json.loads(text, object_pairs_hook=_no_duplicate_keys)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):

@@ -18,15 +18,27 @@ holds iff ``code & outside`` is 0), ``field`` masks the digits of its
 receive map moves, B[s] being ``1 << W*s``. A successor is ``code +
 sum(digit_s * (B[r] - B[s])) + delta``: the receive map applied to
 every process, then one delta per outcome ``(u, uplus)``, which moves
-the ``u`` senders from where the receive map put them to ``uplus``. The
-deltas are memoised per ``code & field`` from ``Action.outcomes``, so
-the firing rule stays in one place.
+the ``u`` senders from where the receive map put them to ``uplus``.
+
+A sender action with one source state s and cap c fires only on its
+full key, which has one outcome, so its delta does not depend on the
+configuration: its table holds ``need = c << W*s`` (enabled iff the
+guard holds and ``code & field >= need``) and that one delta, computed
+once from ``Action.outcomes(caps)``. Every other action (maximal, or a
+sender with several source states) has ``need`` 0 and its deltas
+memoised per ``code & field`` from ``Action.outcomes``, so the firing
+rule stays in one place. :class:`Packed` groups the actions into runs
+of such single-source senders whose receive map moves nobody, and
+:func:`successors` fires each run in one comprehension: the successor
+of an enabled one is ``code + delta``.
 
 The search unpacks only its trace (:func:`unpack`); :func:`fire` runs
 one action on one counter vector through the same tables.
 """
 
 import weakref
+
+from gspmc.model import SENDER
 
 
 class _Deltas(dict):
@@ -69,9 +81,15 @@ class _Deltas(dict):
 
 
 def _packed_action(action, width):
-    """``(outside, field, moved, deltas, name)``: the action's tables for
-    packed configurations of one width. A plain tuple, because the
-    interpreter unpacks an exact tuple faster than a named one."""
+    """``(outside, field, need, moved, deltas, name)``: the action's
+    tables for packed configurations of one width. For a sender action
+    with a single source state, ``need`` is its cap shifted to that
+    state's digit and ``deltas`` the one-element tuple of its outcome's
+    delta; for every other action ``need`` is 0 and ``deltas`` the
+    :class:`_Deltas` memo. A cap above a digit's capacity (arity 2 at
+    n = 1, say) gives a ``need`` no digit reaches, so the action stays
+    disabled. A plain tuple, because the interpreter unpacks an exact
+    tuple faster than a named one."""
     mask = (1 << width) - 1
     outside = field = 0
     moved = []
@@ -82,17 +100,46 @@ def _packed_action(action, width):
             moved.append((width * s, (1 << width * r) - (1 << width * s)))
     for s in action.sources:
         field |= mask << width * s
-    return outside, field, tuple(moved), _Deltas(action, width), action.name
+    if action.kind == SENDER and len(action.sources) == 1:
+        (s,), (cap,) = action.sources, action.caps
+        ((_, uplus),) = action.outcomes(action.caps)
+        delta = (sum(c << width * t for t, c in enumerate(uplus))
+                 - (cap << width * action.receive_map[s]))
+        return outside, field, cap << width * s, tuple(moved), (delta,), action.name
+    return outside, field, 0, tuple(moved), _Deltas(action, width), action.name
+
+
+def _fast(table):
+    """Whether the table is a single-source sender's whose receive map
+    moves nobody: its successor is ``code + delta`` when enabled."""
+    return bool(table[2]) and not table[3]
 
 
 class Packed:
     """A protocol compiled for packed configurations of ``width``-bit
-    digits: the tables of each action, in declaration order."""
+    digits: the tables of each action, in declaration order, and the
+    same actions as ``kernel``, a pair ``(head, tail)``: ``head`` is the
+    run of :func:`_fast` tables the actions start with (maybe empty),
+    each cut down to ``(outside, field, need, delta)``, and ``tail`` a
+    tuple of pairs ``(rest, run)``, the other tables up to the next such
+    run and that run."""
 
-    __slots__ = ("actions", "width", "mask", "n_states")
+    __slots__ = ("actions", "kernel", "width", "mask", "n_states")
 
     def __init__(self, actions, width, n_states):
         self.actions = actions
+        head, tail = [], []
+        run = head
+        for t in actions:
+            if _fast(t):
+                run.append((t[0], t[1], t[2], t[4][0]))
+                continue
+            if not tail or tail[-1][1]:
+                run = []
+                tail.append(([], run))
+            tail[-1][0].append(t)
+        self.kernel = (tuple(head), tuple(
+            (tuple(rest), tuple(run)) for rest, run in tail))
         self.width = width
         self.mask = (1 << width) - 1
         self.n_states = n_states
@@ -128,19 +175,31 @@ def successors(packed, code):
     """Successor codes of a packed configuration: every outcome of every
     enabled action, in action declaration order, then the order of
     ``Action.outcomes``."""
-    out = []
+    head, tail = packed.kernel
+    # the leading run outside the loop: on a protocol of internal steps
+    # only, this comprehension is all there is
+    out = [code + delta for outside, field, need, delta in head
+           if code & field >= need and not code & outside]
     mask = packed.mask
-    for outside, field, moved, deltas, _ in packed.actions:
-        if code & outside:
-            continue
-        ds = deltas[code & field]
-        if not ds:
-            continue
-        base = code
-        for shift, step in moved:
-            base += (code >> shift & mask) * step
-        for delta in ds:
-            out.append(base + delta)
+    for rest, run in tail:
+        for outside, field, need, moved, deltas, _ in rest:
+            if code & outside:
+                continue
+            if need:
+                if code & field < need:
+                    continue
+            else:
+                deltas = deltas[code & field]
+                if not deltas:
+                    continue
+            base = code
+            for shift, step in moved:
+                base += (code >> shift & mask) * step
+            for delta in deltas:
+                out.append(base + delta)
+        if run:
+            out += [code + delta for outside, field, need, delta in run
+                    if code & field >= need and not code & outside]
     return out
 
 
@@ -164,8 +223,6 @@ def fire(q, action):
 def firing_action(packed, code, succ):
     """Name of the first action, in declaration order, one of whose
     outcomes takes ``code`` to ``succ``."""
-    one = Packed((), packed.width, packed.n_states)
     for t in packed.actions:
-        one.actions = (t,)
-        if succ in _successors(one, code):
+        if succ in _successors(Packed((t,), packed.width, packed.n_states), code):
             return t[-1]

@@ -259,7 +259,20 @@ def _c3w(a, guards, order, reach, n) -> bool:
     return all(reach_from[t] & below_dst for t in a.guard.members)
 
 
-def certify(protocol: Protocol) -> GuardCompatReport:
+def _weak_condition(protocol, a, failures, guards, order, reach):
+    """The weak condition that forgives every one of the action's strong
+    ``failures`` (read only up to the first that does not escape), or
+    None: its weak variant when every failure escapes, else C3w for an
+    internal action that meets it."""
+    if all(escaped for _, escaped, _ in failures):
+        return "C1w" if a.kind == SENDER else "C2.1w∧C2.2w"
+    if is_internal(a) and _c3w(a, guards, order, reach, protocol.n_states):
+        return "C3w"
+    return None
+
+
+def certify(protocol: Protocol, *,
+            verdict_only: bool = False) -> GuardCompatReport | bool:
     """Certify every action, preferring the strongest passing condition.
 
     One walk per action lists the failures of its strong condition. With
@@ -268,25 +281,32 @@ def certify(protocol: Protocol) -> GuardCompatReport:
     condition C3w as a last resort. Otherwise the action ends in
     violation and the report cites its strong violations. The protocol
     is well-behaved iff no action ends in violation.
+
+    With ``verdict_only`` the same walk stops at the first action in
+    violation, builds no report and returns only the flag, ``certify(p,
+    verdict_only=True) == certify(p).well_behaved``.
     """
     order, reach = StateOrder(protocol), InternalReach(protocol)
     guards = order.guards
+    if verdict_only:
+        return all(_weak_condition(protocol, a,
+                                   _failures(protocol, a, guards, order, reach),
+                                   guards, order, reach)
+                   for a in protocol.actions)
     statuses = []
     notes = []
     for a in protocol.actions:
         failures = list(_failures(protocol, a, guards, order, reach))
-        strong, weak = (("C1", "C1w") if a.kind == SENDER
-                        else ("C2.1∧C2.2", "C2.1w∧C2.2w"))
         if not failures:
-            statuses.append(ActionStatus(a.name, "strong", strong))
+            statuses.append(ActionStatus(
+                a.name, "strong", "C1" if a.kind == SENDER else "C2.1∧C2.2"))
             continue
         # a note only comes with a failure that does not escape
         action_notes = tuple(note for _, _, note in failures if note)
         notes.extend(action_notes)
-        if all(escaped for _, escaped, _ in failures):
+        weak = _weak_condition(protocol, a, failures, guards, order, reach)
+        if weak:
             statuses.append(ActionStatus(a.name, "weak", weak))
-        elif is_internal(a) and _c3w(a, guards, order, reach, protocol.n_states):
-            statuses.append(ActionStatus(a.name, "weak", "C3w"))
         else:
             statuses.append(ActionStatus(
                 a.name, "violation", None,

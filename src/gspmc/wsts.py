@@ -417,7 +417,7 @@ def decide(protocol, target, threshold):
     fixpoint so the returned minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
-    if wqo.guards and not wellbehaved.certify(protocol).well_behaved:
+    if wqo.guards and not wellbehaved.certify(protocol, verdict_only=True):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 

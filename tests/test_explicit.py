@@ -206,3 +206,21 @@ class TestWidthBoundaries:
         res = min_witness_size(smoke, report, 3, 9)
         assert not res.found and res.searched_up_to == 9
         assert all(set(a.packed_tables) == {2, 3, 4} for a in smoke.actions)
+
+    def test_ring_fires_from_one_delta_per_action(self):
+        # a single-source sender has one outcome: its width-4 table holds
+        # that delta and the sender count it needs, with no per-code memo,
+        # and the ring's eight actions fire as one run
+        p = internal_ring(8)
+        res = check_fixed(p, ReachQuery(p.state_index("dead"), 1, 10))
+        assert res.explored == math.comb(17, 7)
+        for a in p.actions:
+            (s,), to = a.sources, a.sends[0].dst
+            assert set(a.packed_tables) == {4}
+            _, field, need, moved, deltas, _ = a.packed_tables[4]
+            assert field == 15 << 4 * s and need == 1 << 4 * s
+            assert moved == ()
+            assert type(deltas) is tuple
+            assert deltas == ((1 << 4 * to) - (1 << 4 * s),)
+        head, tail = semantics.packed(p, 10).kernel
+        assert len(head) == len(p.actions) and tail == ()

@@ -173,7 +173,7 @@ class TestCompiledFields:
         semantics.successors(semantics.packed(p, 3), 3)
         assert semantics.fire((1, 0), a) == [(0, 1)]
         assert set(a.packed_tables) == {1, 2}
-        assert all(deltas for _, _, _, deltas, _ in a.packed_tables.values())
+        assert all(deltas for _, _, _, _, deltas, _ in a.packed_tables.values())
         gone = weakref.ref(a)
         gc.disable()
         try:

@@ -73,6 +73,16 @@ class TestParseModel:
                            match=r"bad\.json: line 3, column 14: Expecting value$"):
             parse_model(bad)
 
+    def test_byte_order_mark_is_refused(self, tmp_path):
+        # as json.loads refuses it, at the mark itself
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + render({"states": ["A"]}).encode())
+        with pytest.raises(ParseError) as err:
+            parse_model(bom)
+        assert str(err.value) == (
+            f"{bom}: line 1, column 1: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig)")
+
 
 class TestCoreDocument:
     def test_smoke_shape(self, smoke):

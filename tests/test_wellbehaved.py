@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -361,6 +362,31 @@ class TestEnteringInternal:
             assert res.status == "strong" and res.condition == "C1"
 
 
+@functools.cache
+def certify_corpus() -> tuple:
+    """The fixtures, the hand-written protocols of this module and seeded
+    random corpora: 1,640 random protocols, guarded and not; 1,650 in all."""
+    protocols = [load_fixture(name) for name in FIXTURES]
+    protocols += [validate(raw) for raw in (
+        _smoke_raw_with_grab(), note_fixture_raw(),
+        *(weak_sender_raw(flag) for flag in (True, False)),
+        *(entering_internal_raw(flag) for flag in (True, False)))]
+    rng = random.Random(606)
+    protocols += [_gen.random_protocol(rng, certified_only=False,
+                                       require_guarded=True)
+                  for _ in range(40)]
+    protocols += [_gen.random_protocol(
+        random.Random(3000 + i), certified_only=False,
+        require_guarded=True, max_states=6) for i in range(600)]
+    protocols += [_gen.random_protocol(random.Random(5000 + i),
+                                       certified_only=False)
+                  for i in range(400)]
+    random_model = perfbench_protocols().random_model
+    protocols += [validate(random_model(random.Random(f"id-{i}")))
+                  for i in range(600)]
+    return tuple(protocols)
+
+
 class TestCertify:
     def test_smoke_report(self, smoke):
         report = certify(smoke)
@@ -429,26 +455,8 @@ class TestCertify:
         """Field-by-field the same report as the strong walk, weak walk
         and C3w check run one after the other, on the fixtures, the
         hand-written protocols and seeded random corpora."""
-        protocols = [load_fixture(name) for name in FIXTURES]
-        protocols += [validate(raw) for raw in (
-            _smoke_raw_with_grab(), note_fixture_raw(),
-            *(weak_sender_raw(flag) for flag in (True, False)),
-            *(entering_internal_raw(flag) for flag in (True, False)))]
-        rng = random.Random(606)
-        protocols += [_gen.random_protocol(rng, certified_only=False,
-                                           require_guarded=True)
-                      for _ in range(40)]
-        protocols += [_gen.random_protocol(
-            random.Random(3000 + i), certified_only=False,
-            require_guarded=True, max_states=6) for i in range(600)]
-        protocols += [_gen.random_protocol(random.Random(5000 + i),
-                                           certified_only=False)
-                      for i in range(400)]
-        random_model = perfbench_protocols().random_model
-        protocols += [validate(random_model(random.Random(f"id-{i}")))
-                      for i in range(600)]
         statuses = set()
-        for p in protocols:
+        for p in certify_corpus():
             report, oracle = certify(p), _oracle.two_pass_certify(p)
             assert report.well_behaved == oracle.well_behaved
             assert report.notes == oracle.notes
@@ -457,3 +465,10 @@ class TestCertify:
         # the corpus reaches every outcome of the walk
         assert {("weak", "C1w"), ("weak", "C2.1w∧C2.2w"), ("weak", "C3w"),
                 ("violation", None)} <= statuses
+
+    def test_verdict_only_matches_report(self):
+        """The walk that stops at the first violation gives the full
+        report's flag on the whole oracle corpus, both ways."""
+        verdicts = [certify(p, verdict_only=True) for p in certify_corpus()]
+        assert verdicts == [certify(p).well_behaved for p in certify_corpus()]
+        assert True in verdicts and False in verdicts

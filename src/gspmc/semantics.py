@@ -29,8 +29,14 @@ sender with several source states) has ``need`` 0 and its deltas
 memoised per ``code & field`` from ``Action.outcomes``, so the firing
 rule stays in one place. :class:`Packed` groups the actions into runs
 of such single-source senders whose receive map moves nobody, and
-:func:`successors` fires each run in one comprehension: the successor
-of an enabled one is ``code + delta``.
+:func:`successors` fires each run as ``code + delta`` per enabled one.
+
+With cap 1 such a sender is enabled iff its source digit is nonzero and
+every digit outside its guard is zero, so which ones are enabled depends
+only on which digits are nonzero. When the leading run holds only such
+senders, the search's :class:`Packed` memoises its enabled deltas per
+nonzero-digit mask of the code, a few ``int`` operations, and fires it
+with one dict lookup; every other run tests its entries one by one.
 
 The search unpacks only its trace (:func:`unpack`); :func:`fire` runs
 one action on one counter vector through the same tables.
@@ -122,9 +128,22 @@ class Packed:
     run of :func:`_fast` tables the actions start with (maybe empty),
     each cut down to ``(outside, field, need, delta)``, and ``tail`` a
     tuple of pairs ``(rest, run)``, the other tables up to the next such
-    run and that run."""
+    run and that run.
 
-    __slots__ = ("actions", "kernel", "width", "mask", "n_states")
+    The ``Packed`` that :func:`packed` builds for a search also holds
+    ``memo`` when every ``head`` entry has cap 1: it maps a code's
+    nonzero-digit mask ``(((code & low) + low) | code) & high`` (digit s
+    of ``high`` is ``1 << W-1``, of ``low`` that minus 1, so no carry
+    crosses a digit) to the deltas of the ``head`` entries enabled
+    there, in declaration order. With cap 1, an entry is enabled iff its
+    source digit is nonzero and every digit outside its guard is zero,
+    which the mask alone decides. Otherwise, and on the one-table
+    ``Packed`` of :func:`fire` and :func:`firing_action`, ``memo`` is
+    None. ``singles`` maps an action's index to the one-table ``Packed``
+    that :func:`firing_action` built for it, once per search."""
+
+    __slots__ = ("actions", "kernel", "width", "mask", "n_states",
+                 "memo", "low", "high", "singles")
 
     def __init__(self, actions, width, n_states):
         self.actions = actions
@@ -143,6 +162,7 @@ class Packed:
         self.width = width
         self.mask = (1 << width) - 1
         self.n_states = n_states
+        self.memo = self.singles = None
 
 
 def _tables(action, width):
@@ -154,10 +174,22 @@ def _tables(action, width):
 
 
 def packed(protocol, n):
-    """The protocol's packed tables for configurations of n processes."""
+    """The protocol's packed tables for configurations of n processes,
+    with the nonzero-digit memo of :class:`Packed` when ``head`` allows."""
     width = n.bit_length()
-    return Packed(tuple(_tables(a, width) for a in protocol.actions),
-                  width, protocol.n_states)
+    out = Packed(tuple(_tables(a, width) for a in protocol.actions),
+                 width, protocol.n_states)
+    head = out.kernel[0]
+    if not head:
+        return out
+    for _, field, need, _ in head:
+        if need != field & -field:  # a cap above 1
+            return out
+    ones = ((1 << width * out.n_states) - 1) // out.mask
+    out.low = ones * (out.mask >> 1)
+    out.high = ones << width - 1
+    out.memo = {}
+    return out
 
 
 def pack(packed, q):
@@ -177,9 +209,22 @@ def successors(packed, code):
     ``Action.outcomes``."""
     head, tail = packed.kernel
     # the leading run outside the loop: on a protocol of internal steps
-    # only, this comprehension is all there is
-    out = [code + delta for outside, field, need, delta in head
-           if code & field >= need and not code & outside]
+    # only, it is all there is
+    memo = packed.memo
+    if memo is None:
+        out = [code + delta for outside, field, need, delta in head
+               if code & field >= need and not code & outside]
+    else:
+        low = packed.low
+        nz = (((code & low) + low) | code) & packed.high
+        deltas = memo.get(nz)
+        if deltas is None:
+            deltas = memo[nz] = [
+                delta for outside, field, need, delta in head
+                if code & field >= need and not code & outside]
+        out = []
+        for delta in deltas:
+            out.append(code + delta)
     mask = packed.mask
     for rest, run in tail:
         for outside, field, need, moved, deltas, _ in rest:
@@ -223,6 +268,12 @@ def fire(q, action):
 def firing_action(packed, code, succ):
     """Name of the first action, in declaration order, one of whose
     outcomes takes ``code`` to ``succ``."""
-    for t in packed.actions:
-        if succ in _successors(Packed((t,), packed.width, packed.n_states), code):
+    singles = packed.singles
+    if singles is None:
+        singles = packed.singles = {}
+    for i, t in enumerate(packed.actions):
+        one = singles.get(i)
+        if one is None:
+            one = singles[i] = Packed((t,), packed.width, packed.n_states)
+        if succ in _successors(one, code):
             return t[-1]

@@ -14,7 +14,9 @@ are the engine's earlier forms, kept as references for the one
 predecessor construction, the bounded target basis and the
 support-bucketed antichain. The two-pass certifier (strong conditions,
 then the weak ones in a second walk, then C3w) is the earlier form of
-``wellbehaved.certify``'s single walk.
+``wellbehaved.certify``'s single walk. The per-entry successor
+evaluation is what the packed kernel computed before its runs and its
+nonzero-digit memo.
 """
 
 from __future__ import annotations
@@ -159,6 +161,25 @@ def reference_bfs(protocol, n: int, target: int, threshold: int):
                 return trace[::-1], len(parent)
             queue.append(succ)
     return None, len(parent)
+
+
+def per_entry_successors(packed, code):
+    """``semantics.successors`` as each action's table says, tested one
+    table at a time in declaration order: the evaluation that the
+    packed kernel's runs and its nonzero-digit memo must reproduce."""
+    out = []
+    for outside, field, need, moved, deltas, _ in packed.actions:
+        if code & outside:
+            continue
+        if need:
+            if code & field < need:
+                continue
+        else:
+            deltas = deltas[code & field]
+        base = code + sum((code >> shift & packed.mask) * step
+                          for shift, step in moved)
+        out += [base + delta for delta in deltas]
+    return out
 
 
 def grid_predecessors(protocol, wqo, b, limit: int = 6):

@@ -259,3 +259,84 @@ class TestPacked:
                     eight, semantics.pack(eight, q))[0])
                 == semantics.unpack(four, semantics.successors(
                     four, semantics.pack(four, q))[0]))
+
+
+def check_memo_identity(p, sizes, every=all_configs):
+    """At each size n, the search's ``Packed`` gives the successors of
+    the per-entry evaluation at every configuration of ``every(n_states,
+    n)``, all on one ``Packed``, so that the memo answers each code whose
+    nonzero-digit mask an earlier code filled. Returns how many of those
+    ``Packed`` hold a memo."""
+    memoised = 0
+    for n in sizes:
+        packed = semantics.packed(p, n)
+        for q in every(p.n_states, n):
+            code = semantics.pack(packed, q)
+            assert semantics.successors(packed, code) == (
+                _oracle.per_entry_successors(packed, code)), (p.state_names, n, q)
+        memoised += packed.memo is not None
+    return memoised
+
+
+def with_internal_head(rng, raw):
+    """``raw`` with one to three single-source senders whose receive map
+    moves nobody put before its actions, each under a random guard of
+    ``raw`` or none, one in four with cap 2."""
+    head = []
+    for i in range(rng.randint(1, 3)):
+        gname = rng.choice([None, *raw["guards"]])
+        pool = raw["guards"][gname] if gname else raw["states"]
+        send = [rng.choice(pool), rng.choice(raw["states"])]
+        spec = {"name": f"h{i}", "kind": "sender",
+                "sends": [send] * (2 if rng.random() < 0.25 else 1)}
+        if gname:
+            spec["guard"] = gname
+        head.append(spec)
+    return {**raw, "actions": head + raw["actions"]}
+
+
+# internal steps under guards: D and E are the sources of no step of the
+# leading run but lie outside the guards of t0 and t1
+GUARDED_HEAD = {
+    "states": ["A", "B", "C", "D", "E"], "init": "A",
+    "guards": {"AB": ["A", "B"], "ABC": ["A", "B", "C"]},
+    "actions": [
+        {"name": "t0", "kind": "sender", "sends": [["A", "B"]], "guard": "AB"},
+        {"name": "t1", "kind": "sender", "sends": [["B", "C"]], "guard": "ABC"},
+        {"name": "t2", "kind": "sender", "sends": [["C", "A"]]},
+        {"name": "m", "kind": "maximal", "sends": [["C", "D"]],
+         "receives": [["A", "E"]], "guard": "ABC"},
+        {"name": "t3", "kind": "sender", "sends": [["D", "A"]], "guard": "AB"}]}
+
+
+class TestNonzeroDigitMemo:
+    """The leading run of cap-1 single-source senders fires from a memo
+    keyed by the code's nonzero-digit mask; every configuration must get
+    the per-entry evaluation's successors, in order."""
+
+    def test_ring_across_widths(self):
+        # n = 1..9: the widths 1 to 4, both sides of each boundary
+        p = internal_ring(8)
+        assert check_memo_identity(p, range(1, 10), configs_of) == 9
+
+    def test_guarded_head(self):
+        p = validate(GUARDED_HEAD)
+        assert check_memo_identity(p, range(1, 8)) == 7
+        head, tail = semantics.packed(p, 3).kernel
+        assert len(head) == 3 and len(tail) == 1
+
+    def test_cap_two_head_has_no_memo(self):
+        raw = {**GUARDED_HEAD, "actions": [
+            {"name": "two", "kind": "sender", "sends": [["A", "C"]] * 2},
+            *GUARDED_HEAD["actions"]]}
+        p = validate(raw)
+        assert check_memo_identity(p, range(1, 8)) == 0
+        assert len(semantics.packed(p, 3).kernel[0]) == 4
+
+    def test_random_protocols(self):
+        rng = random.Random(1717)
+        memoised = 0
+        for _ in range(60):
+            p = validate(with_internal_head(rng, _gen.random_raw(rng)))
+            memoised += check_memo_identity(p, range(1, 5))
+        assert memoised >= 100

@@ -9,6 +9,11 @@ the analysis passed, 1 when a witness or violation was found, 2 on any
 usage, parse, validation or resource error, which is reported as one
 line on stderr.
 A reader that closes stdout early does not change the exit code.
+
+A well-formed line (the command, the model file, then ``--json`` flags
+and ``--option value`` pairs, with exact option names) is read straight
+from a table taken from the argparse parsers. Every other line, help and
+every usage error go through argparse itself.
 """
 
 from __future__ import annotations
@@ -80,19 +85,71 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest system size to try")
     p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
     parser.commands = sub.choices
+    for p in sub.choices.values():
+        p.grammar = _grammar(p)
     return parser
 
 
+def _grammar(p):
+    """``p``'s dests with their defaults, its option strings each with
+    its dest and converter (the constant ``True`` for a flag), and its
+    required dests, read off its argparse actions. Help stores nothing,
+    so it is left out, and ``-h``/``--help`` go to argparse."""
+    defaults, options = {}, {}
+    for a in p._actions:
+        if a.default is argparse.SUPPRESS:
+            continue
+        defaults[a.dest] = a.default
+        for opt in a.option_strings:
+            options[opt] = a.dest, (a.type or str) if a.nargs is None else a.const
+    return defaults, options, [a.dest for a in p._actions if a.required]
+
+
+def _parse_direct(grammar, argv):
+    """``argv`` read as ``command MODEL`` then flags and ``OPT VALUE``
+    pairs, where MODEL and no VALUE starts with ``-``, every OPT is exact
+    and the last of a repeated one wins, as argparse reads it. None for
+    any other line, a value its converter rejects, or a required option
+    left out: argparse then gives the help, the error or the reading."""
+    defaults, options, required = grammar
+    if len(argv) < 2 or argv[1].startswith("-"):
+        return None
+    values = dict(defaults, command=argv[0], model=argv[1])
+    i = 2
+    while i < len(argv):
+        entry = options.get(argv[i])
+        if entry is None:
+            return None
+        dest, convert = entry
+        if convert is True:
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            values[dest] = convert(argv[i + 1])
+        except ValueError:
+            return None
+        i += 2
+    if any(values[dest] is None for dest in required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """A known command's arguments go straight to its own parser; the
-    top-level parser reports a missing or unknown command and prints the
-    top-level help."""
+    """A known command's well-formed line is read directly; any other
+    goes to that command's own parser. The top-level parser reports a
+    missing or unknown command and prints the top-level help."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = _parse_direct(command.grammar, argv)
+    if args is None:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return args
 
 
 def _resolve_query(protocol, mf, args):

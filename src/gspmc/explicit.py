@@ -38,6 +38,8 @@ class ReachQuery:
     def __post_init__(self):
         if self.threshold < 1:
             raise ValidationError("threshold must be at least 1")
+        if self.size < 1:
+            raise ValidationError("system size must be at least 1")
         if self.threshold > self.size:
             raise ValidationError(
                 f"threshold {self.threshold} exceeds system size {self.size}: "

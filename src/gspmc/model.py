@@ -151,16 +151,21 @@ class Action:
         On a key below a source's cap, that source state holds no further
         processes: it is pinned, and ``allowed`` lists the states inside
         the guard that are not, where further (receiving) processes may
-        sit. Keys whose senders occupy a state outside the guard are
-        dropped, since the action never fires with them.
+        sit. Only keys the action fires on are taken: a sender's full
+        key, when every source lies inside the guard, and each maximal
+        key that takes no sender from outside the guard.
         """
         guard = self.guard.members
+        if self.kind == SENDER:
+            keys = [self.caps] if guard.issuperset(self.sources) else []
+        else:
+            keys = itertools.product(*(range(c + 1) if s in guard else (0,)
+                                       for s, c in zip(self.sources, self.caps)))
+        inside = sorted(guard)
         out = []
-        for key in itertools.product(*(range(c + 1) for c in self.caps)):
-            if any(k and s not in guard for s, k in zip(self.sources, key)):
-                continue
+        for key in keys:
             pinned = {s for s, k, c in zip(self.sources, key, self.caps) if k < c}
-            allowed = tuple(sorted(guard - pinned))
+            allowed = tuple(s for s in inside if s not in pinned)
             for u, uplus in self.outcomes(key):
                 out.append((u, uplus, allowed))
         return tuple(out)

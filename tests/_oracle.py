@@ -16,7 +16,9 @@ support-bucketed antichain. The two-pass certifier (strong conditions,
 then the weak ones in a second walk, then C3w) is the earlier form of
 ``wellbehaved.certify``'s single walk. The per-entry successor
 evaluation is what the packed kernel computed before its runs and its
-nonzero-digit memo.
+nonzero-digit memo. The participations over every key of the caps box
+are what ``Action.participations`` computed before it enumerated only
+the keys on which the action fires.
 """
 
 from __future__ import annotations
@@ -180,6 +182,23 @@ def per_entry_successors(packed, code):
                           for shift, step in moved)
         out += [base + delta for delta in deltas]
     return out
+
+
+def participations(action):
+    """``Action.participations`` by calling ``outcomes`` on every key of
+    the caps box and dropping each key that takes a sender from outside
+    the guard."""
+    guard = action.guard.members
+    out = []
+    for key in itertools.product(*(range(c + 1) for c in action.caps)):
+        if any(k and s not in guard for s, k in zip(action.sources, key)):
+            continue
+        pinned = {s for s, k, c in zip(action.sources, key, action.caps)
+                  if k < c}
+        allowed = tuple(sorted(guard - pinned))
+        for u, uplus in action.outcomes(key):
+            out.append((u, uplus, allowed))
+    return tuple(out)
 
 
 def grid_predecessors(protocol, wqo, b, limit: int = 6):

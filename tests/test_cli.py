@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -191,8 +193,12 @@ class TestUsageErrors:
         (["verify", SMOKE, "--count", "x"],
          "argument --count: invalid int value: 'x'"),
         (["sweep", SMOKE], "the following arguments are required: --max"),
+        (["verify", SMOKE, "--count", "\u00b2"],
+         "argument --count: invalid int value: '\u00b2'"),
+        (["mc", SMOKE, "--n", "7" * 5000],
+         f"argument --n: invalid int value: '{'7' * 5000}'"),
     ], ids=["no-arguments", "unknown-command", "unknown-option", "count-not-int",
-            "sweep-without-max"])
+            "sweep-without-max", "count-superscript-digit", "n-too-many-digits"])
     def test_one_error_line(self, argv, message, capsys):
         assert invoke(*argv) == (EXIT_ERROR, "")
         err = capsys.readouterr().err
@@ -212,6 +218,97 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_CLEAN
         out = capsys.readouterr().out
         assert out.startswith(usage)
+
+
+def _parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: the parsed fields, the usage error, or
+    the exit code and text of help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parse(argv))
+    except cli.UsageError as e:
+        return "usage error", str(e)
+    except SystemExit as e:
+        return "exit", e.code, out.getvalue()
+
+
+def _argparse_only(argv):
+    command = cli.build_parser().commands[argv[0]]
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def _option_values(command):
+    """Each option of ``command`` but help, with a value of its type
+    (None for a flag)."""
+    return [(opt, None if a.nargs == 0 else "3" if a.type is int else "r3")
+            for a in cli.build_parser().commands[command]._actions
+            if a.dest != "help" for opt in a.option_strings]
+
+
+def _canonical_lines():
+    """Every command with every subset of its options, in declaration and
+    in reverse order. The model file is not opened while parsing."""
+    for command in cli.build_parser().commands:
+        options = _option_values(command)
+        for r in range(len(options) + 1):
+            for subset in itertools.combinations(options, r):
+                for order in (subset, subset[::-1]):
+                    argv = [command, "m.json"]
+                    for opt, value in order:
+                        argv += [opt] if value is None else [opt, value]
+                    yield argv
+
+
+OTHER_LINES = {
+    "repeated": ["verify", "m.json", "--count", "2", "--count", "5", "--target",
+                 "Env", "--target", "Report", "--json", "--json"],
+    "repeated-required": ["mc", "m.json", "--n", "4", "--n", "9",
+                          "--state-budget", "7"],
+    "superscript-digit": ["verify", "m.json", "--count", "\u00b2"],
+    "too-many-digits": ["mc", "m.json", "--n", "7" * 5000],
+    "plus-sign": ["verify", "m.json", "--count", "+3"],
+    "leading-space": ["verify", "m.json", "--count", " 3"],
+    "arabic-indic-digit": ["verify", "m.json", "--count", "\u0663"],
+    "negative": ["verify", "m.json", "--count", "-1"],
+    "space-negative": ["verify", "m.json", "--count", " -1"],
+    "equals": ["verify", "m.json", "--count=3"],
+    "abbreviation": ["verify", "m.json", "--tar", "Env"],
+    "double-dash": ["verify", "m.json", "--", "--json"],
+    "option-as-value": ["verify", "m.json", "--target", "--json"],
+    "empty-value": ["verify", "m.json", "--target", ""],
+    "missing-value": ["verify", "m.json", "--count"],
+    "short-help": ["verify", "m.json", "-h"],
+    "long-help": ["mc", "m.json", "--help"],
+    "flag-with-value": ["verify", "m.json", "--json", "x"],
+    "stray-positional": ["verify", "m.json", "m.json"],
+    "model-after-flag": ["verify", "--json", "m.json"],
+    "model-after-option": ["mc", "--n", "3", "m.json"],
+    "no-model": ["verify"],
+    "dash-model": ["verify", "-"],
+    "mc-without-n": ["mc", "m.json", "--count", "3"],
+    "sweep-without-max": ["sweep", "m.json", "--json"],
+}
+
+
+class TestDirectParse:
+    """A well-formed line is read without argparse, and every line
+    parses exactly as argparse alone parses it."""
+
+    def test_canonical_lines(self):
+        parser = cli.build_parser()
+        required = {"mc": "--n", "sweep": "--max"}
+        for argv in _canonical_lines():
+            assert (_parse_outcome(cli._parse_args, argv)
+                    == _parse_outcome(_argparse_only, argv)), argv
+            direct = cli._parse_direct(parser.commands[argv[0]].grammar, argv)
+            assert (direct is None) == (
+                required.get(argv[0], "m.json") not in argv), argv
+
+    @pytest.mark.parametrize("argv", OTHER_LINES.values(), ids=OTHER_LINES)
+    def test_other_lines(self, argv):
+        assert (_parse_outcome(cli._parse_args, argv)
+                == _parse_outcome(_argparse_only, argv))
 
 
 class TestJsonOutput:
@@ -390,6 +487,8 @@ class TestQueryErrors:
     @pytest.mark.parametrize("argv, message", [
         (["mc", SMOKE, "--n", "2"], "threshold 3 exceeds system size 2: "
          "trivially unreachable, refusing the query"),
+        (["mc", SMOKE, "--n", "0"], "system size must be at least 1"),
+        (["mc", SMOKE, "--n", "-3"], "system size must be at least 1"),
         (["verify", SMOKE, "--count", "0"], "threshold must be at least 1"),
         (["sweep", SMOKE, "--max", "1"], "n_max must be at least the threshold"),
         (["cutoff", WITNESS, "--count", "0"], "threshold must be at least 1"),
@@ -402,7 +501,8 @@ class TestQueryErrors:
         (["cutoff", SMOKE, "--path-budget", "-3"], "path budget must be at least 1"),
         (["cutoff", SMOKE, "--state-budget", "0"], "state budget must be at least 1"),
         (["cutoff", WITNESS, "--path-budget", "0"], "path budget must be at least 1"),
-    ], ids=["mc", "verify", "sweep", "cutoff", "mc-state-budget-negative",
+    ], ids=["mc", "mc-size-zero", "mc-size-negative", "verify", "sweep",
+            "cutoff", "mc-state-budget-negative",
             "mc-state-budget-zero", "sweep-state-budget", "cutoff-path-budget",
             "cutoff-state-budget", "cutoff-path-budget-not-amenable"])
     def test_one_error_line(self, argv, message, capsys):

@@ -10,7 +10,9 @@ import pytest
 from gspmc import model, semantics
 from gspmc.model import Send, ValidationError, is_internal, validate
 
-from conftest import config
+import _gen
+import _oracle
+from conftest import config, perfbench_protocols
 
 
 def minimal_raw(**overrides):
@@ -181,6 +183,32 @@ class TestCompiledFields:
             assert gone() is None
         finally:
             gc.enable()
+
+
+class TestParticipations:
+    """Only the keys an action fires on are enumerated, and the result
+    is the full caps box's, in the same order."""
+
+    @staticmethod
+    def check(protocol):
+        for a in protocol.actions:
+            assert a.participations == _oracle.participations(a), a.name
+
+    def test_random_protocols(self):
+        rng = random.Random(1800)
+        for _ in range(300):
+            self.check(_gen.random_protocol(rng, certified_only=False))
+
+    def test_benchmark_random_models(self):
+        random_model = perfbench_protocols().random_model
+        for i in range(300):
+            self.check(validate(random_model(random.Random(f"x-{i}"))))
+
+    @pytest.mark.parametrize("k, m, clocks", [(2, 2, 1), (3, 4, 6), (5, 2, 3)])
+    def test_ring_family(self, k, m, clocks):
+        p = validate(perfbench_protocols().ring_family(k, m, clocks))
+        self.check(p)
+        assert len(p.action("i").participations) == 1
 
 
 class TestDesugar:

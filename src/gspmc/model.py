@@ -95,12 +95,13 @@ class Action:
         return tuple(map(len, self._slots))
 
     @cached_property
-    def preimages(self) -> tuple[tuple[int, ...], ...]:
-        """``preimages[t]``: the states the receive map sends to t."""
-        pre: list[list[int]] = [[] for _ in self.receive_map]
+    def premasks(self) -> tuple[int, ...]:
+        """``premasks[t]``: the bitmask of the states the receive map
+        sends to t, its preimages."""
+        masks = [0] * len(self.receive_map)
         for s, r in enumerate(self.receive_map):
-            pre[r].append(s)
-        return tuple(map(tuple, pre))
+            masks[r] |= 1 << s
+        return tuple(masks)
 
     @cached_property
     def packed_tables(self) -> dict:

@@ -103,6 +103,22 @@ initial state alone is always kept, and so is every element of a
 witness chain, which covers a configuration reached from the initial
 vector. The basis is the unpruned basis's kept elements, and the loop
 stops no later.
+
+Most dropped predecessors are never built. A candidate through a
+participation (u, uplus, allowed) lies above u and is positive on every
+state it puts a receiver on, so its support is supp(u) | rho, rho being
+those states. The bound keeps it only when some element contains that
+support, and such an element contains supp(u). So :func:`decide` builds
+predecessors from :func:`_pred_table` tables that leave out every
+participation with supp(u) inside no element, and cut ``allowed`` to
+reach(u), the union of the elements that contain supp(u). A candidate
+that is no longer built puts a receiver outside reach(u), so its
+support lies inside no element containing supp(u), and so inside none.
+The profile and removability tests read rho and never ``allowed``, so
+the candidates that are built are exactly the unfiltered ones with rho
+inside reach(u). The keep test still runs, as a support can lie inside
+reach(u) and yet span two elements. Each candidate carries its support
+supp(u) | rho from where it is built into that test and the antichain.
 """
 
 from __future__ import annotations
@@ -192,9 +208,11 @@ class Antichain:
         for q in vectors:
             self.insert(q)
 
-    def insert(self, q):
-        """Add q unless an element is below it, evicting the elements above it."""
-        supp = _support(q)
+    def insert(self, q, supp=None):
+        """Add q unless an element is below it, evicting the elements above
+        it; ``supp`` is q's support bitmask, computed when not given."""
+        if supp is None:
+            supp = _support(q)
         group = self._groups.setdefault(self._profile(supp), {})
         for m, bucket in group.items():
             if not m & ~supp:
@@ -274,9 +292,56 @@ def _removable(rho, usupp, deficits, premask, rmap, profile_of):
     return False
 
 
-def _action_preds(wqo, action, b):
+def _pred_table(action, bound=None):
+    """Per participation (u, uplus, allowed) of ``action``, the entry
+    ``(u, uplus, supp(u), amask)`` that :func:`_action_preds` and
+    :func:`support_bound` read, ``amask`` being the bitmask of the
+    allowed states.
+
+    With a ``bound``, only the participations with supp(u) inside some
+    element are kept, and their allowed states are cut to the union of
+    the elements that contain supp(u) (module docstring).
+    """
+    table = []
+    for u, uplus, allowed in action.participations:
+        usupp = _support(u)
+        amask = sum(1 << s for s in allowed)
+        if bound is not None:
+            reach = 0
+            for e in bound:
+                if not usupp & ~e:
+                    reach |= e
+            if not reach:
+                continue
+            amask &= reach
+        table.append((u, uplus, usupp, amask))
+    return table
+
+
+def _placements(slots, deficit):
+    """Every split of ``deficit`` over the states of the bitmask
+    ``slots``, zeros allowed, as the (state, count) pairs of its
+    non-zero parts and the bitmask of their states."""
+    states = []
+    while slots:
+        bit = slots & -slots
+        slots ^= bit
+        states.append(bit.bit_length() - 1)
+    out = []
+    for counts in _compositions(deficit, len(states)):
+        adds, bits = [], 0
+        for s, c in zip(states, counts):
+            if c:
+                adds.append((s, c))
+                bits |= 1 << s
+        out.append((adds, bits))
+    return out
+
+
+def _action_preds(wqo, action, b, table=None):
     """The minimal predecessors of the upward closure of ``b`` through one
-    action, with some predecessors above them (module docstring).
+    action, with some predecessors above them (module docstring), each
+    mapped to its support bitmask.
 
     A candidate is a participation's senders ``u`` plus receivers P on
     receive-map preimages of each destination, covering its deficit
@@ -287,37 +352,45 @@ def _action_preds(wqo, action, b):
     candidate also takes one receiver on each of at most
     ``len(wqo.guards)`` guard-breaking states outside supp(P), kept when
     its surplus support passes the profile and removability tests.
+    The participations come from ``table``, :func:`_pred_table` of the
+    action, all of them when it is None.
     """
-    guards, pre = wqo.guards, action.preimages
+    if table is None:
+        table = _pred_table(action)
+    guards, premask = wqo.guards, action.premasks
     if guards:
         profile_of, rmap = wqo.support_profile, action.receive_map
         profile = wqo.profile(b)
-        premask = [sum(1 << s for s in ss) for ss in pre]
-        outside = {s for g in guards for s in range(len(b)) if s not in g}
-    found = set()
-    for u, uplus, allowed in action.participations:
-        deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
+        outside = 0  # the states outside some guard
+        for out in wqo._outside:
+            outside |= out
+    need = [(t, x) for t, x in enumerate(b) if x]
+    found = {}
+    for u, uplus, usupp, amask in table:
         per_dest = []
-        for t, deficit in enumerate(deficits):
-            if deficit:
-                slots = [s for s in pre[t] if s in allowed]
-                if not slots:
+        for t, x in need:
+            if x > uplus[t]:
+                opts = _placements(premask[t] & amask, x - uplus[t])
+                if not opts:
                     break
-                per_dest.append((slots, list(_compositions(deficit, len(slots)))))
+                per_dest.append(opts)
         else:
             if guards:
-                usupp, sent = _support(u), _support(uplus)
+                sent = _support(uplus)
+                deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
                 reached_d = sum(1 << t for t, d in enumerate(deficits) if d)
-                breakers = [s for s in allowed if s in outside]
-            for choice in itertools.product(*(opts for _, opts in per_dest)):
+                breakers = [s for s in range(len(b))
+                            if (amask & outside) >> s & 1]
+            for choice in itertools.product(*per_dest):
                 q = list(u)
-                for (slots, _), counts in zip(per_dest, choice):
-                    for s, c in zip(slots, counts):
+                rho_d = 0
+                for adds, bits in choice:
+                    rho_d |= bits
+                    for s, c in adds:
                         q[s] += c
                 if not guards:
-                    found.add(tuple(q))
+                    found[tuple(q)] = usupp | rho_d
                     continue
-                rho_d = sum(1 << s for s, (x, y) in enumerate(zip(q, u)) if x > y)
                 free = [s for s in breakers if not rho_d >> s & 1]
                 for size in range(min(len(guards), len(free)) + 1):
                     for extra in itertools.combinations(free, size):
@@ -331,20 +404,21 @@ def _action_preds(wqo, action, b):
                         qx = q[:]
                         for s in extra:
                             qx[s] += 1
-                        found.add(tuple(qx))
+                        found[tuple(qx)] = usupp | rho
     return found
 
 
-def _insert_preds(protocol, wqo, chain, frontier, provenance, keep):
-    """Insert the minimal predecessors of each ``frontier`` element that
-    pass ``keep`` into ``chain``. ``provenance`` keeps, per kept
-    predecessor, the first (action name, element) pair that produced it,
-    in the order they are computed."""
+def _insert_preds(wqo, tables, chain, frontier, provenance, keep):
+    """Insert the minimal predecessors of each ``frontier`` element whose
+    support passes ``keep`` into ``chain``, built from ``tables``, one
+    (action, :func:`_pred_table`) pair per action. ``provenance`` keeps,
+    per kept predecessor, the first (action name, element) pair that
+    produced it, in the order they are computed."""
     for b in frontier:
-        for action in protocol.actions:
-            for q in _action_preds(wqo, action, b):
-                if keep(q):
-                    chain.insert(q)
+        for action, table in tables:
+            for q, supp in _action_preds(wqo, action, b, table).items():
+                if keep(supp):
+                    chain.insert(q, supp)
                     provenance.setdefault(q, (action.name, b))
 
 
@@ -354,10 +428,9 @@ def support_bound(protocol):
     reachable from the initial state, at any system size, lies inside
     one of them (module docstring)."""
     steps = dict.fromkeys(
-        (_support(u), _support(uplus), sum(1 << s for s in allowed),
-         action.receive_map)
+        (usupp, _support(uplus), amask, action.receive_map)
         for action in protocol.actions
-        for u, uplus, allowed in action.participations)
+        for _, uplus, usupp, amask in _pred_table(action))
     start = 1 << protocol.init
     bound, work = {start}, [start]
     while work:
@@ -381,12 +454,11 @@ def support_bound(protocol):
 
 
 def _inside(bound):
-    """Whether a vector's support lies inside an element of ``bound``,
-    memoised per support mask."""
+    """Whether a support bitmask lies inside an element of ``bound``,
+    memoised per mask."""
     memo = {}
 
-    def keep(q):
-        supp = _support(q)
+    def keep(supp):
         hit = memo.get(supp)
         if hit is None:
             hit = memo[supp] = any(not supp & ~e for e in bound)
@@ -423,15 +495,19 @@ def decide(protocol, target, threshold):
 
     supports = support_bound(protocol)
     keep = _inside(supports)
-    start = tuple(filter(
-        keep, target_basis(protocol, wqo, target, threshold).basis))
+    start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
+                  if keep(_support(q)))
+    # only the rounds read the tables, and when the bound drops every
+    # target-basis element no round runs
+    tables = ([(a, _pred_table(a, supports)) for a in protocol.actions]
+              if start else ())
     provenance = dict.fromkeys(start)
     chain = Antichain(wqo, start)
     basis = frontier = start
     iterations = 0
     while frontier:
         iterations += 1
-        _insert_preds(protocol, wqo, chain, frontier, provenance, keep)
+        _insert_preds(wqo, tables, chain, frontier, provenance, keep)
         step = chain.basis()
         frontier = sorted(set(step).difference(basis))
         basis = step

@@ -288,7 +288,7 @@ def componentwise_preds(action, b):
         per_dest = []
         for t, (x, y) in enumerate(zip(b, uplus)):
             if x > y:
-                slots = [s for s in action.preimages[t] if s in allowed]
+                slots = [s for s in allowed if action.receive_map[s] == t]
                 if not slots:
                     break
                 per_dest.append((slots, list(wsts._compositions(x - y, len(slots)))))
@@ -319,7 +319,7 @@ def exhaustive_refined_preds(wqo, action, b):
                 per_dest = []
                 reached = 0
                 for t, deficit in enumerate(deficits):
-                    slots = [s for s in action.preimages[t] if s in rho]
+                    slots = [s for s in rho if action.receive_map[s] == t]
                     if deficit and not slots:
                         break
                     if slots:
@@ -345,9 +345,10 @@ def pred_basis(protocol, wqo, ucs):
     engine, ``wsts._insert_preds`` into a ``wsts.Antichain`` with no
     support pruning, for the grid oracles above to check."""
     chain = wsts.Antichain(wqo, ucs.basis)
-    wsts._insert_preds(protocol, wqo, chain, ucs.basis,
+    tables = [(a, wsts._pred_table(a)) for a in protocol.actions]
+    wsts._insert_preds(wqo, tables, chain, ucs.basis,
                        provenance=dict.fromkeys(ucs.basis),
-                       keep=lambda q: True)
+                       keep=lambda supp: True)
     return wsts.Ucs(wqo, chain.basis())
 
 

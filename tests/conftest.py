@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -27,6 +28,18 @@ def perfbench_protocols():
     protocols = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(protocols)
     return protocols
+
+
+def perfbench_ring_queries():
+    """``BACKWARD_RING`` of ``perfbench/workloads.py``, the benchmark's
+    (k, m, clocks, count) ring-family verify queries, read from its
+    source."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["BACKWARD_RING"]]
+    return ast.literal_eval(value)
 
 
 def config(protocol: model.Protocol, **counts) -> tuple[int, ...]:

@@ -204,11 +204,14 @@ class TestParticipations:
         for i in range(300):
             self.check(validate(random_model(random.Random(f"x-{i}"))))
 
-    @pytest.mark.parametrize("k, m, clocks", [(2, 2, 1), (3, 4, 6), (5, 2, 3)])
+    @pytest.mark.parametrize("k, m, clocks",
+                             [(2, 2, 1), (3, 4, 6), (4, 4, 2), (5, 2, 3)])
     def test_ring_family(self, k, m, clocks):
         p = validate(perfbench_protocols().ring_family(k, m, clocks))
         self.check(p)
         assert len(p.action("i").participations) == 1
+        # one per non-empty subset of the counting ring's k send slots
+        assert len(p.action("a").participations) == 2 ** k - 1
 
 
 class TestDesugar:

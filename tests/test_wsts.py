@@ -25,7 +25,14 @@ from gspmc.wsts import (
 
 import _gen
 import _oracle
-from conftest import chain, config, internal_ring, load_fixture, perfbench_protocols
+from conftest import (
+    chain,
+    config,
+    internal_ring,
+    load_fixture,
+    perfbench_protocols,
+    perfbench_ring_queries,
+)
 from test_semantics import FIXTURES
 
 vectors = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(tuple)
@@ -298,7 +305,7 @@ class TestComponentwisePreds:
     def check(protocol):
         for b in backward_elements(protocol, COMPONENT_WISE):
             for action in protocol.actions:
-                assert wsts._action_preds(COMPONENT_WISE, action, b) == (
+                assert wsts._action_preds(COMPONENT_WISE, action, b).keys() == (
                     _oracle.componentwise_preds(action, b)), (
                     protocol.state_names, action.name, b)
 
@@ -315,6 +322,75 @@ class TestComponentwisePreds:
         rng = random.Random(1200)
         for _ in range(100):
             self.check(_gen.unguarded_protocol(rng))
+
+
+def check_bound_filtered(protocol, wqo):
+    """For each element of :func:`backward_elements` and each action, the
+    predecessors built from the bound-filtered table that pass the keep
+    test are the unfiltered ones that pass it, and every carried support
+    mask is the predecessor's support. Returns the numbers of kept and of
+    unfiltered candidates the filter never built."""
+    bound = support_bound(protocol)
+    keep = wsts._inside(bound)
+    elements = backward_elements(protocol, wqo)
+    kept = skipped = 0
+    for action in protocol.actions:
+        table = wsts._pred_table(action, bound)
+        for b in elements:
+            filtered = wsts._action_preds(wqo, action, b, table)
+            unfiltered = wsts._action_preds(wqo, action, b)
+            for preds in (filtered, unfiltered):
+                for q, supp in preds.items():
+                    assert supp == wsts._support(q), (action.name, b, q)
+            assert filtered.keys() <= unfiltered.keys()
+            got = {q for q, supp in filtered.items() if keep(supp)}
+            want = {q for q in unfiltered if keep(wsts._support(q))}
+            assert got == want, (protocol.state_names, action.name, b)
+            kept += len(got)
+            skipped += len(unfiltered) - len(filtered)
+    return kept, skipped
+
+
+class TestBoundFilteredPreds:
+    """Building predecessors only from the participations and receiver
+    states the support bound can keep loses no kept predecessor."""
+
+    @staticmethod
+    def check_all(protocols):
+        """Kept and skipped totals over both orders of each protocol."""
+        kept = skipped = 0
+        for p in protocols:
+            for wqo in {COMPONENT_WISE, wqo_for(p)}:
+                k, s = check_bound_filtered(p, wqo)
+                kept, skipped = kept + k, skipped + s
+        return kept, skipped
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        # the smoke detectors' bound is one mask of every state, so only
+        # cutoff_witness skips anything
+        kept, skipped = self.check_all([load_fixture(name)])
+        assert kept and bool(skipped) == (name == "cutoff_witness.json")
+
+    @pytest.mark.parametrize("k, m, clocks",
+                             [(2, 2, 2), (4, 4, 2), (4, 2, 3), (5, 2, 3)])
+    def test_ring_family(self, k, m, clocks):
+        kept, skipped = self.check_all(
+            [validate(perfbench_protocols().ring_family(k, m, clocks))])
+        assert skipped > kept > 0
+
+    def test_random_protocols(self):
+        rng = random.Random(1900)
+        kept, skipped = self.check_all(
+            _gen.random_protocol(rng, certified_only=False) for _ in range(100))
+        assert kept > 1000 and skipped > 1000
+
+    def test_benchmark_random_models(self):
+        random_model = perfbench_protocols().random_model
+        kept, skipped = self.check_all(
+            validate(random_model(random.Random(f"bound-{i}")))
+            for i in range(100))
+        assert kept > 1000 and skipped > 1000
 
 
 class TestAntichain:
@@ -428,6 +504,18 @@ class TestDecide:
             unpruned = _oracle.from_scratch_fixpoint(p, target, threshold)
             assert (v.basis.basis, v.iterations) == pruned[:2]
             assert (v.min_n, v.witness) == pruned[2:] == unpruned[2:]
+
+    # a twelfth of the benchmark's backward-ring queries, three of them
+    # unreachable
+    @pytest.mark.parametrize(
+        "k, m, clocks, count", perfbench_ring_queries()[1::9])
+    def test_ring_family_matches_from_scratch_fixpoint(self, k, m, clocks, count):
+        p = validate(perfbench_protocols().ring_family(k, m, clocks))
+        target = p.state_index("s_E")
+        v = decide(p, target, count)
+        assert (v.basis.basis, v.iterations, v.min_n, v.witness) == (
+            _oracle.from_scratch_fixpoint(p, target, count,
+                                          supports=support_bound(p)))
 
     def test_agrees_with_bfs_on_shared_source_slots(self):
         # the benchmark's guarded-mix draw 193, loaded from the benchmark's

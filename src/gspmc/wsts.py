@@ -31,7 +31,9 @@ Predecessors are built, not searched for: each is an outcome's senders
 plus receivers placed so that firing it covers the element, so no
 candidate is fired forward (:func:`_action_preds`). One construction
 serves both orders; the component-wise order is the guard-refined one
-with no guards. Through a participation (u, uplus), each deficit
+with no guards. A participation is an outcome (u, uplus) of one of
+``Action.firing_keys``, with the states that key leaves allowed: inside
+the guard and not pinned. Through a participation, each deficit
 max(b - uplus, 0) is split over the allowed preimages of its
 destination in every way, zeros allowed. A split P gives the candidate
 u + P, whose surplus support rho_D = supp(P) the receive map sends onto
@@ -69,22 +71,24 @@ rho and is never minimal: leaving it in changes no basis, and no
 provenance that a witness follows.
 
 The fixpoint keeps only vectors whose support a run can occupy, the
-forward-invariant restriction of Ganty, Raskin & Van Begin (VMCAI
-2006), with a monotone bound in place of the exact set of reachable
-supports. :func:`support_bound` starts from {init} and, for each of its
-elements M and each participation (u, uplus, allowed) of an action with
-supp(u) inside M, steps to supp(uplus) | R(M & allowed), R applying the
-receive map to every state of the mask. A step result inside an
-element is skipped; otherwise it is added, and the elements inside it
-are evicted. This is sound: a configuration with support inside M that
-fires through the participation keeps its non-senders on ``allowed``
-states (with guards, ``participations`` already leaves out senders
-outside the guard), so its successor's support lies inside the step's
-result. The step is monotone in M, so an evicted element's successors
-lie inside its evictor's, and keeping only maximal elements loses
-nothing. The exact set can be exponential where the bound is not: on
-a cycle of 24 internal steps every subset of the cycle is a reachable
-support, and the bound is the one mask of the whole cycle.
+forward-invariant restriction of Ganty, Raskin & Van Begin (VMCAI 2006),
+with a monotone bound in place of the exact set of reachable supports.
+:func:`support_bound` starts from {init} and, for each of its elements M
+and each firing key of an action whose senders' support ``used`` =
+supp(u) lies inside M, steps to sent | R(M & allowed) for each support
+``sent`` of the key's outcomes' uplus, R applying the receive map to
+every state of the mask. It reads only these bitmasks and builds no
+count vector. A step result inside an element is skipped; otherwise it
+is added, and the elements inside it are evicted. This is sound: a
+configuration with support inside M that fires on the key keeps its
+non-senders on allowed states (with guards, ``firing_keys`` already
+leaves out keys that take a sender from outside the guard), so its
+successor's support lies inside the step's result. The step is monotone
+in M, so an evicted element's successors lie inside its evictor's, and
+keeping only maximal elements loses nothing. The exact set can be
+exponential where the bound is not: on a cycle of 24 internal steps
+every subset of the cycle is a reachable support, and the bound is the
+one mask of the whole cycle.
 
 :func:`decide` drops every target-basis element and predecessor whose
 support lies inside no bound element, before it reaches the antichain
@@ -109,16 +113,17 @@ participation (u, uplus, allowed) lies above u and is positive on every
 state it puts a receiver on, so its support is supp(u) | rho, rho being
 those states. The bound keeps it only when some element contains that
 support, and such an element contains supp(u). So :func:`decide` builds
-predecessors from :func:`_pred_table` tables that leave out every
-participation with supp(u) inside no element, and cut ``allowed`` to
-reach(u), the union of the elements that contain supp(u). A candidate
-that is no longer built puts a receiver outside reach(u), so its
-support lies inside no element containing supp(u), and so inside none.
-The profile and removability tests read rho and never ``allowed``, so
-the candidates that are built are exactly the unfiltered ones with rho
-inside reach(u). The keep test still runs, as a support can lie inside
-reach(u) and yet span two elements. Each candidate carries its support
-supp(u) | rho from where it is built into that test and the antichain.
+predecessors from :func:`_pred_table` tables that leave out every firing
+key with supp(u) inside no element, before its outcomes are built, and
+cut the allowed states to reach(u), the union of the elements that
+contain supp(u). A candidate that is no longer built puts a receiver
+outside reach(u), so its support lies inside no element containing
+supp(u), and so inside none. The profile and removability tests read rho
+and never ``allowed``, so the candidates that are built are exactly the
+unfiltered ones with rho inside reach(u). The keep test still runs, as a
+support can lie inside reach(u) and yet span two elements. Each
+candidate carries its support supp(u) | rho from where it is built into
+that test and the antichain.
 """
 
 from __future__ import annotations
@@ -293,28 +298,29 @@ def _removable(rho, usupp, deficits, premask, rmap, profile_of):
 
 
 def _pred_table(action, bound=None):
-    """Per participation (u, uplus, allowed) of ``action``, the entry
-    ``(u, uplus, supp(u), amask)`` that :func:`_action_preds` and
-    :func:`support_bound` read, ``amask`` being the bitmask of the
-    allowed states.
+    """Per outcome (u, uplus) of each firing key of ``action``, the entry
+    ``(u, uplus, supp(u), amask)`` that :func:`_action_preds` reads,
+    ``amask`` being the bitmask of the allowed states: inside the guard
+    and not pinned.
 
-    With a ``bound``, only the participations with supp(u) inside some
-    element are kept, and their allowed states are cut to the union of
-    the elements that contain supp(u) (module docstring).
+    With a ``bound``, only the keys with supp(u) inside some element are
+    kept, before their outcomes are built, and their allowed states are
+    cut to the union of the elements that contain supp(u) (module
+    docstring).
     """
     table = []
-    for u, uplus, allowed in action.participations:
-        usupp = _support(u)
-        amask = sum(1 << s for s in allowed)
+    for key, used, pinned, _ in action.firing_keys:
+        amask = action.guardmask & ~pinned
         if bound is not None:
             reach = 0
             for e in bound:
-                if not usupp & ~e:
+                if not used & ~e:
                     reach |= e
             if not reach:
                 continue
             amask &= reach
-        table.append((u, uplus, usupp, amask))
+        for u, uplus in action.outcomes(key):
+            table.append((u, uplus, used, amask))
     return table
 
 
@@ -353,7 +359,9 @@ def _action_preds(wqo, action, b, table=None):
     ``len(wqo.guards)`` guard-breaking states outside supp(P), kept when
     its surplus support passes the profile and removability tests.
     The participations come from ``table``, :func:`_pred_table` of the
-    action, all of them when it is None.
+    action, all of them when it is None. A deficit with one allowed
+    preimage goes there whole; only two or more are split by
+    :func:`_placements`.
     """
     if table is None:
         table = _pred_table(action)
@@ -370,10 +378,14 @@ def _action_preds(wqo, action, b, table=None):
         per_dest = []
         for t, x in need:
             if x > uplus[t]:
-                opts = _placements(premask[t] & amask, x - uplus[t])
-                if not opts:
+                slots = premask[t] & amask
+                if slots & (slots - 1):
+                    per_dest.append(_placements(slots, x - uplus[t]))
+                elif slots:  # one state takes the whole deficit
+                    per_dest.append(
+                        (([(slots.bit_length() - 1, x - uplus[t])], slots),))
+                else:
                     break
-                per_dest.append(opts)
         else:
             if guards:
                 sent = _support(uplus)
@@ -428,9 +440,9 @@ def support_bound(protocol):
     reachable from the initial state, at any system size, lies inside
     one of them (module docstring)."""
     steps = dict.fromkeys(
-        (usupp, _support(uplus), amask, action.receive_map)
+        (used, sent, action.guardmask & ~pinned, action.receive_map)
         for action in protocol.actions
-        for _, uplus, usupp, amask in _pred_table(action))
+        for _, used, pinned, sents in action.firing_keys for sent in sents)
     start = 1 << protocol.init
     bound, work = {start}, [start]
     while work:

@@ -16,9 +16,11 @@ support-bucketed antichain. The two-pass certifier (strong conditions,
 then the weak ones in a second walk, then C3w) is the earlier form of
 ``wellbehaved.certify``'s single walk. The per-entry successor
 evaluation is what the packed kernel computed before its runs and its
-nonzero-digit memo. The participations over every key of the caps box
-are what ``Action.participations`` computed before it enumerated only
-the keys on which the action fires.
+nonzero-digit memo. The participations, ``(u, uplus, allowed)`` per
+outcome of every key of the caps box that takes no sender from outside
+the guard, are the table the backward engine read before it compiled
+each action into ``Action.firing_keys``, and the support bound stepped
+through them is the engine's earlier ``wsts.support_bound``.
 """
 
 from __future__ import annotations
@@ -185,9 +187,10 @@ def per_entry_successors(packed, code):
 
 
 def participations(action):
-    """``Action.participations`` by calling ``outcomes`` on every key of
-    the caps box and dropping each key that takes a sender from outside
-    the guard."""
+    """``(u, uplus, allowed)`` per outcome of ``action``, by calling
+    ``outcomes`` on every key of the caps box and dropping each key that
+    takes a sender from outside the guard; ``allowed`` lists the guard's
+    states that no key below its source's cap pins."""
     guard = action.guard.members
     out = []
     for key in itertools.product(*(range(c + 1) for c in action.caps)):
@@ -199,6 +202,37 @@ def participations(action):
         for u, uplus in action.outcomes(key):
             out.append((u, uplus, allowed))
     return tuple(out)
+
+
+def support_bound(protocol):
+    """``wsts.support_bound`` stepped through :func:`participations`:
+    from {init}, each element M and each participation with supp(u)
+    inside M give supp(uplus) | R(M & allowed), R the receive map, and
+    only the maximal masks are kept, ascending."""
+    def mask(states):
+        return sum(1 << s for s in set(states))
+
+    steps = {(mask(s for s, c in enumerate(u) if c),
+              mask(s for s, c in enumerate(uplus) if c),
+              mask(allowed), action.receive_map)
+             for action in protocol.actions
+             for u, uplus, allowed in participations(action)}
+    bound, work = {1 << protocol.init}, [1 << protocol.init]
+    while work:
+        m = work.pop()
+        if m not in bound:
+            continue
+        for used, sent, allowed, rmap in steps:
+            if used & ~m:
+                continue
+            succ = sent | mask(rmap[s] for s in range(len(rmap))
+                               if (m & allowed) >> s & 1)
+            if any(not succ & ~e for e in bound):
+                continue
+            bound = {e for e in bound if e & ~succ}
+            bound.add(succ)
+            work.append(succ)
+    return tuple(sorted(bound))
 
 
 def grid_predecessors(protocol, wqo, b, limit: int = 6):
@@ -284,7 +318,7 @@ def componentwise_preds(action, b):
     participation, the senders plus each deficit spread over its
     allowed preimages in every way. Not minimized."""
     found = set()
-    for u, uplus, allowed in action.participations:
+    for u, uplus, allowed in participations(action):
         per_dest = []
         for t, (x, y) in enumerate(zip(b, uplus)):
             if x > y:
@@ -311,7 +345,7 @@ def exhaustive_refined_preds(wqo, action, b):
     ``supp(uplus) | R(rho)`` has b's guard profile. Not minimized."""
     profile = wqo.profile(b)
     found = set()
-    for u, uplus, allowed in action.participations:
+    for u, uplus, allowed in participations(action):
         deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
         sent = sum(1 << t for t, c in enumerate(uplus) if c)
         for r_size in range(len(allowed) + 1):

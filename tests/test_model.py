@@ -186,13 +186,28 @@ class TestCompiledFields:
 
 
 class TestParticipations:
-    """Only the keys an action fires on are enumerated, and the result
-    is the full caps box's, in the same order."""
+    """``firing_keys`` lists exactly the keys whose outcomes the full
+    caps box's participations hold, in the same order, with their
+    senders' support, allowed states and outcome supports as bitmasks."""
 
     @staticmethod
     def check(protocol):
+        def mask(states):
+            return sum(1 << s for s in states)
+
         for a in protocol.actions:
-            assert a.participations == _oracle.participations(a), a.name
+            keys = {}  # (u, allowed) -> uplus list; u determines the key
+            for u, uplus, allowed in _oracle.participations(a):
+                keys.setdefault((u, allowed), []).append(uplus)
+            assert len(a.firing_keys) == len(keys), a.name
+            for (key, used, pinned, sents), ((u, allowed), uplus) in zip(
+                    a.firing_keys, keys.items()):
+                assert a.outcomes(key) == tuple((u, x) for x in uplus)
+                assert used == mask(s for s, c in enumerate(u) if c)
+                assert a.guardmask & ~pinned == mask(allowed)
+                assert len(set(sents)) == len(sents)
+                assert set(sents) == {mask(s for s, c in enumerate(x) if c)
+                                      for x in uplus}
 
     def test_random_protocols(self):
         rng = random.Random(1800)
@@ -209,9 +224,9 @@ class TestParticipations:
     def test_ring_family(self, k, m, clocks):
         p = validate(perfbench_protocols().ring_family(k, m, clocks))
         self.check(p)
-        assert len(p.action("i").participations) == 1
+        assert len(p.action("i").firing_keys) == 1
         # one per non-empty subset of the counting ring's k send slots
-        assert len(p.action("a").participations) == 2 ** k - 1
+        assert len(p.action("a").firing_keys) == 2 ** k - 1
 
 
 class TestDesugar:

@@ -595,6 +595,23 @@ class TestSupportBound:
                     checked += 1
         assert checked > 4000
 
+    def test_matches_participation_oracle(self):
+        # the bound stepped on firing-key bitmasks is the one stepped
+        # through every participation's count vectors
+        protocols = [load_fixture(name) for name in FIXTURES]
+        protocols += [validate(perfbench_protocols().ring_family(k, m, clocks))
+                      for k, m, clocks in dict.fromkeys(
+                          q[:3] for q in perfbench_ring_queries())]
+        rng = random.Random(1402)
+        for _ in range(150):
+            protocols.append(_gen.random_protocol(rng, certified_only=False))
+            protocols.append(_gen.unguarded_protocol(rng))
+        random_model = perfbench_protocols().random_model
+        protocols += [validate(random_model(random.Random(f"x-{i}")))
+                      for i in range(300)]
+        for p in protocols:
+            assert support_bound(p) == _oracle.support_bound(p), p
+
     def test_internal_ring_is_polynomial(self):
         # with 24 or more processes every non-empty subset of the ring is
         # a reachable support; building those 2**24 - 1 sets takes

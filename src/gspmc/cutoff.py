@@ -159,24 +159,31 @@ def _free_paths(protocol, edges, target, budget):
     for e in edges:
         if e.free:
             by_src.setdefault(e.src, []).append(e)
-    paths = []
+    paths, path, visited = [], [], {protocol.init}
+    stack = []  # the out-edges left to try, per state on the path
 
-    def dfs(state, path, visited):
+    def enter(state):
         if state == target:
             paths.append(tuple(path))
             if len(paths) > budget:
                 raise PathBudgetExceeded(budget)
-            return
-        for e in by_src.get(state, ()):
-            if e.dst in visited:
-                continue
-            path.append(e)
-            visited.add(e.dst)
-            dfs(e.dst, path, visited)
-            visited.discard(e.dst)
-            path.pop()
+            return False
+        stack.append(iter(by_src.get(state, ())))
+        return True
 
-    dfs(protocol.init, [], {protocol.init})
+    enter(protocol.init)
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if path:
+                visited.discard(path.pop().dst)
+        elif e.dst not in visited:
+            path.append(e)
+            if enter(e.dst):
+                visited.add(e.dst)
+            else:
+                path.pop()
     return paths
 
 
@@ -200,21 +207,25 @@ def _region_recovers(src, path_states, out_edges) -> bool:
             if e.dst not in path_states and e.dst not in visited:
                 stack.append(e.dst)
     # any cycle within the off-path region never leads back
-    state = {u: 0 for u in visited}  # 0 new, 1 on stack, 2 done
-
-    def cyclic(u):
-        state[u] = 1
-        for e in out_edges[u]:
-            if e.dst in path_states:
-                continue
-            if state.get(e.dst) == 1:
-                return True
-            if state.get(e.dst) == 0 and cyclic(e.dst):
-                return True
-        state[u] = 2
-        return False
-
-    return not any(state[u] == 0 and cyclic(u) for u in sorted(visited))
+    state = dict.fromkeys(visited, 0)  # 0 new, 1 on stack, 2 done
+    for root in sorted(visited):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(out_edges[root]))]
+        while stack:
+            u, outs = stack[-1]
+            e = next(outs, None)
+            if e is None:
+                state[u] = 2
+                stack.pop()
+            elif e.dst not in path_states:
+                if state.get(e.dst) == 1:
+                    return False
+                if state.get(e.dst) == 0:
+                    state[e.dst] = 1
+                    stack.append((e.dst, iter(out_edges[e.dst])))
+    return True
 
 
 def check_lemma3(protocol: Protocol, target: int, *,

@@ -58,6 +58,8 @@ def loads(text: str) -> ModelFile:
         raw = _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ParseError("nesting too deep") from None
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
     return ModelFile(raw)

@@ -27,16 +27,16 @@ guard holds and ``code & field >= need``) and that one delta, computed
 once from ``Action.outcomes(caps)``. Every other action (maximal, or a
 sender with several source states) has ``need`` 0 and its deltas
 memoised per ``code & field`` from ``Action.outcomes``, so the firing
-rule stays in one place. :class:`Packed` groups the actions into runs
-of such single-source senders whose receive map moves nobody, and
-:func:`successors` fires each run as ``code + delta`` per enabled one.
+rule stays in one place.
 
-With cap 1 such a sender is enabled iff its source digit is nonzero and
-every digit outside its guard is zero, so which ones are enabled depends
-only on which digits are nonzero. When the leading run holds only such
-senders, the search's :class:`Packed` memoises its enabled deltas per
-nonzero-digit mask of the code, a few ``int`` operations, and fires it
-with one dict lookup; every other run tests its entries one by one.
+A single-source sender of cap 1 whose receive map moves nobody fires as
+``code + delta``, and it is enabled iff its source digit is nonzero and
+every digit outside its guard is zero, so which ones are enabled
+depends only on which digits are nonzero. :class:`Packed` splits the
+actions into the leading run of such senders, whose enabled deltas
+:func:`successors` looks up by the code's nonzero-digit mask, a few
+``int`` operations and one dict lookup, and the rest, which it tests
+one entry at a time in declaration order.
 
 The search unpacks only its trace (:func:`unpack`); :func:`fire` runs
 one action on one counter vector through the same tables.
@@ -116,53 +116,44 @@ def _packed_action(action, width):
 
 
 def _fast(table):
-    """Whether the table is a single-source sender's whose receive map
-    moves nobody: its successor is ``code + delta`` when enabled."""
-    return bool(table[2]) and not table[3]
+    """Whether the table is a cap-1 single-source sender's whose receive
+    map moves nobody: when enabled, its successor is ``code + delta``."""
+    return table[2] == table[1] & -table[1] and not table[3]
 
 
 class Packed:
     """A protocol compiled for packed configurations of ``width``-bit
     digits: the tables of each action, in declaration order, and the
-    same actions as ``kernel``, a pair ``(head, tail)``: ``head`` is the
+    same actions as ``kernel``, a pair ``(head, rest)``: ``head`` is the
     run of :func:`_fast` tables the actions start with (maybe empty),
-    each cut down to ``(outside, field, need, delta)``, and ``tail`` a
-    tuple of pairs ``(rest, run)``, the other tables up to the next such
-    run and that run.
+    each cut down to ``(outside, field, need, delta)``, and ``rest`` the
+    tables after it.
 
-    The ``Packed`` that :func:`packed` builds for a search also holds
-    ``memo`` when every ``head`` entry has cap 1: it maps a code's
-    nonzero-digit mask ``(((code & low) + low) | code) & high`` (digit s
-    of ``high`` is ``1 << W-1``, of ``low`` that minus 1, so no carry
-    crosses a digit) to the deltas of the ``head`` entries enabled
-    there, in declaration order. With cap 1, an entry is enabled iff its
-    source digit is nonzero and every digit outside its guard is zero,
-    which the mask alone decides. Otherwise, and on the one-table
-    ``Packed`` of :func:`fire` and :func:`firing_action`, ``memo`` is
-    None. ``singles`` maps an action's index to the one-table ``Packed``
-    that :func:`firing_action` built for it, once per search."""
+    ``memo`` maps a code's nonzero-digit mask ``(((code & low) + low) |
+    code) & high`` (digit s of ``high`` is ``1 << W-1``, of ``low`` that
+    minus 1, so no carry crosses a digit) to the deltas of the ``head``
+    entries enabled there, in declaration order. With cap 1, an entry is
+    enabled iff its source digit is nonzero and every digit outside its
+    guard is zero, which the mask alone decides."""
 
     __slots__ = ("actions", "kernel", "width", "mask", "n_states",
-                 "memo", "low", "high", "singles")
+                 "memo", "low", "high")
 
     def __init__(self, actions, width, n_states):
         self.actions = actions
-        head, tail = [], []
-        run = head
+        head = []
         for t in actions:
-            if _fast(t):
-                run.append((t[0], t[1], t[2], t[4][0]))
-                continue
-            if not tail or tail[-1][1]:
-                run = []
-                tail.append(([], run))
-            tail[-1][0].append(t)
-        self.kernel = (tuple(head), tuple(
-            (tuple(rest), tuple(run)) for rest, run in tail))
+            if not _fast(t):
+                break
+            head.append((t[0], t[1], t[2], t[4][0]))
+        self.kernel = (tuple(head), actions[len(head):])
         self.width = width
-        self.mask = (1 << width) - 1
+        self.mask = mask = (1 << width) - 1
         self.n_states = n_states
-        self.memo = self.singles = None
+        ones = ((1 << width * n_states) - 1) // mask
+        self.low = ones * (mask >> 1)
+        self.high = ones << width - 1
+        self.memo = {}
 
 
 def _tables(action, width):
@@ -174,22 +165,10 @@ def _tables(action, width):
 
 
 def packed(protocol, n):
-    """The protocol's packed tables for configurations of n processes,
-    with the nonzero-digit memo of :class:`Packed` when ``head`` allows."""
+    """The protocol's packed tables for configurations of n processes."""
     width = n.bit_length()
-    out = Packed(tuple(_tables(a, width) for a in protocol.actions),
-                 width, protocol.n_states)
-    head = out.kernel[0]
-    if not head:
-        return out
-    for _, field, need, _ in head:
-        if need != field & -field:  # a cap above 1
-            return out
-    ones = ((1 << width * out.n_states) - 1) // out.mask
-    out.low = ones * (out.mask >> 1)
-    out.high = ones << width - 1
-    out.memo = {}
-    return out
+    return Packed(tuple(_tables(a, width) for a in protocol.actions),
+                  width, protocol.n_states)
 
 
 def pack(packed, q):
@@ -207,51 +186,41 @@ def successors(packed, code):
     """Successor codes of a packed configuration: every outcome of every
     enabled action, in action declaration order, then the order of
     ``Action.outcomes``."""
-    head, tail = packed.kernel
-    # the leading run outside the loop: on a protocol of internal steps
-    # only, it is all there is
-    memo = packed.memo
-    if memo is None:
-        out = [code + delta for outside, field, need, delta in head
-               if code & field >= need and not code & outside]
-    else:
+    head, rest = packed.kernel
+    out = []
+    if head:
         low = packed.low
         nz = (((code & low) + low) | code) & packed.high
+        memo = packed.memo
         deltas = memo.get(nz)
         if deltas is None:
             deltas = memo[nz] = [
                 delta for outside, field, need, delta in head
                 if code & field >= need and not code & outside]
-        out = []
         for delta in deltas:
             out.append(code + delta)
     mask = packed.mask
-    for rest, run in tail:
-        for outside, field, need, moved, deltas, _ in rest:
-            if code & outside:
+    for outside, field, need, moved, deltas, _ in rest:
+        if code & outside:
+            continue
+        if need:
+            if code & field < need:
                 continue
-            if need:
-                if code & field < need:
-                    continue
-            else:
-                deltas = deltas[code & field]
-                if not deltas:
-                    continue
-            base = code
-            for shift, step in moved:
-                base += (code >> shift & mask) * step
-            for delta in deltas:
-                out.append(base + delta)
-        if run:
-            out += [code + delta for outside, field, need, delta in run
-                    if code & field >= need and not code & outside]
+        else:
+            deltas = deltas[code & field]
+            if not deltas:
+                continue
+        base = code
+        for shift, step in moved:
+            base += (code >> shift & mask) * step
+        for delta in deltas:
+            out.append(base + delta)
     return out
 
 
 # The search calls ``successors`` through the module attribute once per
 # expanded configuration, so that a wrapper put there (a profiler's) sees
-# exactly those calls; ``fire`` and labelling a trace use this binding
-# instead.
+# exactly those calls; ``fire`` uses this binding instead.
 _successors = successors
 
 
@@ -267,13 +236,17 @@ def fire(q, action):
 
 def firing_action(packed, code, succ):
     """Name of the first action, in declaration order, one of whose
-    outcomes takes ``code`` to ``succ``."""
-    singles = packed.singles
-    if singles is None:
-        singles = packed.singles = {}
-    for i, t in enumerate(packed.actions):
-        one = singles.get(i)
-        if one is None:
-            one = singles[i] = Packed((t,), packed.width, packed.n_states)
-        if succ in _successors(one, code):
-            return t[-1]
+    outcomes takes ``code`` to ``succ``, each table tested as the
+    kernel tests the tables of ``rest``: a trace labels each of its
+    steps once, so no memo would pay."""
+    mask = packed.mask
+    for outside, field, need, moved, deltas, name in packed.actions:
+        if code & outside or code & field < need:
+            continue
+        if not need:
+            deltas = deltas[code & field]
+        base = code
+        for shift, step in moved:
+            base += (code >> shift & mask) * step
+        if succ - base in deltas:
+            return name

@@ -15,12 +15,13 @@ predecessor construction, the bounded target basis and the
 support-bucketed antichain. The two-pass certifier (strong conditions,
 then the weak ones in a second walk, then C3w) is the earlier form of
 ``wellbehaved.certify``'s single walk. The per-entry successor
-evaluation is what the packed kernel computed before its runs and its
-nonzero-digit memo. The participations, ``(u, uplus, allowed)`` per
-outcome of every key of the caps box that takes no sender from outside
-the guard, are the table the backward engine read before it compiled
-each action into ``Action.firing_keys``, and the support bound stepped
-through them is the engine's earlier ``wsts.support_bound``.
+evaluation is the packed kernel's loop over ``rest``, applied to every
+table, and the reference for its nonzero-digit memo over ``head``. The
+participations, ``(u, uplus, allowed)`` per outcome of every key of the
+caps box that takes no sender from outside the guard, are the table the
+backward engine read before it compiled each action into
+``Action.firing_keys``, and the support bound stepped through them is
+the engine's earlier ``wsts.support_bound``.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def reference_bfs(protocol, n: int, target: int, threshold: int):
 
 def per_entry_successors(packed, code):
     """``semantics.successors`` as each action's table says, tested one
-    table at a time in declaration order: the evaluation that the
-    packed kernel's runs and its nonzero-digit memo must reproduce."""
+    table at a time in declaration order: the kernel's loop over
+    ``rest``, which its nonzero-digit memo over ``head`` must reproduce."""
     out = []
     for outside, field, need, moved, deltas, _ in packed.actions:
         if code & outside:

@@ -73,6 +73,15 @@ class TestValidate:
             f"error [modelfile]: {bad}: not UTF-8 text "
             "(invalid start byte at byte 0)\n")
 
+    def test_deep_nesting(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        depth = 100_000
+        deep.write_text('{"states": ' + "[" * depth + "]" * depth + "}",
+                        encoding="utf-8")
+        assert invoke("validate", str(deep))[0] == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error [modelfile]: {deep}: nesting too deep\n")
+
     def test_invalid_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"states": ["A"], "init": "Z", "actions": []}',

@@ -66,10 +66,16 @@ def detour_raw(variant: str) -> dict:
 
     Variants shape what happens in X: "sink" strands the process,
     "cycle" spins it off-path forever, "recover" returns it internally,
+    "diamond" returns it along two off-path branches that meet again,
     and "dodge" lets B itself move back onto the path first.
     """
     states = ["A", "B", "T", "X"] + (["Y"] if variant == "cycle" else [])
     sugar = []
+    if variant == "diamond":
+        states += ["Y1", "Y2", "Z"]
+        sugar += [{"type": "internal", "name": f"{a}{b}", "from": a, "to": b}
+                  for a, b in [("X", "Y1"), ("X", "Y2"), ("Y1", "Z"),
+                               ("Y2", "Z"), ("Z", "T")]]
     if variant == "dodge":
         sugar.append({"type": "internal", "name": "dodge",
                       "from": "B", "to": "T"})
@@ -93,6 +99,31 @@ def detour_raw(variant: str) -> dict:
         ],
         "sugar": sugar,
     }
+
+
+def chain_raw(length: int) -> dict:
+    """Internal steps S0 -> S1 -> ... along ``length`` states, plus a
+    2-sender action out of S0, so that L1 and L2 fail and L3 walks the
+    whole chain: a path deeper than the interpreter's recursion limit."""
+    states = [f"S{i}" for i in range(length)]
+    actions = [{"name": f"t{i}", "kind": "sender", "sends": [[a, b]]}
+               for i, (a, b) in enumerate(zip(states, states[1:]))]
+    actions.append({"name": "pair", "kind": "sender",
+                    "sends": [["S0", "S1"], ["S0", "S1"]]})
+    return {"states": states, "init": "S0", "guards": {}, "actions": actions}
+
+
+def long_detour_raw(length: int, back: str) -> dict:
+    """:func:`detour_raw`'s path, whose broadcast knocks B into a chain of
+    ``length`` off-path states X0 -> X1 -> ...; the last one moves
+    internally to ``back``: T recovers, X0 closes an off-path cycle."""
+    raw = detour_raw("sink")
+    xs = [f"X{i}" for i in range(length)]
+    raw["states"] = ["A", "B", "T", *xs]
+    raw["actions"][0]["receives"] = [["B", "X0"]]
+    raw["sugar"] = [{"type": "internal", "name": f"x{i}", "from": a, "to": b}
+                    for i, (a, b) in enumerate(zip(xs, [*xs[1:], back]))]
+    return raw
 
 
 def dragging_raw() -> dict:
@@ -236,11 +267,25 @@ class TestLemma3:
         p = validate(detour_raw("recover"))
         assert check_lemma3(p, p.state_index("T")) is None
 
+    def test_free_region_branches_meet_again(self):
+        # the second branch into Z finds it finished, not on the DFS stack
+        p = validate(detour_raw("diamond"))
+        assert check_lemma3(p, p.state_index("T")) is None
+
     def test_path_budget(self, smoke):
         # four labeled simple free paths exist (two parallel hops twice)
         with pytest.raises(PathBudgetExceeded):
             check_lemma3(smoke, smoke.state_index("Report"), path_budget=3)
         check_lemma3(smoke, smoke.state_index("Report"), path_budget=4)
+
+    def test_long_detour_recovers(self):
+        p = validate(long_detour_raw(1500, "T"))
+        assert check_lemma3(p, p.state_index("T")) is None
+
+    def test_long_off_path_cycle_never_returns(self):
+        p = validate(long_detour_raw(1500, "X0"))
+        res = check_lemma3(p, p.state_index("T"))
+        assert "without a free way back" in res
 
 
 class TestCertifiedCutoffCheck:
@@ -255,6 +300,12 @@ class TestCertifiedCutoffCheck:
         assert v.amenable and v.lemma == "L3" and v.cutoff == 2
         assert v.holds is True
         assert v.result.reachable
+
+    def test_long_chain_gets_a_verdict(self):
+        p = validate(chain_raw(1500))
+        v = certified_cutoff_check(p, p.state_index("S1499"), 1)
+        assert v.amenable and v.lemma == "L3" and v.cutoff == 1
+        assert v.holds is True
 
     def test_witness_not_amenable(self, witness):
         v = certified_cutoff_check(witness, witness.state_index("s_E"), 1)

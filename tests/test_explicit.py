@@ -222,5 +222,5 @@ class TestWidthBoundaries:
             assert moved == ()
             assert type(deltas) is tuple
             assert deltas == ((1 << 4 * to) - (1 << 4 * s),)
-        head, tail = semantics.packed(p, 10).kernel
-        assert len(head) == len(p.actions) and tail == ()
+        head, rest = semantics.packed(p, 10).kernel
+        assert len(head) == len(p.actions) and rest == ()

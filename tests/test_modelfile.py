@@ -42,6 +42,11 @@ class TestLoads:
         with pytest.raises(ParseError, match="JSON object"):
             loads("[1, 2]")
 
+    def test_deep_nesting(self):
+        depth = 100_000
+        with pytest.raises(ParseError, match="^nesting too deep$"):
+            loads('{"states": ' + "[" * depth + "]" * depth + "}")
+
     def test_property_block(self):
         mf = loads('{"property": {"target": "T", "count": 2}}')
         assert mf.property_block == {"target": "T", "count": 2}

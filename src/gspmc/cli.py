@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Model checker for globally synchronizing protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, *, query=False):
+    def cmd(name, help_text, *, query=False, budget=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="protocol model file (JSON)")
         p.add_argument("--json", action="store_true",
@@ -64,26 +64,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--target", help="target state name")
             p.add_argument("--count", type=int,
                            help="required number of processes in the target")
+        if budget:
+            p.add_argument("--state-budget", type=int,
+                           default=explicit.DEFAULT_STATE_BUDGET)
         return p
 
     cmd("validate", "check the model file and report its shape")
     cmd("desugar", "expand sugar and emit an equivalent core-only model")
     cmd("certify", "run the guard-compatibility certification")
-
-    p = cmd("cutoff", "look for a cutoff lemma and decide at the cutoff", query=True)
-    p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
-    p.add_argument("--path-budget", type=int, default=cutoff.DEFAULT_PATH_BUDGET)
-
-    p = cmd("mc", "explicit check with a fixed number of processes", query=True)
-    p.add_argument("--n", type=int, required=True, help="number of processes")
-    p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
-
+    cmd("cutoff", "look for a cutoff lemma and decide at the cutoff", query=True,
+        budget=True).add_argument("--path-budget", type=int,
+                                  default=cutoff.DEFAULT_PATH_BUDGET)
+    cmd("mc", "explicit check with a fixed number of processes", query=True,
+        budget=True).add_argument("--n", type=int, required=True,
+                                  help="number of processes")
     cmd("verify", "parameterized check over all system sizes", query=True)
-
-    p = cmd("sweep", "find the minimal system size reaching the target", query=True)
-    p.add_argument("--max", type=int, required=True, dest="max_n",
-                   help="largest system size to try")
-    p.add_argument("--state-budget", type=int, default=explicit.DEFAULT_STATE_BUDGET)
+    cmd("sweep", "find the minimal system size reaching the target", query=True,
+        budget=True).add_argument("--max", type=int, required=True, dest="max_n",
+                                  help="largest system size to try")
     parser.commands = sub.choices
     for p in sub.choices.values():
         p.grammar = _grammar(p)
@@ -172,7 +170,7 @@ def _vec(protocol, q):
 
 
 def _trace_payload(trace):
-    return [{"action": action, "config": list(q)} for action, q in trace]
+    return trace and [{"action": action, "config": list(q)} for action, q in trace]
 
 
 def _trace_lines(protocol, trace):
@@ -181,27 +179,6 @@ def _trace_lines(protocol, trace):
         prefix = "  start " if action is None else f"  --{action}--> "
         lines.append(prefix + _vec(protocol, q))
     return lines
-
-
-def _certify_payload(report: wellbehaved.GuardCompatReport) -> dict:
-    return {
-        "well_behaved": report.well_behaved,
-        "actions": [
-            {
-                "action": st.action,
-                "status": st.status,
-                "condition": st.condition,
-                "violations": [
-                    {"condition": v.condition, "guard": v.guard,
-                     "transition": list(v.transition), "detail": v.detail}
-                    for v in st.violations
-                ],
-                "notes": list(st.notes),
-            }
-            for st in report.actions
-        ],
-        "notes": list(report.notes),
-    }
 
 
 def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
@@ -223,7 +200,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
 
     if args.command == "certify":
         report = wellbehaved.certify(protocol)
-        lines = [f"well-behaved: {report.well_behaved}"]
+        actions, lines = [], [f"well-behaved: {report.well_behaved}"]
         for st in report.actions:
             if st.status == "violation":
                 head = f"  {st.action}: VIOLATION"
@@ -232,22 +209,29 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
                                  f"({v.transition[0]} -> {v.transition[1]}): {v.detail}")
             else:
                 lines.append(f"  {st.action}: {st.status} ({st.condition})")
-        for note in report.notes:
-            lines.append(f"  note: {note}")
-        code = EXIT_CLEAN if report.well_behaved else EXIT_WITNESS
-        return code, _certify_payload(report), lines
+            actions.append({
+                "action": st.action, "status": st.status, "condition": st.condition,
+                "violations": [{"condition": v.condition, "guard": v.guard,
+                                "transition": list(v.transition), "detail": v.detail}
+                               for v in st.violations],
+                "notes": list(st.notes)})
+        lines += [f"  note: {note}" for note in report.notes]
+        payload = {"well_behaved": report.well_behaved, "actions": actions,
+                   "notes": list(report.notes)}
+        return EXIT_CLEAN if report.well_behaved else EXIT_WITNESS, payload, lines
+
+    target, count = _resolve_query(protocol, mf, args)
+    query = {"target": protocol.state_names[target], "count": count}
 
     if args.command == "mc":
-        target, count = _resolve_query(protocol, mf, args)
-        query = explicit.ReachQuery(target, count, args.n)
-        res = explicit.check_fixed(protocol, query, state_budget=args.state_budget)
+        res = explicit.check_fixed(protocol, explicit.ReachQuery(target, count, args.n),
+                                   state_budget=args.state_budget)
         payload = {
             "n": args.n,
-            "target": protocol.state_names[target],
-            "count": count,
+            **query,
             "reachable": res.reachable,
             "explored": res.explored,
-            "trace": _trace_payload(res.trace) if res.trace else None,
+            "trace": _trace_payload(res.trace),
         }
         if res.reachable:
             lines = [f"reachable with {args.n} processes "
@@ -259,16 +243,14 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
             f"({res.explored} configurations explored)"]
 
     if args.command == "sweep":
-        target, count = _resolve_query(protocol, mf, args)
         res = explicit.min_witness_size(protocol, target, count, args.max_n,
                                         state_budget=args.state_budget)
         payload = {
-            "target": protocol.state_names[target],
-            "count": count,
+            **query,
             "found": res.found,
             "min_n": res.n,
             "searched_up_to": res.searched_up_to,
-            "trace": _trace_payload(res.trace) if res.trace else None,
+            "trace": _trace_payload(res.trace),
         }
         if res.found:
             lines = [f"minimal system size: {res.n} "
@@ -279,13 +261,11 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
             f"not reachable for any n <= {res.searched_up_to}"]
 
     if args.command == "verify":
-        target, count = _resolve_query(protocol, mf, args)
         verdict = wsts.decide(protocol, target, count)
         order = "component-wise" if not verdict.basis.wqo.guards \
             else "guard-refined"
         payload = {
-            "target": protocol.state_names[target],
-            "count": count,
+            **query,
             "order": order,
             "reachable": verdict.reachable,
             "min_n": verdict.min_n,
@@ -309,20 +289,18 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
         return EXIT_CLEAN, payload, lines
 
     if args.command == "cutoff":
-        target, count = _resolve_query(protocol, mf, args)
         verdict = cutoff.certified_cutoff_check(
             protocol, target, count,
             state_budget=args.state_budget, path_budget=args.path_budget)
+        trace = verdict.result and verdict.result.trace
         payload = {
-            "target": protocol.state_names[target],
-            "count": count,
+            **query,
             "amenable": verdict.amenable,
             "lemma": verdict.lemma,
             "cutoff": verdict.cutoff,
             "holds": verdict.holds,
             "witness": verdict.witness,
-            "trace": (_trace_payload(verdict.result.trace)
-                      if verdict.result and verdict.result.trace else None),
+            "trace": _trace_payload(trace),
         }
         if not verdict.amenable:
             return EXIT_CLEAN, payload, [f"NotAmenable: {verdict.witness}"]
@@ -330,7 +308,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
         if verdict.holds:
             lines.append(f"reachable at the cutoff, so for every "
                          f"n >= {verdict.cutoff}")
-            lines += _trace_lines(protocol, verdict.result.trace)
+            lines += _trace_lines(protocol, trace)
             return EXIT_WITNESS, payload, lines
         lines.append(f"not reachable at the cutoff, so for no n >= {verdict.cutoff}")
         return EXIT_CLEAN, payload, lines

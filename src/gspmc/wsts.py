@@ -77,9 +77,10 @@ with a monotone bound in place of the exact set of reachable supports.
 and each firing key of an action whose senders' support ``used`` =
 supp(u) lies inside M, steps to sent | R(M & allowed) for each support
 ``sent`` of the key's outcomes' uplus, R applying the receive map to
-every state of the mask. It reads only these bitmasks and builds no
-count vector. A step result inside an element is skipped; otherwise it
-is added, and the elements inside it are evicted. This is sound: a
+the mask: the states it fixes pass as one mask, and only those it moves
+are mapped bit by bit. It reads only these bitmasks and builds no count
+vector. A step result inside an element is skipped; otherwise it is
+added, and the elements inside it are evicted. This is sound: a
 configuration with support inside M that fires on the key keeps its
 non-senders on allowed states (with guards, ``firing_keys`` already
 leaves out keys that take a sender from outside the guard), so its
@@ -268,20 +269,6 @@ def target_basis(protocol, wqo, target, threshold):
     return Ucs(wqo, minimize(wqo, candidates))
 
 
-def _compositions(total, parts):
-    """All ways to split ``total`` into ``parts`` non-negative summands."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _removable(rho, usupp, deficits, premask, rmap, profile_of):
     """Whether the surplus support ``rho`` has a removable state (module
     docstring)."""
@@ -297,54 +284,51 @@ def _removable(rho, usupp, deficits, premask, rmap, profile_of):
     return False
 
 
-def _pred_table(action, bound=None):
-    """Per outcome (u, uplus) of each firing key of ``action``, the entry
-    ``(u, uplus, supp(u), amask)`` that :func:`_action_preds` reads,
-    ``amask`` being the bitmask of the allowed states: inside the guard
-    and not pinned.
-
-    With a ``bound``, only the keys with supp(u) inside some element are
-    kept, before their outcomes are built, and their allowed states are
-    cut to the union of the elements that contain supp(u) (module
-    docstring).
+def _pred_table(action, bound):
+    """The entry ``(u, uplus, supp(u), amask)`` that :func:`_action_preds`
+    reads per outcome (u, uplus) of each firing key of ``action`` with
+    supp(u) inside an element of the support bitmasks ``bound``, and none
+    for the other keys. ``amask`` holds the allowed states, inside the
+    guard and not pinned, that lie in an element containing supp(u)
+    (module docstring). The bound of every state keeps every key whole.
     """
     table = []
     for key, used, pinned, _ in action.firing_keys:
-        amask = action.guardmask & ~pinned
-        if bound is not None:
-            reach = 0
-            for e in bound:
-                if not used & ~e:
-                    reach |= e
-            if not reach:
-                continue
-            amask &= reach
-        for u, uplus in action.outcomes(key):
-            table.append((u, uplus, used, amask))
+        reach = 0
+        for e in bound:
+            if not used & ~e:
+                reach |= e
+        if reach:
+            amask = action.guardmask & ~pinned & reach
+            table.extend((u, uplus, used, amask) for u, uplus in action.outcomes(key))
     return table
 
 
 def _placements(slots, deficit):
-    """Every split of ``deficit`` over the states of the bitmask
-    ``slots``, zeros allowed, as the (state, count) pairs of its
-    non-zero parts and the bitmask of their states."""
+    """Every split of ``deficit`` over the k states of the non-empty
+    bitmask ``slots``, zeros allowed, each once by stars and bars (the
+    parts are the gaps between k - 1 bars among deficit + k - 1 places),
+    as the (state, count) pairs of its non-zero parts and the bitmask of
+    their states."""
     states = []
     while slots:
         bit = slots & -slots
         slots ^= bit
         states.append(bit.bit_length() - 1)
+    end = deficit + len(states) - 1
     out = []
-    for counts in _compositions(deficit, len(states)):
-        adds, bits = [], 0
-        for s, c in zip(states, counts):
-            if c:
-                adds.append((s, c))
+    for bars in itertools.combinations(range(end), len(states) - 1):
+        adds, bits, last = [], 0, -1
+        for s, bar in zip(states, bars + (end,)):
+            if bar > last + 1:
+                adds.append((s, bar - last - 1))
                 bits |= 1 << s
+            last = bar
         out.append((adds, bits))
     return out
 
 
-def _action_preds(wqo, action, b, table=None):
+def _action_preds(wqo, action, b, table):
     """The minimal predecessors of the upward closure of ``b`` through one
     action, with some predecessors above them (module docstring), each
     mapped to its support bitmask.
@@ -358,13 +342,10 @@ def _action_preds(wqo, action, b, table=None):
     candidate also takes one receiver on each of at most
     ``len(wqo.guards)`` guard-breaking states outside supp(P), kept when
     its surplus support passes the profile and removability tests.
-    The participations come from ``table``, :func:`_pred_table` of the
-    action, all of them when it is None. A deficit with one allowed
-    preimage goes there whole; only two or more are split by
-    :func:`_placements`.
+    The participations come from ``table``, a :func:`_pred_table` of
+    the action. A deficit with one allowed preimage goes there whole;
+    only two or more are split by :func:`_placements`.
     """
-    if table is None:
-        table = _pred_table(action)
     guards, premask = wqo.guards, action.premasks
     if guards:
         profile_of, rmap = wqo.support_profile, action.receive_map
@@ -439,20 +420,24 @@ def support_bound(protocol):
     over-approximation, ascending: the support of every configuration
     reachable from the initial state, at any system size, lies inside
     one of them (module docstring)."""
-    steps = dict.fromkeys(
-        (used, sent, action.guardmask & ~pinned, action.receive_map)
-        for action in protocol.actions
-        for _, used, pinned, sents in action.firing_keys for sent in sents)
+    steps = {}
+    for action in protocol.actions:
+        rmap = action.receive_map
+        moved = sum(1 << s for s, t in enumerate(rmap) if s != t)
+        for _, used, pinned, sents in action.firing_keys:
+            allowed = action.guardmask & ~pinned
+            for sent in sents:
+                steps[used, sent, allowed & ~moved, allowed & moved, rmap] = None
     start = 1 << protocol.init
     bound, work = {start}, [start]
     while work:
         m = work.pop()
         if m not in bound:
             continue  # evicted: its successors lie inside the evictor's
-        for used, sent, allowed, rmap in steps:
+        for used, sent, stay, move, rmap in steps:
             if used & ~m:
                 continue
-            succ, rest = sent, m & allowed
+            succ, rest = sent | m & stay, m & move
             while rest:
                 bit = rest & -rest
                 rest ^= bit

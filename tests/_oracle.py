@@ -21,7 +21,9 @@ participations, ``(u, uplus, allowed)`` per outcome of every key of the
 caps box that takes no sender from outside the guard, are the table the
 backward engine read before it compiled each action into
 ``Action.firing_keys``, and the support bound stepped through them is
-the engine's earlier ``wsts.support_bound``.
+the engine's earlier ``wsts.support_bound``. The compositions of a
+total into parts are every tuple of the box up to the total that sums
+to it, the reference for ``wsts._placements``'s stars and bars.
 """
 
 from __future__ import annotations
@@ -205,6 +207,19 @@ def participations(action):
     return tuple(out)
 
 
+def compositions(total, parts):
+    """Every way to split ``total`` into ``parts`` non-negative summands,
+    in lexicographic order, read off the whole box."""
+    return [c for c in itertools.product(range(total + 1), repeat=parts)
+            if sum(c) == total]
+
+
+def unfiltered_table(action):
+    """``wsts._pred_table`` of ``action`` under the one-element bound of
+    every state, which keeps every firing key and cuts no allowed state."""
+    return wsts._pred_table(action, ((1 << len(action.receive_map)) - 1,))
+
+
 def support_bound(protocol):
     """``wsts.support_bound`` stepped through :func:`participations`:
     from {init}, each element M and each participation with supp(u)
@@ -326,7 +341,7 @@ def componentwise_preds(action, b):
                 slots = [s for s in allowed if action.receive_map[s] == t]
                 if not slots:
                     break
-                per_dest.append((slots, list(wsts._compositions(x - y, len(slots)))))
+                per_dest.append((slots, compositions(x - y, len(slots))))
         else:
             for choice in itertools.product(*(o for _, o in per_dest)):
                 q = list(u)
@@ -360,8 +375,8 @@ def exhaustive_refined_preds(wqo, action, b):
                     if slots:
                         per_dest.append((slots, [
                             tuple(c + 1 for c in comp) for comp in
-                            wsts._compositions(max(deficit - len(slots), 0),
-                                               len(slots))]))
+                            compositions(max(deficit - len(slots), 0),
+                                         len(slots))]))
                         reached |= 1 << t
                 else:
                     if wqo.support_profile(sent | reached) != profile:
@@ -380,7 +395,7 @@ def pred_basis(protocol, wqo, ucs):
     engine, ``wsts._insert_preds`` into a ``wsts.Antichain`` with no
     support pruning, for the grid oracles above to check."""
     chain = wsts.Antichain(wqo, ucs.basis)
-    tables = [(a, wsts._pred_table(a)) for a in protocol.actions]
+    tables = [(a, unfiltered_table(a)) for a in protocol.actions]
     wsts._insert_preds(wqo, tables, chain, ucs.basis,
                        provenance=dict.fromkeys(ucs.basis),
                        keep=lambda supp: True)
@@ -415,7 +430,8 @@ def from_scratch_fixpoint(protocol, target, threshold, supports=None):
             for ai, action in enumerate(protocol.actions):
                 if (ai, b) not in memo:
                     memo[ai, b] = set(filter(
-                        kept, wsts._action_preds(wqo, action, b)))
+                        kept, wsts._action_preds(wqo, action, b,
+                                                 unfiltered_table(action))))
                 candidates |= memo[ai, b]
         step = pairwise_minimize(wqo, candidates)
         if step == basis:

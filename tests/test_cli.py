@@ -329,6 +329,54 @@ class TestJsonOutput:
         assert text.endswith("\n") and text.count("\n") == 1
         assert json.loads(text)["command"] == argv[0]
 
+    # the golden reports are stored with sorted keys, so only these pins
+    # see a report whose keys come out in another order
+    RESULT_KEYS = {
+        "validate": ["valid", "states", "init", "actions", "guards"],
+        "desugar": ["model"],
+        "certify": ["well_behaved", "actions", "notes"],
+        "cutoff": ["target", "count", "amenable", "lemma", "cutoff", "holds",
+                   "witness", "trace"],
+        "mc": ["n", "target", "count", "reachable", "explored", "trace"],
+        "verify": ["target", "count", "order", "reachable", "min_n", "witness",
+                   "iterations", "basis", "supports"],
+        "sweep": ["target", "count", "found", "min_n", "searched_up_to",
+                  "trace"],
+    }
+    OPTIONS = {"mc": ["--n", "3"], "sweep": ["--max", "4"]}
+
+    @pytest.mark.parametrize("command", RESULT_KEYS)
+    def test_key_order(self, command):
+        # the property block's query reaches nothing on the smoke
+        # detector and one process in Report is reached, so each query
+        # command's report is pinned with and without a trace
+        queries = [[]]
+        if command in ("cutoff", "mc", "verify", "sweep"):
+            queries.append(["--target", "Report", "--count", "1"])
+        traced = set()
+        for query in queries:
+            _, report = invoke_json(command, SMOKE, *self.OPTIONS.get(command, []),
+                                    *query)
+            assert list(report) == ["command", "model", "digest", "result",
+                                    "duration_s"]
+            result = report["result"]
+            assert list(result) == self.RESULT_KEYS[command], query
+            for step in result.get("trace") or []:
+                assert list(step) == ["action", "config"]
+            traced.add(bool(result.get("trace")))
+        assert traced == ({False, True} if "trace" in self.RESULT_KEYS[command]
+                          else {False})
+
+    def test_certify_key_order(self):
+        _, report = invoke_json("certify", MUTANT)
+        actions = report["result"]["actions"]
+        assert actions and any(st["violations"] for st in actions)
+        for st in actions:
+            assert list(st) == ["action", "status", "condition", "violations",
+                                "notes"]
+            for v in st["violations"]:
+                assert list(v) == ["condition", "guard", "transition", "detail"]
+
     def test_desugar_text_stays_indented(self):
         _, text = invoke("desugar", SMOKE)
         assert text.startswith('{\n  "states": [\n    "Env",')

@@ -230,7 +230,8 @@ def check_preds_by_construction(protocol, wqo):
     checked = 0
     for b in backward_elements(protocol, wqo):
         for action in protocol.actions:
-            for q in wsts._action_preds(wqo, action, b):
+            table = _oracle.unfiltered_table(action)
+            for q in wsts._action_preds(wqo, action, b, table):
                 assert any(wqo.leq(b, succ)
                            for succ in semantics.fire(q, action)), (
                     protocol.state_names, action.name, b, q)
@@ -248,7 +249,8 @@ def check_preds_match_exhaustive(protocol, wqo, sample=None):
         elements = random.Random(0).sample(elements, sample)
     for b in elements:
         for action in protocol.actions:
-            got = minimize(wqo, wsts._action_preds(wqo, action, b))
+            got = minimize(wqo, wsts._action_preds(
+                wqo, action, b, _oracle.unfiltered_table(action)))
             want = _oracle.LinearAntichain(
                 wqo, _oracle.exhaustive_refined_preds(wqo, action, b)).basis()
             assert got == want, (protocol.state_names, action.name, b)
@@ -297,6 +299,23 @@ class TestPrunedPreds:
                 check_preds_match_exhaustive(p, wqo)
 
 
+class TestPlacements:
+    def test_matches_compositions_oracle(self):
+        # every split of each deficit over each non-empty set of up to
+        # six slot states, each once, with its states' bitmask
+        for slots in range(1, 1 << 6):
+            states = [s for s in range(6) if slots >> s & 1]
+            for deficit in range(6):
+                got = wsts._placements(slots, deficit)
+                for adds, bits in got:
+                    assert bits == sum(1 << s for s, _ in adds), (slots, adds)
+                splits = [tuple(adds) for adds, _ in got]
+                assert len(set(splits)) == len(splits), (slots, deficit)
+                assert set(splits) == {
+                    tuple((s, c) for s, c in zip(states, counts) if c)
+                    for counts in _oracle.compositions(deficit, len(states))}
+
+
 class TestComponentwisePreds:
     """Under the component-wise order the one construction adds nothing
     to the placements of each deficit over its allowed preimages."""
@@ -305,7 +324,8 @@ class TestComponentwisePreds:
     def check(protocol):
         for b in backward_elements(protocol, COMPONENT_WISE):
             for action in protocol.actions:
-                assert wsts._action_preds(COMPONENT_WISE, action, b).keys() == (
+                table = _oracle.unfiltered_table(action)
+                assert wsts._action_preds(COMPONENT_WISE, action, b, table).keys() == (
                     _oracle.componentwise_preds(action, b)), (
                     protocol.state_names, action.name, b)
 
@@ -336,9 +356,10 @@ def check_bound_filtered(protocol, wqo):
     kept = skipped = 0
     for action in protocol.actions:
         table = wsts._pred_table(action, bound)
+        full = _oracle.unfiltered_table(action)
         for b in elements:
             filtered = wsts._action_preds(wqo, action, b, table)
-            unfiltered = wsts._action_preds(wqo, action, b)
+            unfiltered = wsts._action_preds(wqo, action, b, full)
             for preds in (filtered, unfiltered):
                 for q, supp in preds.items():
                     assert supp == wsts._support(q), (action.name, b, q)
@@ -611,6 +632,23 @@ class TestSupportBound:
                       for i in range(300)]
         for p in protocols:
             assert support_bound(p) == _oracle.support_bound(p), p
+
+    def test_long_chain_matches_oracle(self):
+        # 200 internal steps, whose receive maps fix every state, and a
+        # sender whose receive map moves every chain state but s0 into a
+        # sink: the bound maps bit by bit only the states a receive map
+        # moves, the oracle maps every state
+        n = 200
+        chain_states = [f"s{i}" for i in range(n)]
+        p = validate({
+            "states": [*chain_states, "sink"], "init": "s0",
+            "sugar": [{"type": "internal", "name": f"t{i}",
+                       "from": chain_states[i], "to": chain_states[i + 1]}
+                      for i in range(n - 1)],
+            "actions": [{"name": "reset", "kind": "sender",
+                         "sends": [["s0", "sink"]],
+                         "receives": [[s, "sink"] for s in chain_states[1:]]}]})
+        assert support_bound(p) == _oracle.support_bound(p)
 
     def test_internal_ring_is_polynomial(self):
         # with 24 or more processes every non-empty subset of the ring is

@@ -173,12 +173,12 @@ def _trace_payload(trace):
     return trace and [{"action": action, "config": list(q)} for action, q in trace]
 
 
-def _trace_lines(protocol, trace):
-    lines = []
-    for action, q in trace:
-        prefix = "  start " if action is None else f"  --{action}--> "
-        lines.append(prefix + _vec(protocol, q))
-    return lines
+def _trace_lines(args, protocol, trace):
+    """The trace's text lines, none for a ``--json`` report."""
+    if args.json:
+        return []
+    return [("  start " if action is None else f"  --{action}--> ")
+            + _vec(protocol, q) for action, q in trace]
 
 
 def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
@@ -236,7 +236,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
         if res.reachable:
             lines = [f"reachable with {args.n} processes "
                      f"({len(res.trace) - 1} steps):"]
-            lines += _trace_lines(protocol, res.trace)
+            lines += _trace_lines(args, protocol, res.trace)
             return EXIT_WITNESS, payload, lines
         return EXIT_CLEAN, payload, [
             f"not reachable with {args.n} processes "
@@ -255,7 +255,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
         if res.found:
             lines = [f"minimal system size: {res.n} "
                      f"({len(res.trace) - 1} steps):"]
-            lines += _trace_lines(protocol, res.trace)
+            lines += _trace_lines(args, protocol, res.trace)
             return EXIT_WITNESS, payload, lines
         return EXIT_CLEAN, payload, [
             f"not reachable for any n <= {res.searched_up_to}"]
@@ -308,7 +308,7 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
         if verdict.holds:
             lines.append(f"reachable at the cutoff, so for every "
                          f"n >= {verdict.cutoff}")
-            lines += _trace_lines(protocol, trace)
+            lines += _trace_lines(args, protocol, trace)
             return EXIT_WITNESS, payload, lines
         lines.append(f"not reachable at the cutoff, so for no n >= {verdict.cutoff}")
         return EXIT_CLEAN, payload, lines

@@ -265,9 +265,9 @@ def reachable(adj, start: int) -> set[int]:
     return seen
 
 
-def _complete_receives(pairs, n_states):
+def _complete_receives(pairs, identity):
     """Receive pairs -> total map, self-loops on missing sources."""
-    rmap = list(range(n_states))
+    rmap = list(identity)
     seen = set()
     for src, dst in pairs:
         if src in seen:
@@ -284,15 +284,18 @@ _JSON_TYPES = {str: "a string", list: "a list", dict: "an object",
                type(None): "null"}
 
 
-def _where(what: str, key=None, entries: bool = False) -> str:
-    """The name of a checked value: ``what``, or its entry ``key``, or
-    (``entries``) the members of that; built only for an error message."""
+def _where(what, key=None, entries: bool = False) -> str:
+    """The name of a checked value ``what`` (a string, or a format string
+    and its arguments), or of its entry ``key``, or (``entries``) of the
+    members of that; built only for an error message."""
+    if not isinstance(what, str):
+        what = what[0].format(*what[1:])
     if key is not None:
         what = f"{what}: {key!r}"
     return f"{what} entries" if entries else what
 
 
-def _typed(value, kind, what: str, key=None, entries: bool = False):
+def _typed(value, kind, what, key=None, entries: bool = False):
     """``value`` itself when it has JSON type ``kind``, else a ValidationError
     naming it by ``_where(what, key, entries)``."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
@@ -301,14 +304,14 @@ def _typed(value, kind, what: str, key=None, entries: bool = False):
                           f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
 
 
-def _field(spec: dict, key: str, kind, what: str):
+def _field(spec: dict, key: str, kind, what):
     """Required entry ``key`` of the object ``spec``, type-checked."""
     if key not in spec:
-        raise ValidationError(f"{what}: missing {key!r}")
+        raise ValidationError(f"{_where(what)}: missing {key!r}")
     return _typed(spec[key], kind, what, key)
 
 
-def _names(value, what: str, key=None, entries: bool = False) -> list[str]:
+def _names(value, what, key=None, entries: bool = False) -> list[str]:
     """A list of names, itself named as by :func:`_typed`."""
     for s in _typed(value, list, what, key, entries):
         if not isinstance(s, str):
@@ -316,7 +319,7 @@ def _names(value, what: str, key=None, entries: bool = False) -> list[str]:
     return value
 
 
-def _pair(value, what: str, key=None, entries: bool = False) -> tuple[str, str]:
+def _pair(value, what, key=None, entries: bool = False) -> tuple[str, str]:
     names = _names(value, what, key, entries)
     if len(names) != 2:
         got = f"{len(names)} name" + "s" * (len(names) != 1)
@@ -325,7 +328,7 @@ def _pair(value, what: str, key=None, entries: bool = False) -> tuple[str, str]:
     return names[0], names[1]
 
 
-def _pairs(value, what: str, key: str, *, mapping: bool = False) -> list:
+def _pairs(value, what, key: str, *, mapping: bool = False) -> list:
     """Entry ``key`` of ``what``: a list of [from, to] pairs, or (when
     ``mapping``) an object from -> to, as a list of pairs."""
     if mapping and isinstance(value, dict):
@@ -340,17 +343,17 @@ def _pairs(value, what: str, key: str, *, mapping: bool = False) -> list:
     return value
 
 
-def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Action]:
+def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
     """Expand one sugar declaration into core actions.
 
     ``state`` and ``guard`` resolve state and guard names (``guard`` also
-    takes the context for its error message), ``actions`` maps already
-    defined action names to Action records (needed by disjunctive-guard
+    takes the context for its error message), ``actions`` maps defined
+    action names to Action records (needed by disjunctive-guard
     declarations, which return a raised-arity replacement for the action
-    they reference; callers substitute it by name).
-    """
+    they reference; callers substitute it by name), ``identity`` is the
+    identity receive map."""
     kind = decl.get("type")
-    what = f"sugar {kind!r}"
+    what = ("sugar {!r}", kind)
     if kind not in ("internal", "pairwise", "async", "negotiation", "disjunctive"):
         raise ValidationError(f"unknown sugar type {kind!r}")
 
@@ -368,7 +371,6 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
     name = _field(decl, "name", str, what)
     gname = decl.get("guard")
     g = guard(TRIVIAL_GUARD_NAME if gname is None else gname, what)
-    identity = tuple(range(n_states))
 
     if kind == "internal":
         src = state(_field(decl, "from", str, what))
@@ -380,7 +382,7 @@ def desugar(decl: dict, state, guard, actions: dict, n_states: int) -> list[Acti
         if not items:
             raise ValidationError("negotiation map must be non-empty")
         pairs = [(state(s), state(t)) for s, t in items]
-        rmap = _complete_receives(pairs, n_states)
+        rmap = _complete_receives(pairs, identity)
         return [
             Action(f"{name}#{i}", SENDER, (Send(src, dst),), rmap, g)
             for i, (src, dst) in enumerate(pairs, start=1)
@@ -418,7 +420,7 @@ def validate(raw: dict) -> Protocol:
         dup = next(s for i, s in enumerate(state_names) if s in state_names[:i])
         raise ValidationError(f"duplicate state name {dup!r}")
     index = {s: i for i, s in enumerate(state_names)}
-    n = len(state_names)
+    identity = tuple(range(len(state_names)))
 
     def state(name):
         if name not in index:
@@ -427,7 +429,7 @@ def validate(raw: dict) -> Protocol:
 
     def guard(gname, what):
         if _typed(gname, str, what, "guard") not in guards:
-            raise ValidationError(f"{what}: unknown guard {gname!r}")
+            raise ValidationError(f"{_where(what)}: unknown guard {gname!r}")
         return guards[gname]
 
     if "init" not in raw:
@@ -442,12 +444,12 @@ def validate(raw: dict) -> Protocol:
     if "count" in prop:
         _typed(prop["count"], int, "'property'", "count")
 
-    trivial = Guard(TRIVIAL_GUARD_NAME, frozenset(range(n)))
+    trivial = Guard(TRIVIAL_GUARD_NAME, frozenset(identity))
     guards: dict[str, Guard] = {TRIVIAL_GUARD_NAME: trivial}
     for gname, members in _typed(raw.get("guards", {}), dict, "'guards'").items():
         if gname == TRIVIAL_GUARD_NAME:
             raise ValidationError(f"{TRIVIAL_GUARD_NAME!r} is reserved for the trivial guard")
-        member_set = frozenset(state(s) for s in _names(members, f"guard {gname!r}"))
+        member_set = frozenset(state(s) for s in _names(members, ("guard {!r}", gname)))
         if not member_set:
             raise ValidationError(f"guard {gname!r} is empty")
         guards[gname] = Guard(gname, member_set)
@@ -460,7 +462,7 @@ def validate(raw: dict) -> Protocol:
         actions[action.name] = action
 
     for i, spec in enumerate(_typed(raw.get("actions", []), list, "'actions'")):
-        what = f"actions[{i}]"
+        what = ("actions[{}]", i)
         spec = _typed(spec, dict, what)
         if not _ACTION_KEYS.issuperset(spec):
             raise ValidationError(f"unknown keys {sorted(set(spec) - _ACTION_KEYS)} "
@@ -477,13 +479,13 @@ def validate(raw: dict) -> Protocol:
             raise ValidationError(
                 f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
         pairs = _pairs(spec.get("receives", []), what, "receives", mapping=True)
-        rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], n)
-        g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
+        rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], identity)
+        g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), ("action {!r}", name))
         add(Action(name, kind, sends, rmap, g))
 
     for i, decl in enumerate(_typed(raw.get("sugar", []), list, "'sugar'")):
-        decl = _typed(decl, dict, f"sugar[{i}]")
-        produced = desugar(decl, state, guard, actions, n)
+        decl = _typed(decl, dict, ("sugar[{}]", i))
+        produced = desugar(decl, state, guard, actions, identity)
         if decl.get("type") == "disjunctive":
             # replacement for an existing action, same name
             actions[produced[0].name] = produced[0]

@@ -20,14 +20,14 @@ sum(digit_s * (B[r] - B[s])) + delta``: the receive map applied to
 every process, then one delta per outcome ``(u, uplus)``, which moves
 the ``u`` senders from where the receive map put them to ``uplus``.
 
-A sender action with one source state s and cap c fires only on its
-full key, which has one outcome, so its delta does not depend on the
-configuration: its table holds ``need = c << W*s`` (enabled iff the
-guard holds and ``code & field >= need``) and that one delta, computed
-once from ``Action.outcomes(caps)``. Every other action (maximal, or a
-sender with several source states) has ``need`` 0 and its deltas
-memoised per ``code & field`` from ``Action.outcomes``, so the firing
-rule stays in one place.
+A sender whose c send slots all leave one state s fires all c senders
+in one outcome, so its table comes from its sends, receive map R and
+guard alone: ``need = c << W*s`` (enabled iff the guard holds and ``code
+& field >= need``) and the one ``delta = sum(B[dst] per send) -
+c*B[R(s)]``. Every other action (maximal, or a sender with several
+source states) has ``need`` 0 and its deltas memoised per ``code &
+field`` from ``Action.outcomes``. That stays the firing rule: the tests
+pin every table against one built from ``Action.outcomes`` alone.
 
 A single-source sender of cap 1 whose receive map moves nobody fires as
 ``code + delta``, and it is enabled iff its source digit is nonzero and
@@ -87,47 +87,37 @@ class _Deltas(dict):
 
 
 def _packed_action(action, width):
-    """``(outside, field, need, moved, deltas, name)``: the action's
-    tables for packed configurations of one width. For a sender action
-    with a single source state, ``need`` is its cap shifted to that
-    state's digit and ``deltas`` the one-element tuple of its outcome's
-    delta; for every other action ``need`` is 0 and ``deltas`` the
-    :class:`_Deltas` memo. A cap above a digit's capacity (arity 2 at
-    n = 1, say) gives a ``need`` no digit reaches, so the action stays
-    disabled. A plain tuple, because the interpreter unpacks an exact
-    tuple faster than a named one."""
+    """``(outside, field, need, moved, deltas, name)``, the action's
+    tables at one width (see the module docstring), ``outside`` built
+    only for a non-trivial guard and ``moved`` only for a receive map
+    that moves someone. A cap above a digit's capacity (arity 2 at n = 1,
+    say) gives a ``need`` no digit reaches, so the action stays disabled.
+    A plain tuple: the interpreter unpacks it faster than a named one."""
     mask = (1 << width) - 1
-    outside = field = 0
-    moved = []
-    for s, r in enumerate(action.receive_map):
-        if s not in action.guard.members:
-            outside |= mask << width * s
-        if r != s:
-            moved.append((width * s, (1 << width * r) - (1 << width * s)))
-    for s in action.sources:
-        field |= mask << width * s
-    if action.kind == SENDER and len(action.sources) == 1:
-        (s,), (cap,) = action.sources, action.caps
-        ((_, uplus),) = action.outcomes(action.caps)
-        delta = (sum(c << width * t for t, c in enumerate(uplus))
-                 - (cap << width * action.receive_map[s]))
-        return outside, field, cap << width * s, tuple(moved), (delta,), action.name
-    return outside, field, 0, tuple(moved), _Deltas(action, width), action.name
-
-
-def _fast(table):
-    """Whether the table is a cap-1 single-source sender's whose receive
-    map moves nobody: when enabled, its successor is ``code + delta``."""
-    return table[2] == table[1] & -table[1] and not table[3]
+    rmap, members, sends = action.receive_map, action.guard.members, action.sends
+    outside, moved = 0, ()
+    if len(members) < len(rmap):
+        outside = sum(mask << width * s for s in range(len(rmap)) if s not in members)
+    if rmap != tuple(range(len(rmap))):
+        moved = tuple((width * s, (1 << width * r) - (1 << width * s))
+                      for s, r in enumerate(rmap) if r != s)
+    s = sends[0].src
+    if action.kind == SENDER and all(send.src == s for send in sends):
+        delta = (sum(1 << width * send.dst for send in sends)
+                 - (len(sends) << width * rmap[s]))
+        return (outside, mask << width * s, len(sends) << width * s, moved,
+                (delta,), action.name)
+    field = sum(mask << width * s for s in action.sources)
+    return outside, field, 0, moved, _Deltas(action, width), action.name
 
 
 class Packed:
     """A protocol compiled for packed configurations of ``width``-bit
     digits: the tables of each action, in declaration order, and the
     same actions as ``kernel``, a pair ``(head, rest)``: ``head`` is the
-    run of :func:`_fast` tables the actions start with (maybe empty),
-    each cut down to ``(outside, field, need, delta)``, and ``rest`` the
-    tables after it.
+    leading run of cap-1 single-source senders (``need`` the low bit of
+    ``field``) that move no receiver, each cut down to ``(outside, field,
+    need, delta)`` and fired as ``code + delta``; ``rest`` the others.
 
     ``memo`` maps a code's nonzero-digit mask ``(((code & low) + low) |
     code) & high`` (digit s of ``high`` is ``1 << W-1``, of ``low`` that
@@ -143,7 +133,7 @@ class Packed:
         self.actions = actions
         head = []
         for t in actions:
-            if not _fast(t):
+            if t[2] != t[1] & -t[1] or t[3]:
                 break
             head.append((t[0], t[1], t[2], t[4][0]))
         self.kernel = (tuple(head), actions[len(head):])

@@ -17,6 +17,10 @@ then the weak ones in a second walk, then C3w) is the earlier form of
 ``wellbehaved.certify``'s single walk. The per-entry successor
 evaluation is the packed kernel's loop over ``rest``, applied to every
 table, and the reference for its nonzero-digit memo over ``head``. The
+packed tables built from ``Action.outcomes`` for every action are the
+reference for the single-source senders' tables built from their
+sends. The internal reach swept to a fixpoint over the edge list is
+the reference for ``InternalReach.closure``'s one pass. The
 participations, ``(u, uplus, allowed)`` per outcome of every key of the
 caps box that takes no sender from outside the guard, are the table the
 backward engine read before it compiled each action into
@@ -187,6 +191,48 @@ def per_entry_successors(packed, code):
                           for shift, step in moved)
         out += [base + delta for delta in deltas]
     return out
+
+
+def packed_action(action, width):
+    """``semantics._packed_action`` as it was built from the firing rule
+    itself: ``outside`` and ``moved`` from a walk over every state,
+    ``field`` from ``Action.sources``, and a single-source sender's
+    ``need`` and one delta from its ``caps`` and ``Action.outcomes``."""
+    mask = (1 << width) - 1
+    outside = field = 0
+    moved = []
+    for s, r in enumerate(action.receive_map):
+        if s not in action.guard.members:
+            outside |= mask << width * s
+        if r != s:
+            moved.append((width * s, (1 << width * r) - (1 << width * s)))
+    for s in action.sources:
+        field |= mask << width * s
+    if action.kind == SENDER and len(action.sources) == 1:
+        (s,), (cap,) = action.sources, action.caps
+        ((_, uplus),) = action.outcomes(action.caps)
+        delta = (sum(c << width * t for t, c in enumerate(uplus))
+                 - (cap << width * action.receive_map[s]))
+        return outside, field, cap << width * s, tuple(moved), (delta,), action.name
+    return (outside, field, 0, tuple(moved), semantics._Deltas(action, width),
+            action.name)
+
+
+def sweep_closure(protocol, bound):
+    """``InternalReach(protocol).closure(bound)`` as the edge list of the
+    internal steps whose guard contains ``bound``, swept until no reach
+    mask grows."""
+    edges = [(a.sends[0].src, a.sends[0].dst) for a in protocol.actions
+             if is_internal(a) and bound <= a.guard.members]
+    reach = [1 << s for s in range(protocol.n_states)]
+    changed = bool(edges)
+    while changed:
+        changed = False
+        for src, dst in edges:
+            if reach[dst] & ~reach[src]:
+                reach[src] |= reach[dst]
+                changed = True
+    return reach
 
 
 def participations(action):

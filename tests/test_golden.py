@@ -1,7 +1,8 @@
 """Golden CLI reports: ``certify``, ``verify``, ``cutoff`` and ``desugar``
 on every bundled fixture and on the smoke detector with a grafted
-2-maximal action must keep producing exactly the recorded exit codes,
-JSON reports (without ``duration_s``), text output and error lines.
+2-maximal action, and ``mc`` and ``sweep`` on each of them at fixed
+sizes, must keep producing exactly the recorded exit codes, JSON
+reports (without ``duration_s``), text output and error lines.
 
 ``golden/cli_reports.json`` was recorded with :func:`record`; refresh it
 only for a deliberate change of verdicts or report wording.
@@ -28,6 +29,23 @@ MODELS = ("smoke_detector.json", "smoke_detector_2sender.json",
           "smoke_detector_mutant.json", "cutoff_witness.json",
           "smoke_with_grab.json")
 COMMANDS = ("certify", "verify", "cutoff", "desugar")
+SIZE_OPTIONS = {"mc": "--n", "sweep": "--max"}
+# per model, (size, options) of each mc and sweep query: the file's own
+# property, unreachable at that size, then a query whose trace is found
+SIZED_QUERIES = {
+    **{name: ((4, ()), (4, ("--count", "2"))) for name in MODELS
+       if name.startswith("smoke_")},
+    "cutoff_witness.json": ((15, ()), (16, ())),
+}
+
+
+def sized_runs():
+    """``(key, command, name, options)`` of every sized ``mc`` and
+    ``sweep`` query, the key its golden entry."""
+    return [(" ".join((command, name, *options)), command, name, options)
+            for name in MODELS for command, flag in SIZE_OPTIONS.items()
+            for size, extra in SIZED_QUERIES[name]
+            for options in [(flag, str(size), *extra)]]
 
 
 def model_path(name: str, tmp_dir: Path) -> Path:
@@ -38,14 +56,14 @@ def model_path(name: str, tmp_dir: Path) -> Path:
     return FIXTURES / name
 
 
-def outputs(name: str, command: str, tmp_dir: Path) -> dict:
+def outputs(name: str, command: str, tmp_dir: Path, options=()) -> dict:
     """Exit code, report, text and stderr of one command, both modes."""
     path = str(model_path(name, tmp_dir))
     got = {}
     for mode, extra in (("json", ["--json"]), ("text", [])):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = cli.run([command, path, *extra], out=out)
+            code = cli.run([command, path, *options, *extra], out=out)
         text = out.getvalue()
         if mode == "json" and text:
             report = json.loads(text)
@@ -57,8 +75,10 @@ def outputs(name: str, command: str, tmp_dir: Path) -> dict:
 
 
 def record(tmp_dir: Path) -> dict:
-    return {f"{command} {name}": outputs(name, command, tmp_dir)
-            for name in MODELS for command in COMMANDS}
+    return {**{f"{command} {name}": outputs(name, command, tmp_dir)
+               for name in MODELS for command in COMMANDS},
+            **{key: outputs(name, command, tmp_dir, options)
+               for key, command, name, options in sized_runs()}}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -66,6 +86,13 @@ def record(tmp_dir: Path) -> dict:
 def test_matches_golden(name, command, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert outputs(name, command, tmp_path) == golden[f"{command} {name}"]
+
+
+@pytest.mark.parametrize("key, command, name, options", sized_runs(),
+                         ids=[run[0] for run in sized_runs()])
+def test_sized_query_matches_golden(key, command, name, options, tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert outputs(name, command, tmp_path, options) == golden[key]
 
 
 def test_readme_sessions_match_golden():

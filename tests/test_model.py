@@ -104,6 +104,31 @@ class TestValidate:
         with pytest.raises(ValidationError, match="unknown guard"):
             validate(raw)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"actions": [{"name": "t", "sends": [["A", "B"]]}, {"sends": []}]},
+         "actions[1]: missing 'name'"),
+        ({"actions": [{"name": "t", "sends": [["A", "B"]], "guard": "G9"}]},
+         "action 't': unknown guard 'G9'"),
+        ({"actions": [{"name": "t", "sends": [["A", "B"]], "guard": 3}]},
+         "action 't': 'guard' must be a string, got an integer"),
+        ({"guards": {"G": ["A", 3]}},
+         "guard 'G' entries must be a string, got an integer"),
+        ({"sugar": [{"type": "internal", "name": "i", "from": "A", "to": "B"},
+                    "i"]},
+         "sugar[1] must be an object, got a string"),
+        ({"sugar": [{"type": "internal", "name": "i", "from": "A", "to": "B",
+                     "guard": "G9"}]},
+         "sugar 'internal': unknown guard 'G9'"),
+        ({"sugar": [{"type": "negotiation", "name": "n", "map": {"A": 1}}]},
+         "sugar 'negotiation': 'map' entries must be a string, got an integer"),
+    ])
+    def test_error_context_names(self, overrides, message):
+        """Each error names its context exactly, though the context is
+        formatted only once a check fails."""
+        with pytest.raises(ValidationError) as info:
+            validate(minimal_raw(**overrides))
+        assert str(info.value) == message
+
     def test_duplicate_action_name(self):
         raw = minimal_raw()
         raw["actions"].append(dict(raw["actions"][0]))

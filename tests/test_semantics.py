@@ -11,7 +11,15 @@ from gspmc.semantics import fire
 
 import _gen
 import _oracle
-from conftest import config, internal_ring, load_fixture, named_successors
+from conftest import (
+    config,
+    internal_ring,
+    load_fixture,
+    named_successors,
+    perfbench_protocols,
+    perfbench_ring_queries,
+)
+from test_cutoff import chain_raw
 
 
 def enabled(p, q, action):
@@ -342,3 +350,41 @@ class TestNonzeroDigitMemo:
             p = validate(with_internal_head(rng, _gen.random_raw(rng)))
             memoised += check_memo_identity(p, range(1, 5))
         assert memoised >= 100
+
+
+def table_corpus():
+    """The fixtures, 300 ``_gen.random_protocol`` and 300 benchmark
+    ``random_model`` draws, the benchmark's ring-family shapes, the
+    8-state internal ring and a 200-state chain."""
+    protocols = perfbench_protocols()
+    rng = random.Random(2323)
+    yield from map(load_fixture, FIXTURES)
+    for _ in range(300):
+        yield _gen.random_protocol(rng, certified_only=False)
+    for i in range(300):
+        yield validate(protocols.random_model(random.Random(f"tables-{i}")))
+    for shape in dict.fromkeys(q[:3] for q in perfbench_ring_queries()):
+        yield validate(protocols.ring_family(*shape))
+    yield internal_ring(8)
+    yield validate(chain_raw(200))
+
+
+class TestPackedTables:
+    def test_match_outcomes_oracle(self):
+        """Every action's tables at widths 1 to 5 equal the ones built
+        from ``Action.outcomes``; a ``_Deltas`` memo is the same empty
+        memo of the same action and width."""
+        senders = 0
+        for p in table_corpus():
+            for a in p.actions:
+                for width in range(1, 6):
+                    got = semantics._packed_action(a, width)
+                    want = _oracle.packed_action(a, width)
+                    assert got == want, (p.state_names, a.name, width)
+                    if got[2]:
+                        senders += 1
+                    else:
+                        assert type(got[4]) is semantics._Deltas
+                        assert (got[4].action(), got[4].width) == (a, width)
+                        assert not got[4]
+        assert senders >= 4000

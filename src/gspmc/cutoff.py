@@ -95,7 +95,6 @@ def classify_free(protocol: Protocol) -> tuple[Edge, ...]:
     role in the path conditions.
     """
     siblings = _sibling_sends(protocol)
-    identity = tuple(range(protocol.n_states))
     edges = []
     for a in protocol.actions:
         if is_internal(a):
@@ -109,8 +108,6 @@ def classify_free(protocol: Protocol) -> tuple[Edge, ...]:
                 o.src == s.src and o.dst != s.dst for o in a.sends))
             edges.append(Edge(a.name, "send", s.src, s.dst,
                               free, reason if free else None, i))
-        if a.receive_map == identity:
-            continue  # no receive moves anyone
         for src, dst in enumerate(a.receive_map):
             if src == dst:
                 continue

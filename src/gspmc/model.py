@@ -284,18 +284,15 @@ _JSON_TYPES = {str: "a string", list: "a list", dict: "an object",
                type(None): "null"}
 
 
-def _where(what, key=None, entries: bool = False) -> str:
-    """The name of a checked value ``what`` (a string, or a format string
-    and its arguments), or of its entry ``key``, or (``entries``) of the
-    members of that; built only for an error message."""
-    if not isinstance(what, str):
-        what = what[0].format(*what[1:])
+def _where(what: str, key=None, entries: bool = False) -> str:
+    """The name of a checked value: ``what``, or its entry ``key``, or
+    (``entries``) the members of that; built only for an error message."""
     if key is not None:
         what = f"{what}: {key!r}"
     return f"{what} entries" if entries else what
 
 
-def _typed(value, kind, what, key=None, entries: bool = False):
+def _typed(value, kind, what: str, key=None, entries: bool = False):
     """``value`` itself when it has JSON type ``kind``, else a ValidationError
     naming it by ``_where(what, key, entries)``."""
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
@@ -304,14 +301,14 @@ def _typed(value, kind, what, key=None, entries: bool = False):
                           f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
 
 
-def _field(spec: dict, key: str, kind, what):
+def _field(spec: dict, key: str, kind, what: str):
     """Required entry ``key`` of the object ``spec``, type-checked."""
     if key not in spec:
-        raise ValidationError(f"{_where(what)}: missing {key!r}")
+        raise ValidationError(f"{what}: missing {key!r}")
     return _typed(spec[key], kind, what, key)
 
 
-def _names(value, what, key=None, entries: bool = False) -> list[str]:
+def _names(value, what: str, key=None, entries: bool = False) -> list[str]:
     """A list of names, itself named as by :func:`_typed`."""
     for s in _typed(value, list, what, key, entries):
         if not isinstance(s, str):
@@ -319,7 +316,7 @@ def _names(value, what, key=None, entries: bool = False) -> list[str]:
     return value
 
 
-def _pair(value, what, key=None, entries: bool = False) -> tuple[str, str]:
+def _pair(value, what: str, key=None, entries: bool = False) -> tuple[str, str]:
     names = _names(value, what, key, entries)
     if len(names) != 2:
         got = f"{len(names)} name" + "s" * (len(names) != 1)
@@ -328,7 +325,7 @@ def _pair(value, what, key=None, entries: bool = False) -> tuple[str, str]:
     return names[0], names[1]
 
 
-def _pairs(value, what, key: str, *, mapping: bool = False) -> list:
+def _pairs(value, what: str, key: str, *, mapping: bool = False) -> list:
     """Entry ``key`` of ``what``: a list of [from, to] pairs, or (when
     ``mapping``) an object from -> to, as a list of pairs."""
     if mapping and isinstance(value, dict):
@@ -353,7 +350,7 @@ def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
     they reference; callers substitute it by name), ``identity`` is the
     identity receive map."""
     kind = decl.get("type")
-    what = ("sugar {!r}", kind)
+    what = f"sugar {kind!r}"
     if kind not in ("internal", "pairwise", "async", "negotiation", "disjunctive"):
         raise ValidationError(f"unknown sugar type {kind!r}")
 
@@ -429,7 +426,7 @@ def validate(raw: dict) -> Protocol:
 
     def guard(gname, what):
         if _typed(gname, str, what, "guard") not in guards:
-            raise ValidationError(f"{_where(what)}: unknown guard {gname!r}")
+            raise ValidationError(f"{what}: unknown guard {gname!r}")
         return guards[gname]
 
     if "init" not in raw:
@@ -449,7 +446,7 @@ def validate(raw: dict) -> Protocol:
     for gname, members in _typed(raw.get("guards", {}), dict, "'guards'").items():
         if gname == TRIVIAL_GUARD_NAME:
             raise ValidationError(f"{TRIVIAL_GUARD_NAME!r} is reserved for the trivial guard")
-        member_set = frozenset(state(s) for s in _names(members, ("guard {!r}", gname)))
+        member_set = frozenset(state(s) for s in _names(members, f"guard {gname!r}"))
         if not member_set:
             raise ValidationError(f"guard {gname!r} is empty")
         guards[gname] = Guard(gname, member_set)
@@ -462,7 +459,7 @@ def validate(raw: dict) -> Protocol:
         actions[action.name] = action
 
     for i, spec in enumerate(_typed(raw.get("actions", []), list, "'actions'")):
-        what = ("actions[{}]", i)
+        what = f"actions[{i}]"
         spec = _typed(spec, dict, what)
         if not _ACTION_KEYS.issuperset(spec):
             raise ValidationError(f"unknown keys {sorted(set(spec) - _ACTION_KEYS)} "
@@ -480,11 +477,11 @@ def validate(raw: dict) -> Protocol:
                 f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
         pairs = _pairs(spec.get("receives", []), what, "receives", mapping=True)
         rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], identity)
-        g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), ("action {!r}", name))
+        g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
         add(Action(name, kind, sends, rmap, g))
 
     for i, decl in enumerate(_typed(raw.get("sugar", []), list, "'sugar'")):
-        decl = _typed(decl, dict, ("sugar[{}]", i))
+        decl = _typed(decl, dict, f"sugar[{i}]")
         produced = desugar(decl, state, guard, actions, identity)
         if decl.get("type") == "disjunctive":
             # replacement for an existing action, same name

@@ -111,13 +111,19 @@ def _packed_action(action, width):
     return outside, field, 0, moved, _Deltas(action, width), action.name
 
 
+def _fast(table):
+    """Whether the table is a cap-1 single-source sender's whose receive
+    map moves nobody: when enabled, its successor is ``code + delta``."""
+    return table[2] == table[1] & -table[1] and not table[3]
+
+
 class Packed:
     """A protocol compiled for packed configurations of ``width``-bit
     digits: the tables of each action, in declaration order, and the
     same actions as ``kernel``, a pair ``(head, rest)``: ``head`` is the
-    leading run of cap-1 single-source senders (``need`` the low bit of
-    ``field``) that move no receiver, each cut down to ``(outside, field,
-    need, delta)`` and fired as ``code + delta``; ``rest`` the others.
+    run of :func:`_fast` tables the actions start with (maybe empty),
+    each cut down to ``(outside, field, need, delta)``, and ``rest`` the
+    tables after it.
 
     ``memo`` maps a code's nonzero-digit mask ``(((code & low) + low) |
     code) & high`` (digit s of ``high`` is ``1 << W-1``, of ``low`` that
@@ -133,7 +139,7 @@ class Packed:
         self.actions = actions
         head = []
         for t in actions:
-            if t[2] != t[1] & -t[1] or t[3]:
+            if not _fast(t):
                 break
             head.append((t[0], t[1], t[2], t[4][0]))
         self.kernel = (tuple(head), actions[len(head):])

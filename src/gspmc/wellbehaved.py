@@ -93,8 +93,9 @@ class InternalReach:
     using only internal sends whose guard contains every state in
     ``bound`` (so the moves stay enabled while the configuration's
     support is contained in ``bound``). ``unguarded(s, t)`` is the
-    special case bound = all states (only unguarded steps qualify), and
-    ``unguarded_masks[s]`` the bitmask of the states it reaches from s.
+    special case bound = all states, i.e. only trivially guarded
+    internal transitions qualify; ``unguarded_masks[s]`` is the bitmask
+    of the states it reaches from ``s``.
     """
 
     def __init__(self, protocol: Protocol):
@@ -106,44 +107,20 @@ class InternalReach:
 
     def closure(self, bound: frozenset[int]) -> list[int]:
         """Per state s, the bitmask of the states ``guarded`` reaches
-        from s under ``bound``, in one pass of Tarjan's algorithm: it
-        closes each strongly connected component after every one it
-        reaches, so its states reach its own and what its edges reach."""
-        if bound in self._cache:
-            return self._cache[bound]
-        succ = {}
-        for src, dst, members in self._edges:
-            if bound <= members:
-                succ.setdefault(src, []).append(dst)
-        reach = self._cache[bound] = [1 << s for s in range(self._n)]
-        order, low, edges, stack = {}, {}, {}, []
-        for root in succ:
-            work = [] if root in edges else [root]
-            while work:
-                v = work[-1]
-                if v not in edges:  # entered: ordered by its place on the stack
-                    order[v] = low[v] = len(stack)
-                    stack.append(v)
-                    edges[v] = iter(succ.get(v, ()))
-                w = next(edges[v], None)
-                if w is None:
-                    work.pop()
-                    if work:
-                        low[work[-1]] = min(low[work[-1]], low[v])
-                    if low[v] == order[v]:
-                        component = stack[order[v]:]
-                        del stack[order[v]:]
-                        mask = 1 << v  # every other member is a member's successor
-                        for u in component:
-                            order[u] = self._n  # closed: lowers no low link
-                            for x in succ.get(u, ()):
-                                mask |= reach[x]  # final, or x's own bit inside
-                        for u in component:
-                            reach[u] = mask
-                elif w not in edges:
-                    work.append(w)
-                else:
-                    low[v] = min(low[v], order[w])
+        from s under ``bound``."""
+        reach = self._cache.get(bound)
+        if reach is None:
+            edges = [(src, dst) for src, dst, members in self._edges
+                     if bound <= members]
+            reach = [1 << s for s in range(self._n)]
+            changed = bool(edges)
+            while changed:
+                changed = False
+                for src, dst in edges:
+                    if reach[dst] & ~reach[src]:
+                        reach[src] |= reach[dst]
+                        changed = True
+            self._cache[bound] = reach
         return reach
 
     def unguarded(self, s: int, t: int) -> bool:

@@ -19,9 +19,7 @@ evaluation is the packed kernel's loop over ``rest``, applied to every
 table, and the reference for its nonzero-digit memo over ``head``. The
 packed tables built from ``Action.outcomes`` for every action are the
 reference for the single-source senders' tables built from their
-sends. The internal reach swept to a fixpoint over the edge list is
-the reference for ``InternalReach.closure``'s one pass. The
-participations, ``(u, uplus, allowed)`` per outcome of every key of the
+sends. The participations, ``(u, uplus, allowed)`` per outcome of every key of the
 caps box that takes no sender from outside the guard, are the table the
 backward engine read before it compiled each action into
 ``Action.firing_keys``, and the support bound stepped through them is
@@ -216,23 +214,6 @@ def packed_action(action, width):
         return outside, field, cap << width * s, tuple(moved), (delta,), action.name
     return (outside, field, 0, tuple(moved), semantics._Deltas(action, width),
             action.name)
-
-
-def sweep_closure(protocol, bound):
-    """``InternalReach(protocol).closure(bound)`` as the edge list of the
-    internal steps whose guard contains ``bound``, swept until no reach
-    mask grows."""
-    edges = [(a.sends[0].src, a.sends[0].dst) for a in protocol.actions
-             if is_internal(a) and bound <= a.guard.members]
-    reach = [1 << s for s in range(protocol.n_states)]
-    changed = bool(edges)
-    while changed:
-        changed = False
-        for src, dst in edges:
-            if reach[dst] & ~reach[src]:
-                reach[src] |= reach[dst]
-                changed = True
-    return reach
 
 
 def participations(action):

@@ -74,6 +74,18 @@ def internal_ring(length: int) -> model.Protocol:
                    "to": ring[(j + 1) % length]} for j in range(length)]})
 
 
+def chain_raw(length: int) -> dict:
+    """Internal steps S0 -> S1 -> ... along ``length`` states, plus a
+    2-sender action out of S0, so that L1 and L2 fail and L3 walks the
+    whole chain: a path deeper than the interpreter's recursion limit."""
+    states = [f"S{i}" for i in range(length)]
+    actions = [{"name": f"t{i}", "kind": "sender", "sends": [[a, b]]}
+               for i, (a, b) in enumerate(zip(states, states[1:]))]
+    actions.append({"name": "pair", "kind": "sender",
+                    "sends": [["S0", "S1"], ["S0", "S1"]]})
+    return {"states": states, "init": "S0", "guards": {}, "actions": actions}
+
+
 def chain(n: int) -> model.Protocol:
     """States S0..S(n-1) joined by internal steps t_i from S_i to
     S_(i+1), plus a sender ``b`` under the guard G = S0..S(n//2) that

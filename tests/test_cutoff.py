@@ -21,7 +21,7 @@ from gspmc.model import validate
 from gspmc.wsts import decide
 
 import _gen
-from conftest import perfbench_protocols
+from conftest import chain_raw, perfbench_protocols
 
 
 def edge_table(protocol):
@@ -99,18 +99,6 @@ def detour_raw(variant: str) -> dict:
         ],
         "sugar": sugar,
     }
-
-
-def chain_raw(length: int) -> dict:
-    """Internal steps S0 -> S1 -> ... along ``length`` states, plus a
-    2-sender action out of S0, so that L1 and L2 fail and L3 walks the
-    whole chain: a path deeper than the interpreter's recursion limit."""
-    states = [f"S{i}" for i in range(length)]
-    actions = [{"name": f"t{i}", "kind": "sender", "sends": [[a, b]]}
-               for i, (a, b) in enumerate(zip(states, states[1:]))]
-    actions.append({"name": "pair", "kind": "sender",
-                    "sends": [["S0", "S1"], ["S0", "S1"]]})
-    return {"states": states, "init": "S0", "guards": {}, "actions": actions}
 
 
 def long_detour_raw(length: int, back: str) -> dict:

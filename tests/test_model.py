@@ -123,8 +123,7 @@ class TestValidate:
          "sugar 'negotiation': 'map' entries must be a string, got an integer"),
     ])
     def test_error_context_names(self, overrides, message):
-        """Each error names its context exactly, though the context is
-        formatted only once a check fails."""
+        """Each error names its context exactly."""
         with pytest.raises(ValidationError) as info:
             validate(minimal_raw(**overrides))
         assert str(info.value) == message

@@ -12,6 +12,7 @@ from gspmc.semantics import fire
 import _gen
 import _oracle
 from conftest import (
+    chain_raw,
     config,
     internal_ring,
     load_fixture,
@@ -19,7 +20,6 @@ from conftest import (
     perfbench_protocols,
     perfbench_ring_queries,
 )
-from test_cutoff import chain_raw
 
 
 def enabled(p, q, action):

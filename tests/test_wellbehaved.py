@@ -17,13 +17,7 @@ from gspmc.wellbehaved import (
 
 import _gen
 import _oracle
-from conftest import (
-    fixture_path,
-    internal_ring,
-    load_fixture,
-    perfbench_protocols,
-)
-from test_cutoff import chain_raw
+from conftest import fixture_path, load_fixture, perfbench_protocols
 
 
 def weak_sender_raw(guarded_escape: bool) -> dict:
@@ -161,23 +155,6 @@ class TestStateOrder:
                    for t in range(p.n_states) for s in range(p.n_states))
 
 
-def internal_graph_raw(rng) -> dict:
-    """Two to nine states joined by up to 16 random internal steps, one
-    in three under one of two random guards: cycles, shared targets and
-    edges into components already closed."""
-    states = [f"S{i}" for i in range(rng.randint(2, 9))]
-    guards = {g: rng.sample(states, rng.randint(1, len(states)))
-              for g in ("G0", "G1")}
-    sugar = []
-    for i in range(rng.randint(0, 16)):
-        step = {"type": "internal", "name": f"t{i}",
-                "from": rng.choice(states), "to": rng.choice(states)}
-        if rng.random() < 1 / 3:
-            step["guard"] = rng.choice(list(guards))
-        sugar.append(step)
-    return {"states": states, "init": "S0", "guards": guards, "sugar": sugar}
-
-
 class TestInternalReach:
     def test_smoke_guarded_only(self, smoke):
         reach = InternalReach(smoke)
@@ -199,28 +176,6 @@ class TestInternalReach:
         assert not reach.unguarded(idx("A"), idx("C"))
         # under bound {C, D} the guarded step C -> D becomes usable
         assert reach.guarded(idx("C"), idx("D"), {idx("C"), idx("D")})
-
-    def test_closure_matches_sweep_oracle(self):
-        """Under every state, each guard and two random subsets, the
-        masks of the edge list swept to a fixpoint, on the certify
-        corpus, an internal ring (one cycle) and 300 random graphs of
-        internal steps; and under every state on a 1,500-state chain
-        declared source first, which the sweep crosses once per state."""
-        rng = random.Random(1500)
-        graphs = [validate(internal_graph_raw(rng)) for _ in range(300)]
-        for p in (*certify_corpus(), internal_ring(8), *graphs):
-            reach = InternalReach(p)
-            states = range(p.n_states)
-            bounds = [frozenset(states), *(g.members for g in p.guards),
-                      *(frozenset(rng.sample(states, rng.randint(1, p.n_states)))
-                        for _ in range(2))]
-            for bound in bounds:
-                assert reach.closure(bound) == _oracle.sweep_closure(p, bound), (
-                    p.state_names, sorted(bound))
-        chain = validate(chain_raw(1500))
-        every = frozenset(range(chain.n_states))
-        assert (InternalReach(chain).closure(every)
-                == _oracle.sweep_closure(chain, every))
 
 
 class TestStrongConditions:

@@ -3,11 +3,12 @@
 Commands: ``validate``, ``desugar``, ``certify``, ``cutoff``, ``mc``,
 ``verify``, ``sweep``. Every command reads one model file; analysis
 commands take the target state and count from ``--target``/``--count``
-(falling back to the file's ``property`` block); ``--json`` prints the
-report as one JSON line. Exit codes: 0 when the property was refuted or
-the analysis passed, 1 when a witness or violation was found, 2 on any
-usage, parse, validation or resource error, which is reported as one
-line on stderr.
+(falling back to the file's ``property`` block). Each command builds one
+result: ``--json`` prints it inside a one-line JSON report, and the text
+report shows that same result. The exit code is read off it: 1 when a
+witness or violation was found (``reachable``, ``found`` or ``holds``
+true, or ``well_behaved`` false), else 0, and 2 on any usage, parse,
+validation or resource error, which is reported as one line on stderr.
 A reader that closes stdout early does not change the exit code.
 
 A well-formed line (the command, the model file, then ``--json`` flags
@@ -163,62 +164,30 @@ def _resolve_query(protocol, mf, args):
     return protocol.state_index(target), count
 
 
-def _vec(protocol, q):
-    inside = ", ".join(f"{protocol.state_names[s]}:{c}"
-                       for s, c in enumerate(q) if c)
-    return "{" + inside + "}"
-
-
 def _trace_payload(trace):
     return trace and [{"action": action, "config": list(q)} for action, q in trace]
 
 
-def _trace_lines(args, protocol, trace):
-    """The trace's text lines, none for a ``--json`` report."""
-    if args.json:
-        return []
-    return [("  start " if action is None else f"  --{action}--> ")
-            + _vec(protocol, q) for action, q in trace]
-
-
-def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
-    """Execute one command; returns (exit code, result payload, text lines)."""
+def _result(args, mf, protocol) -> dict:
+    """The command's result, exactly as ``--json`` reports it."""
     if args.command == "validate":
-        payload = {
-            "valid": True,
-            "states": list(protocol.state_names),
-            "init": protocol.state_names[protocol.init],
-            "actions": [a.name for a in protocol.actions],
-            "guards": [g.name for g in protocol.guards[1:]],
-        }
-        return EXIT_CLEAN, payload, ["model is valid",
-                                     f"actions: {', '.join(payload['actions'])}"]
+        return {"valid": True, "states": list(protocol.state_names),
+                "init": protocol.state_names[protocol.init],
+                "actions": [a.name for a in protocol.actions],
+                "guards": [g.name for g in protocol.guards[1:]]}
 
     if args.command == "desugar":
-        doc = modelfile.core_document(protocol, mf.property_block)
-        return EXIT_CLEAN, {"model": doc}, [modelfile.render(doc).rstrip("\n")]
+        return {"model": modelfile.core_document(protocol, mf.property_block)}
 
     if args.command == "certify":
         report = wellbehaved.certify(protocol)
-        actions, lines = [], [f"well-behaved: {report.well_behaved}"]
-        for st in report.actions:
-            if st.status == "violation":
-                head = f"  {st.action}: VIOLATION"
-                for v in st.violations:
-                    lines.append(f"{head} {v.condition} on {v.guard} "
-                                 f"({v.transition[0]} -> {v.transition[1]}): {v.detail}")
-            else:
-                lines.append(f"  {st.action}: {st.status} ({st.condition})")
-            actions.append({
-                "action": st.action, "status": st.status, "condition": st.condition,
-                "violations": [{"condition": v.condition, "guard": v.guard,
-                                "transition": list(v.transition), "detail": v.detail}
-                               for v in st.violations],
-                "notes": list(st.notes)})
-        lines += [f"  note: {note}" for note in report.notes]
-        payload = {"well_behaved": report.well_behaved, "actions": actions,
-                   "notes": list(report.notes)}
-        return EXIT_CLEAN if report.well_behaved else EXIT_WITNESS, payload, lines
+        return {"well_behaved": report.well_behaved, "actions": [
+            {"action": st.action, "status": st.status, "condition": st.condition,
+             "violations": [{"condition": v.condition, "guard": v.guard,
+                             "transition": list(v.transition), "detail": v.detail}
+                            for v in st.violations],
+             "notes": list(st.notes)} for st in report.actions],
+            "notes": list(report.notes)}
 
     target, count = _resolve_query(protocol, mf, args)
     query = {"target": protocol.state_names[target], "count": count}
@@ -226,47 +195,21 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
     if args.command == "mc":
         res = explicit.check_fixed(protocol, explicit.ReachQuery(target, count, args.n),
                                    state_budget=args.state_budget)
-        payload = {
-            "n": args.n,
-            **query,
-            "reachable": res.reachable,
-            "explored": res.explored,
-            "trace": _trace_payload(res.trace),
-        }
-        if res.reachable:
-            lines = [f"reachable with {args.n} processes "
-                     f"({len(res.trace) - 1} steps):"]
-            lines += _trace_lines(args, protocol, res.trace)
-            return EXIT_WITNESS, payload, lines
-        return EXIT_CLEAN, payload, [
-            f"not reachable with {args.n} processes "
-            f"({res.explored} configurations explored)"]
+        return {"n": args.n, **query, "reachable": res.reachable,
+                "explored": res.explored, "trace": _trace_payload(res.trace)}
 
     if args.command == "sweep":
         res = explicit.min_witness_size(protocol, target, count, args.max_n,
                                         state_budget=args.state_budget)
-        payload = {
-            **query,
-            "found": res.found,
-            "min_n": res.n,
-            "searched_up_to": res.searched_up_to,
-            "trace": _trace_payload(res.trace),
-        }
-        if res.found:
-            lines = [f"minimal system size: {res.n} "
-                     f"({len(res.trace) - 1} steps):"]
-            lines += _trace_lines(args, protocol, res.trace)
-            return EXIT_WITNESS, payload, lines
-        return EXIT_CLEAN, payload, [
-            f"not reachable for any n <= {res.searched_up_to}"]
+        return {**query, "found": res.found, "min_n": res.n,
+                "searched_up_to": res.searched_up_to,
+                "trace": _trace_payload(res.trace)}
 
     if args.command == "verify":
         verdict = wsts.decide(protocol, target, count)
-        order = "component-wise" if not verdict.basis.wqo.guards \
-            else "guard-refined"
-        payload = {
+        return {
             **query,
-            "order": order,
+            "order": "guard-refined" if verdict.basis.wqo.guards else "component-wise",
             "reachable": verdict.reachable,
             "min_n": verdict.min_n,
             "witness": None if verdict.witness is None else list(verdict.witness),
@@ -277,43 +220,69 @@ def _run_command(args, mf, protocol) -> tuple[int, dict, list[str]]:
                        if m >> s & 1)
                 for m in verdict.supports),
         }
-        lines = [f"order: {order}"]
-        if verdict.reachable:
-            lines.append(f"Reachable: minimal system size {verdict.min_n}")
-            lines.append("  witness actions: "
-                         + (", ".join(verdict.witness) or "(none)"))
-            return EXIT_WITNESS, payload, lines
-        lines.append(f"Unreachable for every system size "
-                     f"(fixpoint basis of {len(verdict.basis.basis)} elements, "
-                     f"{verdict.iterations} iteration(s))")
-        return EXIT_CLEAN, payload, lines
 
     if args.command == "cutoff":
         verdict = cutoff.certified_cutoff_check(
             protocol, target, count,
             state_budget=args.state_budget, path_budget=args.path_budget)
-        trace = verdict.result and verdict.result.trace
-        payload = {
-            **query,
-            "amenable": verdict.amenable,
-            "lemma": verdict.lemma,
-            "cutoff": verdict.cutoff,
-            "holds": verdict.holds,
-            "witness": verdict.witness,
-            "trace": _trace_payload(trace),
-        }
-        if not verdict.amenable:
-            return EXIT_CLEAN, payload, [f"NotAmenable: {verdict.witness}"]
-        lines = [f"lemma {verdict.lemma} applies: cutoff {verdict.cutoff}"]
-        if verdict.holds:
-            lines.append(f"reachable at the cutoff, so for every "
-                         f"n >= {verdict.cutoff}")
-            lines += _trace_lines(args, protocol, trace)
-            return EXIT_WITNESS, payload, lines
-        lines.append(f"not reachable at the cutoff, so for no n >= {verdict.cutoff}")
-        return EXIT_CLEAN, payload, lines
+        return {**query, "amenable": verdict.amenable, "lemma": verdict.lemma,
+                "cutoff": verdict.cutoff, "holds": verdict.holds,
+                "witness": verdict.witness,
+                "trace": _trace_payload(verdict.result and verdict.result.trace)}
 
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def _exit_code(result) -> int:
+    """1 when the result holds a witness or a violation, else 0."""
+    found = any(result.get(key) for key in ("reachable", "found", "holds"))
+    return EXIT_WITNESS if found or result.get("well_behaved") is False else EXIT_CLEAN
+
+
+def _text(command, r, state_names) -> list[str]:
+    """The text report of ``command``, read off its result ``r`` alone."""
+    if command == "validate":
+        return ["model is valid", f"actions: {', '.join(r['actions'])}"]
+    if command == "desugar":
+        return [modelfile.render(r["model"]).rstrip("\n")]
+    if command == "certify":
+        lines = [f"well-behaved: {r['well_behaved']}"]
+        for st in r["actions"]:
+            if st["status"] == "violation":
+                lines += [f"  {st['action']}: VIOLATION {v['condition']} on {v['guard']} "
+                          f"({' -> '.join(v['transition'])}): {v['detail']}"
+                          for v in st["violations"]]
+            else:
+                lines.append(f"  {st['action']}: {st['status']} ({st['condition']})")
+        return lines + [f"  note: {note}" for note in r["notes"]]
+    if command == "verify":
+        if not r["reachable"]:
+            return [f"order: {r['order']}",
+                    f"Unreachable for every system size (fixpoint basis of "
+                    f"{len(r['basis'])} elements, {r['iterations']} iteration(s))"]
+        return [f"order: {r['order']}",
+                f"Reachable: minimal system size {r['min_n']}",
+                "  witness actions: " + (", ".join(r["witness"]) or "(none)")]
+    if command == "mc":
+        if not r["reachable"]:
+            return [f"not reachable with {r['n']} processes "
+                    f"({r['explored']} configurations explored)"]
+        lines = [f"reachable with {r['n']} processes ({len(r['trace']) - 1} steps):"]
+    elif command == "sweep":
+        if not r["found"]:
+            return [f"not reachable for any n <= {r['searched_up_to']}"]
+        lines = [f"minimal system size: {r['min_n']} ({len(r['trace']) - 1} steps):"]
+    else:  # cutoff
+        if not r["amenable"]:
+            return [f"NotAmenable: {r['witness']}"]
+        lines = [f"lemma {r['lemma']} applies: cutoff {r['cutoff']}"]
+        if not r["holds"]:
+            return lines + [f"not reachable at the cutoff, so for no n >= {r['cutoff']}"]
+        lines.append(f"reachable at the cutoff, so for every n >= {r['cutoff']}")
+    return lines + [
+        ("  start {" if step["action"] is None else f"  --{step['action']}--> {{")
+        + ", ".join(f"{state_names[s]}:{c}" for s, c in enumerate(step["config"]) if c)
+        + "}" for step in r["trace"]]
 
 
 def run(argv=None, out=None) -> int:
@@ -323,7 +292,7 @@ def run(argv=None, out=None) -> int:
         started = time.monotonic()
         mf = modelfile.parse_model(args.model)
         protocol = model.validate(mf.raw)
-        code, payload, lines = _run_command(args, mf, protocol)
+        result = _result(args, mf, protocol)
     except (modelfile.ParseError, modelfile.IoError, model.ValidationError,
             wsts.NotCertifiedWellBehaved, UsageError,
             explicit.StateBudgetExceeded, cutoff.PathBudgetExceeded,
@@ -333,22 +302,23 @@ def run(argv=None, out=None) -> int:
         return EXIT_ERROR
 
     if args.json:
-        report = {
+        lines = [_REPORT_JSON.encode({
             "command": args.command,
             "model": args.model,
             "digest": {"states": protocol.n_states,
                        "actions": len(protocol.actions),
                        "guards": len(protocol.guards) - 1},
-            "result": payload,
+            "result": result,
             "duration_s": round(time.monotonic() - started, 6),
-        }
-        lines = [_REPORT_JSON.encode(report)]
+        })]
+    else:
+        lines = _text(args.command, result, protocol.state_names)
     try:
         for line in lines:
             out.write(line + "\n")
     except BrokenPipeError:
         pass  # the reader is gone; the verdict and its exit code stand
-    return code
+    return _exit_code(result)
 
 
 def main() -> None:

@@ -123,6 +123,13 @@ def check_lemma1(protocol: Protocol) -> bool:
 
     A negotiation-shaped action has one send, which is one of its own
     receive moves, and its siblings send every one of those moves.
+
+    L1 implies L2 at every target, so it only picks the label. An
+    internal action's send is ``FREE_INTERNAL`` and it has no receive
+    move. A negotiation-shaped action's one send is a free arity-1
+    send, and each of its receive moves is sent by a sibling, so it is
+    a free negotiation-style receive. Every local edge is then free,
+    and no non-free edge lies on any path.
     """
     siblings = _sibling_sends(protocol)
 

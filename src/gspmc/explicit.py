@@ -24,7 +24,6 @@ class StateBudgetExceeded(Exception):
     def __init__(self, explored, size):
         super().__init__(f"state budget exhausted after {explored} states (n={size})")
         self.explored = explored
-        self.size = size
 
 
 @dataclass(frozen=True)

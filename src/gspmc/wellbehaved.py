@@ -40,14 +40,13 @@ class StateOrder:
 
     ``below(t, s)`` holds iff every used non-trivial guard containing
     ``s`` also contains ``t`` — processes in ``t`` never block a guard
-    that processes in ``s`` satisfy. ``below_set(t, dests)`` is the set
-    form: every guard containing all of ``dests`` contains ``t``.
+    that processes in ``s`` satisfy. ``below_common(dests)`` is the set
+    form, as a bitmask: the states t that every guard containing all of
+    ``dests`` contains. ``below_each(dests)`` is the bitmask of the
+    states below every state of ``dests``.
 
     Each state keeps one bitmask of the used guards that contain it, bit
-    i for ``guards[i]``, so both tests are a few ``&``.
-    ``below_common(dests)`` is the bitmask of the states t with
-    ``below_set(t, dests)``, and ``below_each(dests)`` that of the states
-    below every state of ``dests``.
+    i for ``guards[i]``, so each test is a few ``&``.
     """
 
     def __init__(self, protocol: Protocol):
@@ -61,9 +60,6 @@ class StateOrder:
 
     def below(self, t: int, s: int) -> bool:
         return not self._in[s] & ~self._in[t]
-
-    def below_set(self, t: int, dests) -> bool:
-        return bool(self.below_common(dests) >> t & 1)
 
     def below_common(self, dests) -> int:
         need = self._all
@@ -89,13 +85,12 @@ class StateOrder:
 class InternalReach:
     """Reachability along internal transitions, filtered by guard bounds.
 
-    ``guarded(s, t, bound)`` holds iff ``t`` is reachable from ``s``
-    using only internal sends whose guard contains every state in
+    ``closure(bound)[s]`` is the bitmask of the states reachable from
+    ``s`` using only internal sends whose guard contains every state in
     ``bound`` (so the moves stay enabled while the configuration's
-    support is contained in ``bound``). ``unguarded(s, t)`` is the
+    support is contained in ``bound``). ``unguarded_masks`` is the
     special case bound = all states, i.e. only trivially guarded
-    internal transitions qualify; ``unguarded_masks[s]`` is the bitmask
-    of the states it reaches from ``s``.
+    internal transitions qualify.
     """
 
     def __init__(self, protocol: Protocol):
@@ -106,8 +101,8 @@ class InternalReach:
         self.unguarded_masks = self.closure(frozenset(range(self._n)))
 
     def closure(self, bound: frozenset[int]) -> list[int]:
-        """Per state s, the bitmask of the states ``guarded`` reaches
-        from s under ``bound``."""
+        """Per state s, the bitmask of the states internal moves enabled
+        under ``bound`` reach from s."""
         reach = self._cache.get(bound)
         if reach is None:
             edges = [(src, dst) for src, dst, members in self._edges
@@ -122,12 +117,6 @@ class InternalReach:
                         changed = True
             self._cache[bound] = reach
         return reach
-
-    def unguarded(self, s: int, t: int) -> bool:
-        return bool(self.unguarded_masks[s] >> t & 1)
-
-    def guarded(self, s: int, t: int, bound) -> bool:
-        return bool(self.closure(frozenset(bound))[s] >> t & 1)
 
 
 @dataclass(frozen=True)

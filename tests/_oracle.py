@@ -14,7 +14,9 @@ are the engine's earlier forms, kept as references for the one
 predecessor construction, the bounded target basis and the
 support-bucketed antichain. The two-pass certifier (strong conditions,
 then the weak ones in a second walk, then C3w) is the earlier form of
-``wellbehaved.certify``'s single walk. The per-entry successor
+``wellbehaved.certify``'s single walk; it reads the preorder matrix and
+an internal-move search of its own, not the package's ``StateOrder``
+and ``InternalReach``. The per-entry successor
 evaluation is the packed kernel's loop over ``rest``, applied to every
 table, and the reference for its nonzero-digit memo over ``head``. The
 packed tables built from ``Action.outcomes`` for every action are the
@@ -38,13 +40,7 @@ from dataclasses import dataclass
 
 from gspmc import semantics, wsts
 from gspmc.model import SENDER, is_internal
-from gspmc.wellbehaved import (
-    ActionStatus,
-    GuardCompatReport,
-    InternalReach,
-    StateOrder,
-    Violation,
-)
+from gspmc.wellbehaved import ActionStatus, GuardCompatReport, Violation
 
 
 def multiset_fire(states: Counter, action) -> list[Counter]:
@@ -312,6 +308,26 @@ def state_order_below_set(protocol, t, dests):
     return all(t in g.members for g in protocol.used_guards() if ds <= g.members)
 
 
+def internal_reach(protocol, bound):
+    """``reach[s]``: the set of states that internal moves whose guard
+    holds every state of ``bound`` lead to from s, s included, by a
+    depth-first search from each state."""
+    succ = [[] for _ in range(protocol.n_states)]
+    for a in protocol.actions:
+        if is_internal(a) and bound <= a.guard.members:
+            succ[a.sends[0].src].append(a.sends[0].dst)
+    reach = []
+    for s in range(protocol.n_states):
+        seen, stack = {s}, [s]
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach.append(seen)
+    return reach
+
+
 def pairwise_minimize(wqo, vectors):
     """Sorted minimal elements, comparing every pair with ``wqo.leq``."""
     vs = set(vectors)
@@ -500,13 +516,13 @@ class _Context:
     :func:`two_pass_certify`."""
 
     guards: tuple
-    order: StateOrder
-    reach: InternalReach
+    below: list  # state_order_matrix
+    unguarded: list  # internal_reach over trivially guarded moves
 
 
 def _context(protocol) -> _Context:
-    return _Context(protocol.used_guards(), StateOrder(protocol),
-                    InternalReach(protocol))
+    return _Context(protocol.used_guards(), state_order_matrix(protocol),
+                    internal_reach(protocol, frozenset(range(protocol.n_states))))
 
 
 def check_action(protocol, a, *, weak: bool) -> CheckResult:
@@ -539,16 +555,14 @@ def check_action(protocol, a, *, weak: bool) -> CheckResult:
 
 def _check_action(protocol, a, weak, ctx):
     names = protocol.state_names
-    n = protocol.n_states
-    order, reach = ctx.order, ctx.reach
+    below, unguarded = ctx.below, ctx.unguarded
     w = "w" if weak else ""
     violations = []
     notes = []
 
     def escapes(s, ok_dest) -> bool:
         t = a.receive_map[s]
-        return weak and any(ok_dest(sp) and reach.unguarded(t, sp)
-                            for sp in range(n))
+        return weak and any(ok_dest(sp) for sp in unguarded[t])
 
     if a.kind == SENDER:
         dests = {s.dst for s in a.sends}
@@ -557,7 +571,7 @@ def _check_action(protocol, a, weak, ctx):
                 for s in sorted(a.guard.members):
                     t = a.receive_map[s]
                     if t in gp.members or escapes(
-                            s, lambda sp: order.below_set(sp, dests)):
+                            s, lambda sp: state_order_below_set(protocol, sp, dests)):
                         continue
                     violations.append(Violation(
                         "C1" + w, gp.name, (names[s], names[t]),
@@ -576,9 +590,9 @@ def _check_action(protocol, a, weak, ctx):
             for s in rest:
                 t = a.receive_map[s]
                 if t in gp.members or escapes(
-                        s, lambda sp: all(order.below(sp, d) for d in all_dests)):
+                        s, lambda sp: all(below[sp][d] for d in all_dests)):
                     continue
-                if escapes(s, lambda sp: all(order.below(sp, d)
+                if escapes(s, lambda sp: all(below[sp][d]
                                              for d in in_guard_dests)):
                     notes.append(
                         f"{a.name}/{gp.name}: C2.1w fails only under the "
@@ -591,7 +605,7 @@ def _check_action(protocol, a, weak, ctx):
                     f"send destination enters it"))
         for i, si in enumerate(a.sends):
             for j, sj in enumerate(a.sends):
-                if not (order.below(si.src, sj.src) and sj.dst in gp.members):
+                if not (below[si.src][sj.src] and sj.dst in gp.members):
                     continue
                 if si.dst not in gp.members:
                     violations.append(Violation(
@@ -600,7 +614,7 @@ def _check_action(protocol, a, weak, ctx):
                         f"send #{j} enters it"))
                 t = a.receive_map[si.src]
                 if t in gp.members or escapes(
-                        si.src, lambda sp: order.below(sp, si.dst)):
+                        si.src, lambda sp: below[sp][si.dst]):
                     continue
                 violations.append(Violation(
                     "C2.2" + w, gp.name, (names[si.src], names[t]),
@@ -626,17 +640,15 @@ def check_c3w(protocol, a) -> CheckResult:
 
 def _check_c3w(protocol, a, ctx):
     names = protocol.state_names
-    order, reach = ctx.order, ctx.reach
     n = protocol.n_states
     src, dst = a.sends[0].src, a.sends[0].dst
-    below_dst = {t for t in range(n) if order.below(t, dst)}
-    bound = frozenset(a.guard.members | below_dst)
+    below_dst = {t for t in range(n) if ctx.below[t][dst]}
+    reach = internal_reach(protocol, frozenset(a.guard.members | below_dst))
     violations = []
     for gp in ctx.guards:
         if src not in gp.members and dst in gp.members:
             for t in sorted(a.guard.members):
-                if not any(order.below(tp, dst) and reach.guarded(t, tp, bound)
-                           for tp in range(n)):
+                if not below_dst & reach[t]:
                     violations.append(Violation(
                         "C3w", gp.name, (names[src], names[dst]),
                         f"state {names[t]} has no internal path (under the "

@@ -17,7 +17,7 @@ from gspmc.cutoff import (
     classify_free,
 )
 from gspmc.explicit import ReachQuery, check_fixed
-from gspmc.model import validate
+from gspmc.model import is_internal, validate
 from gspmc.wsts import decide
 
 import _gen
@@ -208,6 +208,22 @@ class TestLemma1:
 
     def test_witness_is_not_shaped(self, witness):
         assert not check_lemma1(witness)
+
+    def test_implies_lemma2_at_every_target(self):
+        """Wherever L1 holds, L2 holds at every target: L1 only picks
+        the label (see ``check_lemma1``)."""
+        protocols = perfbench_protocols()
+        draws = [
+            *(_gen.random_protocol(random.Random(f"l1-{flag}-{i}"),
+                                   certified_only=flag)
+              for flag in (True, False) for i in range(2000)),
+            *(validate(protocols.random_model(random.Random(f"l1-{i}")))
+              for i in range(2000))]
+        shaped = [p for p in draws if check_lemma1(p)]
+        for p in shaped:
+            assert all(check_lemma2(p, t) for t in range(p.n_states)), p.state_names
+        # the argument's negotiation case, not internal actions alone
+        assert sum(not all(is_internal(a) for a in p.actions) for p in shaped) >= 20
 
 
 class TestLemma2:

@@ -95,8 +95,8 @@ FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
 
 def check_state_order(p):
     """``below`` equals the reference matrix on every pair of states, and
-    ``below_set`` its reference on every state and every destination set
-    of an action, of one state, and the empty set."""
+    ``below_common`` its reference on every state and every destination
+    set of an action, of one state, and the empty set."""
     order = StateOrder(p)
     n = p.n_states
     assert [[order.below(t, s) for s in range(n)]
@@ -104,8 +104,9 @@ def check_state_order(p):
     dest_sets = [(), *((s,) for s in range(n)),
                  *({send.dst for send in a.sends} for a in p.actions)]
     for dests in dest_sets:
+        common = order.below_common(dests)
         for t in range(n):
-            assert (order.below_set(t, dests)
+            assert (bool(common >> t & 1)
                     == _oracle.state_order_below_set(p, t, dests)), (t, dests)
 
 
@@ -142,11 +143,11 @@ class TestStateOrder:
     def test_below_set(self, smoke):
         order = StateOrder(smoke)
         idx = smoke.state_index
-        assert order.below_set(idx("Idle"), {idx("Pick")})
-        assert not order.below_set(idx("Env"), {idx("Pick")})
+        assert order.below_common({idx("Pick")}) >> idx("Idle") & 1
+        assert not order.below_common({idx("Pick")}) >> idx("Env") & 1
         # no guard contains both Env and Report: vacuously below
-        assert all(order.below_set(s, {idx("Env"), idx("Report")})
-                   for s in range(smoke.n_states))
+        assert (order.below_common({idx("Env"), idx("Report")})
+                == (1 << smoke.n_states) - 1)
 
     def test_unguarded_order_is_total(self):
         p = _gen.unguarded_protocol(random.Random(3))
@@ -161,21 +162,23 @@ class TestInternalReach:
         env, ask = smoke.state_index("Env"), smoke.state_index("Ask")
         # the only internal step is guarded by G1, so the unguarded
         # closure is the identity
-        assert not reach.unguarded(env, ask)
-        assert reach.unguarded(env, env)
-        assert reach.guarded(env, ask, {env, ask})
-        assert not reach.guarded(ask, env, {env, ask})
+        assert reach.unguarded_masks == [1 << s for s in range(smoke.n_states)]
+        bounded = reach.closure(frozenset({env, ask}))
+        assert bounded[env] >> ask & 1
+        assert not bounded[ask] >> env & 1
 
     def test_multi_step_closure(self):
         p = validate(weak_sender_raw(guarded_escape=False))
         reach = InternalReach(p)
         idx = p.state_index
+        free = reach.unguarded_masks
         # B -> D directly; A -> D directly; nothing reaches C unguarded
-        assert reach.unguarded(idx("B"), idx("D"))
-        assert reach.unguarded(idx("A"), idx("D"))
-        assert not reach.unguarded(idx("A"), idx("C"))
+        assert free[idx("B")] >> idx("D") & 1
+        assert free[idx("A")] >> idx("D") & 1
+        assert not free[idx("A")] >> idx("C") & 1
         # under bound {C, D} the guarded step C -> D becomes usable
-        assert reach.guarded(idx("C"), idx("D"), {idx("C"), idx("D")})
+        bounded = reach.closure(frozenset({idx("C"), idx("D")}))
+        assert bounded[idx("C")] >> idx("D") & 1
 
 
 class TestStrongConditions:

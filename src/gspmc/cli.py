@@ -300,6 +300,10 @@ def run(argv=None, out=None) -> int:
         module = type(e).__module__.rsplit(".", 1)[-1]
         print(f"error [{module}]: {e}", file=sys.stderr)
         return EXIT_ERROR
+    except (OverflowError, MemoryError) as e:  # such as from a huge --count
+        print(f"error [resource]: query too large: {str(e) or type(e).__name__}",
+              file=sys.stderr)
+        return EXIT_ERROR
 
     if args.json:
         lines = [_REPORT_JSON.encode({

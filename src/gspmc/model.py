@@ -10,7 +10,7 @@ A protocol is one process template. Global actions come in two core kinds:
   nondeterministic choice. :meth:`Action.outcomes` states this rule once,
   as the senders' ``(u, uplus)`` counts, for the forward engine (memoised
   in ``Action.packed_tables``) and the backward one, which reads it only
-  on the keys of ``Action.firing_keys`` that its support bound keeps.
+  on the keys that its support bound keeps (``wsts._pred_table``).
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -22,10 +22,8 @@ rewritten into core actions by :func:`desugar`.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import or_
 
 SENDER = "sender"
 MAXIMAL = "maximal"
@@ -150,46 +148,6 @@ class Action:
     def guardmask(self) -> int:
         """The bitmask of the states inside the guard."""
         return sum(1 << s for s in self.guard.members)
-
-    @cached_property
-    def firing_keys(self) -> tuple[tuple, ...]:
-        """``(key, used, pinned, sents)`` per key of :meth:`outcomes`
-        that the action fires on, in :func:`itertools.product` order
-        over the sources, so a predecessor search considers exactly the
-        sender subsets that forward firing takes: a sender's full key,
-        when every source lies inside the guard, and each maximal key
-        that takes no sender from outside the guard.
-
-        ``used`` is the bitmask of the sources the key takes a sender
-        from, the support of every outcome's ``u``. ``pinned`` is that of
-        the sources below their cap: such a source state holds no further
-        processes, so further (receiving) processes sit only on the guard
-        states outside it. ``sents`` lists the distinct supports of the
-        outcomes' ``uplus``, the destination bitmasks of the taken slots.
-        """
-        guard, sender = self.guard.members, self.kind == SENDER
-        keys = [((), 0, 0, (0,))]
-        for s, c, dsts in zip(self.sources, self.caps, self._slots):
-            if s not in guard:
-                counts = () if sender else (0,)
-            else:
-                counts = (c,) if sender else range(c + 1)
-            bit, dbits = 1 << s, [1 << d for d in dsts]
-            full = functools.reduce(or_, dbits)
-            # per count: its used and pinned bit, and the distinct
-            # destination masks of its taken slots
-            opts = [(k, bit if k else 0, bit if k < c else 0,
-                     (full,) if k == c else (0,) if not k else tuple(
-                         dict.fromkeys(functools.reduce(or_, taken) for taken
-                                       in itertools.combinations(dbits, k))))
-                    for k in counts]
-            keys = [(key + (k,), used | ubit, pinned | pbit,
-                     sents if not k else
-                     (sents[0] | own[0],) if len(sents) == len(own) == 1 else
-                     tuple(dict.fromkeys(m | o for m in sents for o in own)))
-                    for key, used, pinned, sents in keys
-                    for k, ubit, pbit, own in opts]
-        return tuple(entry for entry in keys if entry[1])
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,8 @@ def _failures(protocol, a, guards, order, reach):
     ``violation`` holds the arguments of :func:`_violation`, whose text
     is built only for an action that ends in violation.
     """
+    if not guards:
+        return  # every condition quantifies over the used guards
     names = protocol.state_names
     free = reach.unguarded_masks
 
@@ -275,8 +277,10 @@ def certify(protocol: Protocol, *,
     violation, builds no report and returns only the flag, ``certify(p,
     verdict_only=True) == certify(p).well_behaved``.
     """
-    order, reach = StateOrder(protocol), InternalReach(protocol)
+    order = StateOrder(protocol)
     guards = order.guards
+    # with no used guard no action can fail, and nothing reads the reach
+    reach = InternalReach(protocol) if guards else None
     if verdict_only:
         return all(_weak_condition(protocol, a,
                                    _failures(protocol, a, guards, order, reach),

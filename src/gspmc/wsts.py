@@ -31,9 +31,9 @@ Predecessors are built, not searched for: each is an outcome's senders
 plus receivers placed so that firing it covers the element, so no
 candidate is fired forward (:func:`_action_preds`). One construction
 serves both orders; the component-wise order is the guard-refined one
-with no guards. A participation is an outcome (u, uplus) of one of
-``Action.firing_keys``, with the states that key leaves allowed: inside
-the guard and not pinned. Through a participation, each deficit
+with no guards. A participation is an outcome (u, uplus) of a key the
+action fires on (:func:`_pred_table`), with the states that key leaves
+allowed: inside the guard and not pinned. Through a participation, each deficit
 max(b - uplus, 0) is split over the allowed preimages of its
 destination in every way, zeros allowed. A split P gives the candidate
 u + P, whose surplus support rho_D = supp(P) the receive map sends onto
@@ -73,23 +73,30 @@ provenance that a witness follows.
 The fixpoint keeps only vectors whose support a run can occupy, the
 forward-invariant restriction of Ganty, Raskin & Van Begin (VMCAI 2006),
 with a monotone bound in place of the exact set of reachable supports.
-:func:`support_bound` starts from {init} and, for each of its elements M
-and each firing key of an action whose senders' support ``used`` =
-supp(u) lies inside M, steps to sent | R(M & allowed) for each support
-``sent`` of the key's outcomes' uplus, R applying the receive map to
-the mask: the states it fixes pass as one mask, and only those it moves
-are mapped bit by bit. It reads only these bitmasks and builds no count
-vector. A step result inside an element is skipped; otherwise it is
-added, and the elements inside it are evicted. This is sound: a
-configuration with support inside M that fires on the key keeps its
-non-senders on allowed states (with guards, ``firing_keys`` already
-leaves out keys that take a sender from outside the guard), so its
-successor's support lies inside the step's result. The step is monotone
-in M, so an evicted element's successors lie inside its evictor's, and
-keeping only maximal elements loses nothing. The exact set can be
-exponential where the bound is not: on a cycle of 24 internal steps
-every subset of the cycle is a reachable support, and the bound is the
-one mask of the whole cycle.
+:func:`support_bound` starts from {init} and takes, from each of its
+elements M, one step per action: that of its dominating key, which
+takes every source of M inside the guard at its cap (for a sender, its
+full key, fired only when all its sources lie in M and in the guard).
+The step goes to dsts(used) | R(M & guard), dsts(used) being the
+destinations of the send slots of the sources ``used`` that key takes,
+and R the receive map applied to the mask: the states it fixes pass as
+one mask, and only those it moves are mapped bit by bit. A result
+inside an element is skipped; otherwise it is added, and the elements
+inside it are evicted. A configuration with support inside M that fires
+on any key takes no sender from outside the guard and keeps its
+non-senders on allowed states, so its successor's support lies inside
+sent | R(M & allowed), and that lies inside the dominating step's: the
+key's ``used`` lies inside the dominating key's, its ``pinned`` (the
+sources below their cap) contains the dominating key's, and its
+destinations ``sent`` lie inside dsts(used). The bound is the set of
+maximal elements of the one downward-closed set that holds {init} and
+is closed under every key's step, whatever the order of the steps, so
+the dominated steps change no element. The step is monotone in M, so
+an evicted element's successors lie inside its evictor's, and keeping
+only maximal elements loses nothing. The exact set can be exponential
+where the bound is not: on a cycle of 24 internal steps every subset
+of the cycle is a reachable support, and the bound is the one mask of
+the whole cycle.
 
 :func:`decide` drops every target-basis element and predecessor whose
 support lies inside no bound element, before it reaches the antichain
@@ -114,8 +121,8 @@ participation (u, uplus, allowed) lies above u and is positive on every
 state it puts a receiver on, so its support is supp(u) | rho, rho being
 those states. The bound keeps it only when some element contains that
 support, and such an element contains supp(u). So :func:`decide` builds
-predecessors from :func:`_pred_table` tables that leave out every firing
-key with supp(u) inside no element, before its outcomes are built, and
+predecessors from :func:`_pred_table` tables that leave out every key
+with supp(u) inside no element, before its outcomes are built, and
 cut the allowed states to reach(u), the union of the elements that
 contain supp(u). A candidate that is no longer built puts a receiver
 outside reach(u), so its support lies inside no element containing
@@ -134,7 +141,7 @@ from dataclasses import dataclass, field
 from operator import le
 
 from gspmc import wellbehaved
-from gspmc.model import Protocol, ValidationError
+from gspmc.model import SENDER, Protocol, ValidationError
 
 
 class NotCertifiedWellBehaved(Exception):
@@ -286,19 +293,31 @@ def _removable(rho, usupp, deficits, premask, rmap, profile_of):
 
 def _pred_table(action, bound):
     """The entry ``(u, uplus, supp(u), amask)`` that :func:`_action_preds`
-    reads per outcome (u, uplus) of each firing key of ``action`` with
-    supp(u) inside an element of the support bitmasks ``bound``, and none
-    for the other keys. ``amask`` holds the allowed states, inside the
-    guard and not pinned, that lie in an element containing supp(u)
-    (module docstring). The bound of every state keeps every key whole.
+    reads per outcome (u, uplus) of each key the action fires on, in
+    :func:`itertools.product` order over the sources, with supp(u)
+    inside an element of the support bitmasks ``bound``, and none for
+    the other keys. A key takes no sender from outside the guard, and a
+    sender action's key every slot. ``amask`` holds the allowed states,
+    inside the guard and not pinned (below their cap), that lie in an
+    element containing supp(u) (module docstring). The bound of every
+    state keeps every key whole.
     """
+    guard, sources, caps = action.guard.members, action.sources, action.caps
+    counts = [(((c,) if action.kind == SENDER else range(c + 1))
+               if s in guard else (0,)) for s, c in zip(sources, caps)]
     table = []
-    for key, used, pinned, _ in action.firing_keys:
+    for key in itertools.product(*counts):
+        used = pinned = 0
+        for s, k, c in zip(sources, key, caps):
+            if k:
+                used |= 1 << s
+            if k < c:
+                pinned |= 1 << s
         reach = 0
         for e in bound:
             if not used & ~e:
                 reach |= e
-        if reach:
+        if reach:  # the key of no sender has no outcome
             amask = action.guardmask & ~pinned & reach
             table.extend((u, uplus, used, amask) for u, uplus in action.outcomes(key))
     return table
@@ -420,24 +439,30 @@ def support_bound(protocol):
     over-approximation, ascending: the support of every configuration
     reachable from the initial state, at any system size, lies inside
     one of them (module docstring)."""
-    steps = {}
+    steps = []
     for action in protocol.actions:
         rmap = action.receive_map
-        moved = sum(1 << s for s, t in enumerate(rmap) if s != t)
-        for _, used, pinned, sents in action.firing_keys:
-            allowed = action.guardmask & ~pinned
-            for sent in sents:
-                steps[used, sent, allowed & ~moved, allowed & moved, rmap] = None
+        dsts = {}  # per source bit, the destinations of its send slots
+        for send in action.sends:
+            dsts[1 << send.src] = dsts.get(1 << send.src, 0) | 1 << send.dst
+        steps.append((action.kind == SENDER, sum(dsts), tuple(dsts.items()),
+                      action.guardmask,
+                      sum(1 << s for s, t in enumerate(rmap) if s != t), rmap))
     start = 1 << protocol.init
     bound, work = {start}, [start]
     while work:
         m = work.pop()
         if m not in bound:
             continue  # evicted: its successors lie inside the evictor's
-        for used, sent, stay, move, rmap in steps:
-            if used & ~m:
+        for sender, sources, dsts, guard, moved, rmap in steps:
+            live = m & guard
+            # a sender needs every source live, a maximal action one
+            if sources & ~live if sender else not sources & live:
                 continue
-            succ, rest = sent | m & stay, m & move
+            succ, rest = live & ~moved, live & moved
+            for bit, d in dsts:
+                if live & bit:
+                    succ |= d
             while rest:
                 bit = rest & -rest
                 rest ^= bit

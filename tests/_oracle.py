@@ -21,13 +21,14 @@ evaluation is the packed kernel's loop over ``rest``, applied to every
 table, and the reference for its nonzero-digit memo over ``head``. The
 packed tables built from ``Action.outcomes`` for every action are the
 reference for the single-source senders' tables built from their
-sends. The participations, ``(u, uplus, allowed)`` per outcome of every key of the
-caps box that takes no sender from outside the guard, are the table the
-backward engine read before it compiled each action into
-``Action.firing_keys``, and the support bound stepped through them is
-the engine's earlier ``wsts.support_bound``. The compositions of a
-total into parts are every tuple of the box up to the total that sums
-to it, the reference for ``wsts._placements``'s stars and bars.
+sends. The participations, ``(u, uplus, allowed)`` per outcome of every
+key of the caps box that takes no sender from outside the guard, are
+the reference for the keys ``wsts._pred_table`` enumerates, and the
+support bound stepped through every one of them is the reference for
+``wsts.support_bound``, which takes one dominating step per action.
+The compositions of a total into parts are every tuple of the box up
+to the total that sums to it, the reference for ``wsts._placements``'s
+stars and bars.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ def compositions(total, parts):
 
 def unfiltered_table(action):
     """``wsts._pred_table`` of ``action`` under the one-element bound of
-    every state, which keeps every firing key and cuts no allowed state."""
+    every state, which keeps every key the action fires on and cuts no
+    allowed state."""
     return wsts._pred_table(action, ((1 << len(action.receive_map)) - 1,))
 
 

@@ -566,6 +566,27 @@ class TestQueryErrors:
         assert invoke(*argv)[0] == EXIT_ERROR
         assert capsys.readouterr().err == f"error [model]: {message}\n"
 
+    def test_count_too_large_for_the_engine(self, capsys):
+        # splitting the deficit over two slots overflows a C index
+        code, out = invoke("verify", SMOKE, "--target", "Env",
+                           "--count", "99999999999999999999")
+        assert (code, out) == (EXIT_ERROR, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error [resource]: query too large: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        # a count the engine can index but not hold, such as 10**11 on the
+        # smoke detector, ends in MemoryError; raised here without allocating
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli.wsts, "decide", exhausted)
+        code, out = invoke("verify", SMOKE, "--target", "Env",
+                           "--count", "100000000000")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert capsys.readouterr().err == (
+            "error [resource]: query too large: MemoryError\n")
+
 
 class TestCertify:
     def test_smoke_passes(self):

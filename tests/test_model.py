@@ -210,9 +210,9 @@ class TestCompiledFields:
 
 
 class TestParticipations:
-    """``firing_keys`` lists exactly the keys whose outcomes the full
-    caps box's participations hold, in the same order, with their
-    senders' support, allowed states and outcome supports as bitmasks."""
+    """``wsts._pred_table`` under the bound of every state lists exactly
+    the full caps box's participations, in the same order, with their
+    senders' support and allowed states as bitmasks."""
 
     @staticmethod
     def check(protocol):
@@ -220,18 +220,9 @@ class TestParticipations:
             return sum(1 << s for s in states)
 
         for a in protocol.actions:
-            keys = {}  # (u, allowed) -> uplus list; u determines the key
-            for u, uplus, allowed in _oracle.participations(a):
-                keys.setdefault((u, allowed), []).append(uplus)
-            assert len(a.firing_keys) == len(keys), a.name
-            for (key, used, pinned, sents), ((u, allowed), uplus) in zip(
-                    a.firing_keys, keys.items()):
-                assert a.outcomes(key) == tuple((u, x) for x in uplus)
-                assert used == mask(s for s, c in enumerate(u) if c)
-                assert a.guardmask & ~pinned == mask(allowed)
-                assert len(set(sents)) == len(sents)
-                assert set(sents) == {mask(s for s, c in enumerate(x) if c)
-                                      for x in uplus}
+            assert _oracle.unfiltered_table(a) == [
+                (u, uplus, mask(s for s, c in enumerate(u) if c), mask(allowed))
+                for u, uplus, allowed in _oracle.participations(a)], a.name
 
     def test_random_protocols(self):
         rng = random.Random(1800)
@@ -248,9 +239,9 @@ class TestParticipations:
     def test_ring_family(self, k, m, clocks):
         p = validate(perfbench_protocols().ring_family(k, m, clocks))
         self.check(p)
-        assert len(p.action("i").firing_keys) == 1
+        assert len(_oracle.unfiltered_table(p.action("i"))) == 1
         # one per non-empty subset of the counting ring's k send slots
-        assert len(p.action("a").firing_keys) == 2 ** k - 1
+        assert len(_oracle.unfiltered_table(p.action("a"))) == 2 ** k - 1
 
 
 class TestDesugar:

@@ -17,7 +17,7 @@ from gspmc.wellbehaved import (
 
 import _gen
 import _oracle
-from conftest import fixture_path, load_fixture, perfbench_protocols
+from conftest import chain_raw, fixture_path, load_fixture, perfbench_protocols
 
 
 def weak_sender_raw(guarded_escape: bool) -> dict:
@@ -440,6 +440,19 @@ class TestCertify:
         report = certify(p)
         assert report.well_behaved
         assert all(s.status == "strong" for s in report.actions)
+
+    def test_unguarded_builds_no_reach(self, monkeypatch):
+        # every condition quantifies over the used guards, so with none
+        # no action can fail and the internal reach is never needed
+        def refuse(protocol):
+            raise AssertionError("InternalReach built without a used guard")
+        monkeypatch.setattr(wellbehaved, "InternalReach", refuse)
+        for p in (validate(chain_raw(200)),
+                  _gen.unguarded_protocol(random.Random(8))):
+            report = certify(p)
+            assert report.well_behaved and not report.notes
+            assert all(s.status == "strong" for s in report.actions)
+            assert certify(p, verdict_only=True)
 
     def test_builds_order_and_reach_once(self, monkeypatch):
         # the walk and the C3w check of every action share them

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gspmc import semantics, wsts
 from gspmc.explicit import ReachQuery, check_fixed, min_witness_size
-from gspmc.model import ValidationError, validate
+from gspmc.model import MAXIMAL, ValidationError, validate
 from gspmc.wsts import (
     COMPONENT_WISE,
     NotCertifiedWellBehaved,
@@ -617,8 +617,8 @@ class TestSupportBound:
         assert checked > 4000
 
     def test_matches_participation_oracle(self):
-        # the bound stepped on firing-key bitmasks is the one stepped
-        # through every participation's count vectors
+        # the bound stepped once per action, on its dominating key, is
+        # the one stepped through every participation's count vectors
         protocols = [load_fixture(name) for name in FIXTURES]
         protocols += [validate(perfbench_protocols().ring_family(k, m, clocks))
                       for k, m, clocks in dict.fromkeys(
@@ -627,11 +627,17 @@ class TestSupportBound:
         for _ in range(150):
             protocols.append(_gen.random_protocol(rng, certified_only=False))
             protocols.append(_gen.unguarded_protocol(rng))
+        protocols += [_gen.random_protocol(rng, certified_only=False, max_arity=4)
+                      for _ in range(300)]
         random_model = perfbench_protocols().random_model
         protocols += [validate(random_model(random.Random(f"x-{i}")))
                       for i in range(300)]
         for p in protocols:
             assert support_bound(p) == _oracle.support_bound(p), p
+        # a maximal source of cap 2 or more has keys that take part of its
+        # slots, which the dominating key must cover
+        assert sum(any(a.kind == MAXIMAL and max(a.caps) >= 2
+                       for a in p.actions) for p in protocols) >= 100
 
     def test_long_chain_matches_oracle(self):
         # 200 internal steps, whose receive maps fix every state, and a

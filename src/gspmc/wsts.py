@@ -20,12 +20,15 @@ predecessors of only the elements the previous round added and inserts
 them one at a time. The predecessors of an element that survived from
 an earlier round already lie above the basis, so each round yields the
 same basis as re-minimizing the whole predecessor set would, and the
-loop stops after the first round that adds nothing. The antichain
-groups vectors by guard profile, since the guard-refined order never
-relates vectors whose profiles differ, and compares component-wise
-within a group, where it buckets them by support bitmask: b <= q needs
-supp(b) to lie inside supp(q), so an insert only visits the buckets
-whose mask is a subset or a superset of its own.
+loop stops after the first round that adds nothing. The next frontier
+is the round's added elements still in the antichain, sorted: a vector
+once covered stays covered, so none is added twice, and these are the
+elements the basis gained. The antichain groups vectors by guard
+profile, since the guard-refined order never relates vectors whose
+profiles differ, and compares component-wise within a group, where it
+buckets them by support bitmask: b <= q needs supp(b) to lie inside
+supp(q), so an insert only visits the buckets whose mask is a subset or
+a superset of its own.
 
 Predecessors are built, not searched for: each is an outcome's senders
 plus receivers placed so that firing it covers the element, so no
@@ -69,6 +72,16 @@ beyond those has some rho as support and covers each destination's
 minimal placement on rho, so it lies above a candidate from the same
 rho and is never minimal: leaving it in changes no basis, and no
 provenance that a witness follows.
+
+Under the component-wise order a round skips each (element b, action)
+pair whose action's entry mask, its send destinations and the images
+of the states its receive map moves, misses supp(b). No process enters
+supp(b) then: each of its states t has uplus(t) = 0 and at most t as a
+preimage, so every candidate of the pair is u + b. It lies above b, and
+so above an element of the antichain: it is never added, and only
+added vectors get a provenance. Under the
+guard-refined order such a candidate can have another guard profile
+than b, so b need not cover it, and no pair is skipped.
 
 The fixpoint keeps only vectors whose support a run can occupy, the
 forward-invariant restriction of Ganty, Raskin & Van Begin (VMCAI 2006),
@@ -223,7 +236,8 @@ class Antichain:
 
     def insert(self, q, supp=None):
         """Add q unless an element is below it, evicting the elements above
-        it; ``supp`` is q's support bitmask, computed when not given."""
+        it, and say whether q was added; ``supp`` is q's support bitmask,
+        computed when not given."""
         if supp is None:
             supp = _support(q)
         group = self._groups.setdefault(self._profile(supp), {})
@@ -231,7 +245,7 @@ class Antichain:
             if not m & ~supp:
                 for b in bucket:
                     if all(map(le, b, q)):
-                        return
+                        return False
         for m in [m for m in group if not supp & ~m]:
             kept = [b for b in group[m] if not all(map(le, q, b))]
             if kept:
@@ -239,6 +253,12 @@ class Antichain:
             else:
                 del group[m]
         group.setdefault(supp, []).append(q)
+        return True
+
+    def __contains__(self, q):
+        """Whether q is an element."""
+        supp = _support(q)
+        return q in self._groups.get(self._profile(supp), {}).get(supp, ())
 
     def basis(self):
         """The elements, lexicographically sorted."""
@@ -347,7 +367,7 @@ def _placements(slots, deficit):
     return out
 
 
-def _action_preds(wqo, action, b, table):
+def _action_preds(wqo, action, b, need, table):
     """The minimal predecessors of the upward closure of ``b`` through one
     action, with some predecessors above them (module docstring), each
     mapped to its support bitmask.
@@ -361,8 +381,9 @@ def _action_preds(wqo, action, b, table):
     candidate also takes one receiver on each of at most
     ``len(wqo.guards)`` guard-breaking states outside supp(P), kept when
     its surplus support passes the profile and removability tests.
-    The participations come from ``table``, a :func:`_pred_table` of
-    the action. A deficit with one allowed preimage goes there whole;
+    ``need`` lists b's (state, count) pairs with a non-zero count. The
+    participations come from ``table``, a :func:`_pred_table` of the
+    action. A deficit with one allowed preimage goes there whole;
     only two or more are split by :func:`_placements`.
     """
     guards, premask = wqo.guards, action.premasks
@@ -372,7 +393,6 @@ def _action_preds(wqo, action, b, table):
         outside = 0  # the states outside some guard
         for out in wqo._outside:
             outside |= out
-    need = [(t, x) for t, x in enumerate(b) if x]
     found = {}
     for u, uplus, usupp, amask in table:
         per_dest = []
@@ -420,18 +440,32 @@ def _action_preds(wqo, action, b, table):
     return found
 
 
+def _entry_mask(action):
+    """The states the action moves a process into: its send destinations
+    and the images of the states its receive map moves."""
+    return sum(1 << t for t in {send.dst for send in action.sends}.union(
+        t for s, t in enumerate(action.receive_map) if s != t))
+
+
 def _insert_preds(wqo, tables, chain, frontier, provenance, keep):
     """Insert the minimal predecessors of each ``frontier`` element whose
     support passes ``keep`` into ``chain``, built from ``tables``, one
-    (action, :func:`_pred_table`) pair per action. ``provenance`` keeps,
-    per kept predecessor, the first (action name, element) pair that
-    produced it, in the order they are computed."""
+    (action, :func:`_pred_table`, mask) triple per action; an action
+    whose mask misses the element's support is skipped (module
+    docstring). ``provenance`` maps each added predecessor to the
+    (action name, element) pair that added it. Returns the added ones."""
+    added = []
     for b in frontier:
-        for action, table in tables:
-            for q, supp in _action_preds(wqo, action, b, table).items():
-                if keep(supp):
-                    chain.insert(q, supp)
-                    provenance.setdefault(q, (action.name, b))
+        need = [(t, x) for t, x in enumerate(b) if x]
+        supp_b = sum(1 << t for t, _ in need)
+        for action, table, entry in tables:
+            if not entry & supp_b:
+                continue
+            for q, supp in _action_preds(wqo, action, b, need, table).items():
+                if keep(supp) and chain.insert(q, supp):
+                    provenance[q] = (action.name, b)
+                    added.append(q)
+    return added
 
 
 def support_bound(protocol):
@@ -511,7 +545,9 @@ def decide(protocol, target, threshold):
     fixpoint so the returned minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
-    if wqo.guards and not wellbehaved.certify(protocol, verdict_only=True):
+    # target_basis reports a bad threshold, before any certification
+    if (wqo.guards and threshold >= 1
+            and not wellbehaved.certify(protocol, verdict_only=True)):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
@@ -520,20 +556,20 @@ def decide(protocol, target, threshold):
     start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
                   if keep(_support(q)))
     # only the rounds read the tables, and when the bound drops every
-    # target-basis element no round runs
-    tables = ([(a, _pred_table(a, supports)) for a in protocol.actions]
-              if start else ())
+    # target-basis element no round runs; with guards no action is skipped
+    tables = ([(a, _pred_table(a, supports), -1 if wqo.guards else _entry_mask(a))
+               for a in protocol.actions] if start else ())
     provenance = dict.fromkeys(start)
     chain = Antichain(wqo, start)
-    basis = frontier = start
+    frontier = start
     iterations = 0
     while frontier:
         iterations += 1
-        _insert_preds(wqo, tables, chain, frontier, provenance, keep)
-        step = chain.basis()
-        frontier = sorted(set(step).difference(basis))
-        basis = step
-    fixpoint = Ucs(wqo, basis)
+        added = _insert_preds(wqo, tables, chain, frontier, provenance, keep)
+        # only a later insert evicts, so a lone added element is kept
+        frontier = (sorted(q for q in added if q in chain) if len(added) > 1
+                    else added)
+    fixpoint = Ucs(wqo, chain.basis())
 
     covering = [b for b in fixpoint.basis
                 if all(c == 0 for s, c in enumerate(b) if s != protocol.init)]

@@ -28,7 +28,9 @@ support bound stepped through every one of them is the reference for
 ``wsts.support_bound``, which takes one dominating step per action.
 The compositions of a total into parts are every tuple of the box up
 to the total that sums to it, the reference for ``wsts._placements``'s
-stars and bars.
+stars and bars. The product-of-combinations tally over every key is
+the reference for ``Action.outcomes``, which tallies a key that takes
+no slot or every slot of each source directly.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from operator import le
 from dataclasses import dataclass
 
 from gspmc import semantics, wsts
-from gspmc.model import SENDER, is_internal
+from gspmc.model import SENDER, is_internal, tally
 from gspmc.wellbehaved import ActionStatus, GuardCompatReport, Violation
 
 
@@ -229,6 +231,30 @@ def participations(action):
         for u, uplus in action.outcomes(key):
             out.append((u, uplus, allowed))
     return tuple(out)
+
+
+def tally_outcomes(action, key):
+    """``Action.outcomes`` as the general tally alone: one ``uplus`` per
+    distinct multiset of destinations over the product of each source's
+    slot combinations, whatever the key."""
+    if not any(key) or (action.kind == SENDER and key != action.caps):
+        return ()
+    n = len(action.receive_map)
+    u = [0] * n
+    for s, k in zip(action.sources, key):
+        u[s] = k
+    slots = [[send.dst for send in action.sends if send.src == s]
+             for s in action.sources]
+    uplus = dict.fromkeys(
+        tally(n, itertools.chain.from_iterable(taken))
+        for taken in itertools.product(*map(itertools.combinations, slots, key)))
+    return tuple((tuple(u), x) for x in uplus)
+
+
+def nonzero(b):
+    """The (state, count) pairs of b's non-zero entries: the ``need``
+    that ``wsts._action_preds`` reads."""
+    return [(t, x) for t, x in enumerate(b) if x]
 
 
 def compositions(total, parts):
@@ -438,9 +464,12 @@ def exhaustive_refined_preds(wqo, action, b):
 def pred_basis(protocol, wqo, ucs):
     """Basis of Pred(U) united with U itself: one backward step of the
     engine, ``wsts._insert_preds`` into a ``wsts.Antichain`` with no
-    support pruning, for the grid oracles above to check."""
+    support pruning, for the grid oracles above to check. Under the
+    component-wise order it skips the actions whose entry mask misses an
+    element's support, as ``wsts.decide`` does."""
     chain = wsts.Antichain(wqo, ucs.basis)
-    tables = [(a, unfiltered_table(a)) for a in protocol.actions]
+    tables = [(a, unfiltered_table(a), -1 if wqo.guards else wsts._entry_mask(a))
+              for a in protocol.actions]
     wsts._insert_preds(wqo, tables, chain, ucs.basis,
                        provenance=dict.fromkeys(ucs.basis),
                        keep=lambda supp: True)
@@ -475,7 +504,7 @@ def from_scratch_fixpoint(protocol, target, threshold, supports=None):
             for ai, action in enumerate(protocol.actions):
                 if (ai, b) not in memo:
                     memo[ai, b] = set(filter(
-                        kept, wsts._action_preds(wqo, action, b,
+                        kept, wsts._action_preds(wqo, action, b, nonzero(b),
                                                  unfiltered_table(action))))
                 candidates |= memo[ai, b]
         step = pairwise_minimize(wqo, candidates)

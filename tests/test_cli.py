@@ -547,6 +547,7 @@ class TestQueryErrors:
         (["mc", SMOKE, "--n", "0"], "system size must be at least 1"),
         (["mc", SMOKE, "--n", "-3"], "system size must be at least 1"),
         (["verify", SMOKE, "--count", "0"], "threshold must be at least 1"),
+        (["verify", MUTANT, "--count", "0"], "threshold must be at least 1"),
         (["sweep", SMOKE, "--max", "1"], "n_max must be at least the threshold"),
         (["cutoff", WITNESS, "--count", "0"], "threshold must be at least 1"),
         (["mc", SMOKE, "--n", "5", "--target", "Env", "--count", "1",
@@ -558,7 +559,8 @@ class TestQueryErrors:
         (["cutoff", SMOKE, "--path-budget", "-3"], "path budget must be at least 1"),
         (["cutoff", SMOKE, "--state-budget", "0"], "state budget must be at least 1"),
         (["cutoff", WITNESS, "--path-budget", "0"], "path budget must be at least 1"),
-    ], ids=["mc", "mc-size-zero", "mc-size-negative", "verify", "sweep",
+    ], ids=["mc", "mc-size-zero", "mc-size-negative", "verify",
+            "verify-uncertified", "sweep",
             "cutoff", "mc-state-budget-negative",
             "mc-state-budget-zero", "sweep-state-budget", "cutoff-path-budget",
             "cutoff-state-budget", "cutoff-path-budget-not-amenable"])

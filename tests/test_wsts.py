@@ -27,6 +27,7 @@ import _gen
 import _oracle
 from conftest import (
     chain,
+    chain_raw,
     config,
     internal_ring,
     load_fixture,
@@ -231,7 +232,7 @@ def check_preds_by_construction(protocol, wqo):
     for b in backward_elements(protocol, wqo):
         for action in protocol.actions:
             table = _oracle.unfiltered_table(action)
-            for q in wsts._action_preds(wqo, action, b, table):
+            for q in wsts._action_preds(wqo, action, b, _oracle.nonzero(b), table):
                 assert any(wqo.leq(b, succ)
                            for succ in semantics.fire(q, action)), (
                     protocol.state_names, action.name, b, q)
@@ -250,7 +251,8 @@ def check_preds_match_exhaustive(protocol, wqo, sample=None):
     for b in elements:
         for action in protocol.actions:
             got = minimize(wqo, wsts._action_preds(
-                wqo, action, b, _oracle.unfiltered_table(action)))
+                wqo, action, b, _oracle.nonzero(b),
+                _oracle.unfiltered_table(action)))
             want = _oracle.LinearAntichain(
                 wqo, _oracle.exhaustive_refined_preds(wqo, action, b)).basis()
             assert got == want, (protocol.state_names, action.name, b)
@@ -324,9 +326,9 @@ class TestComponentwisePreds:
     def check(protocol):
         for b in backward_elements(protocol, COMPONENT_WISE):
             for action in protocol.actions:
-                table = _oracle.unfiltered_table(action)
-                assert wsts._action_preds(COMPONENT_WISE, action, b, table).keys() == (
-                    _oracle.componentwise_preds(action, b)), (
+                got = wsts._action_preds(COMPONENT_WISE, action, b, _oracle.nonzero(b),
+                                         _oracle.unfiltered_table(action))
+                assert got.keys() == _oracle.componentwise_preds(action, b), (
                     protocol.state_names, action.name, b)
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -358,8 +360,9 @@ def check_bound_filtered(protocol, wqo):
         table = wsts._pred_table(action, bound)
         full = _oracle.unfiltered_table(action)
         for b in elements:
-            filtered = wsts._action_preds(wqo, action, b, table)
-            unfiltered = wsts._action_preds(wqo, action, b, full)
+            need = _oracle.nonzero(b)
+            filtered = wsts._action_preds(wqo, action, b, need, table)
+            unfiltered = wsts._action_preds(wqo, action, b, need, full)
             for preds in (filtered, unfiltered):
                 for q, supp in preds.items():
                     assert supp == wsts._support(q), (action.name, b, q)
@@ -426,9 +429,15 @@ class TestAntichain:
             rng.shuffle(stream)
             bucketed, linear = wsts.Antichain(wqo), _oracle.LinearAntichain(wqo)
             for q in stream:
-                bucketed.insert(q)
+                before = linear.basis()
+                added = bucketed.insert(q)
                 linear.insert(q)
-                assert bucketed.basis() == linear.basis(), (wqo, stream)
+                after = linear.basis()
+                assert bucketed.basis() == after, (wqo, stream)
+                # added exactly when the basis gains q, and then held
+                assert added == (q in after and q not in before), (wqo, stream)
+                assert all(x in bucketed for x in after)
+                assert all(x not in bucketed for x in before if x not in after)
 
 
 def replay_witness(protocol, n, witness, target, threshold):
@@ -537,6 +546,24 @@ class TestDecide:
         assert (v.basis.basis, v.iterations, v.min_n, v.witness) == (
             _oracle.from_scratch_fixpoint(p, target, count,
                                           supports=support_bound(p)))
+
+    def test_skips_actions_that_miss_the_support(self, monkeypatch):
+        # each element of the walk back along a 200-state chain is entered
+        # by the one step into its state (and "pair" into S1), so the
+        # rounds build predecessors through at most 2 actions per element,
+        # not through all 200
+        calls = []
+        original = wsts._action_preds
+
+        def counting(*args):
+            calls.append(args[1].name)
+            return original(*args)
+
+        monkeypatch.setattr(wsts, "_action_preds", counting)
+        p = validate(chain_raw(200))
+        v = decide(p, p.state_index("S199"), 1)
+        assert (v.reachable, v.min_n, len(v.witness)) == (True, 1, 199)
+        assert 199 <= len(calls) <= 2 * 200
 
     def test_agrees_with_bfs_on_shared_source_slots(self):
         # the benchmark's guarded-mix draw 193, loaded from the benchmark's

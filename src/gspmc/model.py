@@ -130,8 +130,6 @@ class Action:
         state) of the :func:`itertools.combinations` of each source's
         slots (ascending send index). The guard is not checked here.
         ``u`` and ``uplus`` count the senders per source and destination.
-        A key that takes no slot or every slot of each source has one
-        outcome, tallied directly.
         """
         if not any(key) or (self.kind == SENDER and key != self.caps):
             return ()
@@ -140,9 +138,6 @@ class Action:
         for s, k in zip(self.sources, key):
             u[s] = k
         u = tuple(u)
-        if all(k == 0 or k == c for k, c in zip(key, self.caps)):
-            return ((u, tally(n, itertools.chain.from_iterable(
-                slots for slots, k in zip(self._slots, key) if k))),)
         uplus = dict.fromkeys(
             tally(n, itertools.chain.from_iterable(taken))
             for taken in itertools.product(

@@ -545,16 +545,14 @@ def decide(protocol, target, threshold):
     fixpoint so the returned minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
-    # target_basis reports a bad threshold, before any certification
-    if (wqo.guards and threshold >= 1
-            and not wellbehaved.certify(protocol, verdict_only=True)):
+    targets = target_basis(protocol, wqo, target, threshold)
+    if wqo.guards and not wellbehaved.certify(protocol, verdict_only=True):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
     supports = support_bound(protocol)
     keep = _inside(supports)
-    start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
-                  if keep(_support(q)))
+    start = tuple(q for q in targets.basis if keep(_support(q)))
     # only the rounds read the tables, and when the bound drops every
     # target-basis element no round runs; with guards no action is skipped
     tables = ([(a, _pred_table(a, supports), -1 if wqo.guards else _entry_mask(a))
@@ -566,9 +564,7 @@ def decide(protocol, target, threshold):
     while frontier:
         iterations += 1
         added = _insert_preds(wqo, tables, chain, frontier, provenance, keep)
-        # only a later insert evicts, so a lone added element is kept
-        frontier = (sorted(q for q in added if q in chain) if len(added) > 1
-                    else added)
+        frontier = sorted(q for q in added if q in chain)
     fixpoint = Ucs(wqo, chain.basis())
 
     covering = [b for b in fixpoint.basis

@@ -28,9 +28,7 @@ support bound stepped through every one of them is the reference for
 ``wsts.support_bound``, which takes one dominating step per action.
 The compositions of a total into parts are every tuple of the box up
 to the total that sums to it, the reference for ``wsts._placements``'s
-stars and bars. The product-of-combinations tally over every key is
-the reference for ``Action.outcomes``, which tallies a key that takes
-no slot or every slot of each source directly.
+stars and bars.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from operator import le
 from dataclasses import dataclass
 
 from gspmc import semantics, wsts
-from gspmc.model import SENDER, is_internal, tally
+from gspmc.model import SENDER, is_internal
 from gspmc.wellbehaved import ActionStatus, GuardCompatReport, Violation
 
 
@@ -231,24 +229,6 @@ def participations(action):
         for u, uplus in action.outcomes(key):
             out.append((u, uplus, allowed))
     return tuple(out)
-
-
-def tally_outcomes(action, key):
-    """``Action.outcomes`` as the general tally alone: one ``uplus`` per
-    distinct multiset of destinations over the product of each source's
-    slot combinations, whatever the key."""
-    if not any(key) or (action.kind == SENDER and key != action.caps):
-        return ()
-    n = len(action.receive_map)
-    u = [0] * n
-    for s, k in zip(action.sources, key):
-        u[s] = k
-    slots = [[send.dst for send in action.sends if send.src == s]
-             for s in action.sources]
-    uplus = dict.fromkeys(
-        tally(n, itertools.chain.from_iterable(taken))
-        for taken in itertools.product(*map(itertools.combinations, slots, key)))
-    return tuple((tuple(u), x) for x in uplus)
 
 
 def nonzero(b):

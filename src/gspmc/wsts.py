@@ -545,14 +545,17 @@ def decide(protocol, target, threshold):
     fixpoint so the returned minimal witness size is exact.
     """
     wqo = wqo_for(protocol)
-    targets = target_basis(protocol, wqo, target, threshold)
-    if wqo.guards and not wellbehaved.certify(protocol, verdict_only=True):
+    # a bad threshold is left for target_basis to report, without building
+    # a target basis that a certification failure would throw away
+    if (wqo.guards and threshold >= 1
+            and not wellbehaved.certify(protocol, verdict_only=True)):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
     supports = support_bound(protocol)
     keep = _inside(supports)
-    start = tuple(q for q in targets.basis if keep(_support(q)))
+    start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
+                  if keep(_support(q)))
     # only the rounds read the tables, and when the bound drops every
     # target-basis element no round runs; with guards no action is skipped
     tables = ([(a, _pred_table(a, supports), -1 if wqo.guards else _entry_mask(a))

@@ -83,8 +83,7 @@ def _sibling_sends(protocol: Protocol) -> dict[str, set[tuple[int, int]]]:
     by_key: dict = {}
     for a in protocol.actions:
         if len(a.sends) == 1:
-            by_key.setdefault(key(a), set()).update(
-                (s.src, s.dst) for s in a.sends)
+            by_key.setdefault(key(a), set()).update(a.sends)
     return {a.name: by_key.get(key(a), set()) for a in protocol.actions}
 
 

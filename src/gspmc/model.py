@@ -16,14 +16,15 @@ Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
 self-loops during validation). Derived primitives — internal steps,
 pairwise/asynchronous rendezvous, negotiations, disjunctive guards — are
-rewritten into core actions by :func:`desugar`.
+rewritten into core actions by :func:`validate`.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 SENDER = "sender"
 MAXIMAL = "maximal"
@@ -55,14 +56,12 @@ class cached_property:
         return value
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     name: str
     members: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
     """One send index: the sender moves from ``src`` to ``dst``."""
 
     src: int
@@ -76,6 +75,10 @@ class Action:
     sends: tuple[Send, ...]
     receive_map: tuple[int, ...]  # total: source state index -> target index
     guard: Guard
+
+    def __init__(self, name, kind, sends, receive_map, guard):
+        # past the frozen __setattr__, which a generated __init__ calls per field
+        vars(self).update(name=name, kind=kind, sends=sends, receive_map=receive_map, guard=guard)
 
     @property
     def arity(self) -> int:
@@ -181,12 +184,7 @@ class Protocol:
         uses does not constrain anything.
         """
         full = frozenset(range(self.n_states))
-        seen: list[Guard] = []
-        for a in self.actions:
-            g = a.guard
-            if g.members != full and g not in seen:
-                seen.append(g)
-        return tuple(seen)
+        return tuple(dict.fromkeys(a.guard for a in self.actions if a.guard.members != full))
 
     @property
     def is_unguarded(self) -> bool:
@@ -224,228 +222,225 @@ def reachable(adj, start: int) -> set[int]:
 
 
 def _complete_receives(pairs, identity):
-    """Receive pairs -> total map, self-loops on missing sources."""
-    rmap = list(identity)
-    seen = set()
-    for src, dst in pairs:
-        if src in seen:
-            raise ValidationError(
-                f"two receive targets declared for one source state (index {src})"
-            )
-        seen.add(src)
-        rmap[src] = dst
-    return tuple(rmap)
+    """Receive index pairs -> total map, self-loops on missing sources."""
+    targets = dict(pairs)
+    if len(targets) < len(pairs):
+        src = next(s for j, (s, _) in enumerate(pairs) if s in dict(pairs[:j]))
+        raise ValidationError(f"two receive targets declared for one source state (index {src})")
+    return tuple(map(targets.get, identity, identity))
 
 
-_JSON_TYPES = {str: "a string", list: "a list", dict: "an object",
-               int: "an integer", float: "a number", bool: "a boolean",
-               type(None): "null"}
+def _indices(names, index):
+    """The indices of ``names``, a list of state names; None if it is not one."""
+    try:
+        return [index[s] for s in names] if type(names) is list else None
+    except (KeyError, TypeError):
+        return None
 
 
-def _where(what: str, key=None, entries: bool = False) -> str:
-    """The name of a checked value: ``what``, or its entry ``key``, or
-    (``entries``) the members of that; built only for an error message."""
-    if key is not None:
-        what = f"{what}: {key!r}"
-    return f"{what} entries" if entries else what
+def _index_pairs(pairs, index, mapping: bool = False):
+    """The index pairs of a list of [from, to] lists of state names (or,
+    when ``mapping``, of an object from -> to); None if it is not one."""
+    if mapping and type(pairs) is dict:
+        pairs = pairs.items()
+    elif type(pairs) is not list or not _LIST.issuperset(map(type, pairs)):
+        return None
+    try:
+        return [(index[s], index[t]) for s, t in pairs]
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
-def _typed(value, kind, what: str, key=None, entries: bool = False):
-    """``value`` itself when it has JSON type ``kind``, else a ValidationError
-    naming it by ``_where(what, key, entries)``."""
-    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-        return value
-    raise ValidationError(f"{_where(what, key, entries)} must be {_JSON_TYPES[kind]}, "
-                          f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+_send = functools.partial(tuple.__new__, Send)  # Send(*pair), skipping its Python __new__
+
+# Each ``_*_fault`` function runs only once a check of ``validate`` has
+# failed: it returns the error for the value, named by ``what``, or None.
+
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
 
 
-def _field(spec: dict, key: str, kind, what: str):
-    """Required entry ``key`` of the object ``spec``, type-checked."""
-    if key not in spec:
-        raise ValidationError(f"{what}: missing {key!r}")
-    return _typed(spec[key], kind, what, key)
+def _kind_fault(value, kind, what: str):
+    if type(value) is not kind:
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        return ValidationError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
 
 
-def _names(value, what: str, key=None, entries: bool = False) -> list[str]:
-    """A list of names, itself named as by :func:`_typed`."""
-    for s in _typed(value, list, what, key, entries):
-        if not isinstance(s, str):
-            _typed(s, str, what, key, True)
-    return value
+def _unknown_fault(names, known, unknown: str = "unknown state"):
+    return next((ValidationError(f"{unknown} {s!r}") for s in names if s not in known), None)
 
 
-def _pair(value, what: str, key=None, entries: bool = False) -> tuple[str, str]:
-    names = _names(value, what, key, entries)
-    if len(names) != 2:
-        got = f"{len(names)} name" + "s" * (len(names) != 1)
-        raise ValidationError(
-            f"{_where(what, key, entries)} must be a [from, to] pair, got {got}")
-    return names[0], names[1]
+def _field_fault(spec: dict, key: str, kind, what: str):
+    return (_kind_fault(spec[key], kind, f"{what}: {key!r}") if key in spec
+            else ValidationError(f"{what}: missing {key!r}"))
 
 
-def _pairs(value, what: str, key: str, *, mapping: bool = False) -> list:
-    """Entry ``key`` of ``what``: a list of [from, to] pairs, or (when
-    ``mapping``) an object from -> to, as a list of pairs."""
-    if mapping and isinstance(value, dict):
-        for t in value.values():
-            if not isinstance(t, str):
-                _typed(t, str, what, key, True)
-        return list(value.items())
-    for p in _typed(value, list, what, key):
-        if not (isinstance(p, list) and len(p) == 2
-                and isinstance(p[0], str) and isinstance(p[1], str)):
-            _pair(p, what, key, True)
-    return value
+def _names_fault(value, what: str, index=None, pair: bool = False, entries: str = ""):
+    """``value`` as a list of names (a [from, to] pair when ``pair``, its
+    entries named ``entries``), then as states when given their ``index``."""
+    fault = _kind_fault(value, list, what) or next(filter(None, (
+        _kind_fault(s, str, entries or f"{what} entries") for s in value)), None)
+    if not fault and pair and len(value) != 2:
+        got = f"{len(value)} name" + "s" * (len(value) != 1)
+        fault = ValidationError(f"{what} must be a [from, to] pair, got {got}")
+    return fault or (_unknown_fault(value, index) if index is not None else None)
 
 
-def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
-    """Expand one sugar declaration into core actions.
-
-    ``state`` and ``guard`` resolve state and guard names (``guard`` also
-    takes the context for its error message), ``actions`` maps defined
-    action names to Action records (needed by disjunctive-guard
-    declarations, which return a raised-arity replacement for the action
-    they reference; callers substitute it by name), ``identity`` is the
-    identity receive map."""
-    kind = decl.get("type")
-    what = f"sugar {kind!r}"
-    if kind not in ("internal", "pairwise", "async", "negotiation", "disjunctive"):
-        raise ValidationError(f"unknown sugar type {kind!r}")
-
-    if kind == "disjunctive":
-        ref = _field(decl, "action", str, what)
-        if ref not in actions:
-            raise ValidationError(f"disjunctive guard references unknown action {ref!r}")
-        witnesses = _names(decl.get("witnesses", []), what, "witnesses")
-        if not witnesses:
-            raise ValidationError("disjunctive guard needs at least one witness state")
-        base = actions[ref]
-        extra = tuple(Send(state(w), base.receive_map[state(w)]) for w in witnesses)
-        return [dataclasses.replace(base, sends=base.sends + extra)]
-
-    name = _field(decl, "name", str, what)
-    gname = decl.get("guard")
-    g = guard(TRIVIAL_GUARD_NAME if gname is None else gname, what)
-
-    if kind == "internal":
-        src = state(_field(decl, "from", str, what))
-        dst = state(_field(decl, "to", str, what))
-        return [Action(name, SENDER, (Send(src, dst),), identity, g)]
-
-    if kind == "negotiation":
-        items = _pairs(decl.get("map"), what, "map", mapping=True)
-        if not items:
-            raise ValidationError("negotiation map must be non-empty")
-        pairs = [(state(s), state(t)) for s, t in items]
-        rmap = _complete_receives(pairs, identity)
-        return [
-            Action(f"{name}#{i}", SENDER, (Send(src, dst),), rmap, g)
-            for i, (src, dst) in enumerate(pairs, start=1)
-        ]
-
-    # pairwise / async rendezvous
-    s_from, s_to = map(state, _pair(decl.get("send"), what, "send"))
-    r_from, r_to = map(state, _pair(decl.get("recv"), what, "recv"))
-    core_kind = SENDER if kind == "pairwise" else MAXIMAL
-    return [Action(name, core_kind, (Send(s_from, s_to), Send(r_from, r_to)),
-                   identity, g)]
+def _pairs_fault(value, what: str, index, mapping: bool = False):
+    """``value`` as a list of [from, to] pairs (or, when ``mapping``, an
+    object from -> to): every entry's shape, then its states."""
+    if mapping and type(value) is dict:
+        value = [list(pair) for pair in value.items()]
+    entries = f"{what} entries"
+    fault = _kind_fault(value, list, what) or next(filter(None, (
+        _names_fault(p, entries, pair=True, entries=entries) for p in value)), None)
+    return fault or _unknown_fault(itertools.chain.from_iterable(value), index)
 
 
-_RAW_KEYS = {"states", "init", "guards", "actions", "sugar", "property"}
-_ACTION_KEYS = {"name", "kind", "arity", "sends", "receives", "guard"}
+_RAW_KEYS = frozenset({"states", "init", "guards", "actions", "sugar", "property"})
+_ACTION_KEYS = frozenset({"name", "kind", "arity", "sends", "receives", "guard"})
+_SUGAR_TYPES = ("internal", "pairwise", "async", "negotiation", "disjunctive")
+_LIST, _STR = frozenset({list}), frozenset({str})
 
 
 def validate(raw: dict) -> Protocol:
     """Build a Protocol from a parsed description, checking every invariant.
 
-    Checks (in order): every section has its JSON type, state names
-    distinct, init known, guards non-empty and made of known states, core
-    actions structurally sound (arity, send/receive states, functional
-    receive map, unique names), then sugar declarations expanded in file
-    order. Receive maps are completed with self-loops.
+    The first failed check raises. In order: (1) the top-level keys; (2)
+    ``states``; (3) ``init``; (4) ``property``; (5) ``guards``; (6) each
+    core action in file order: keys, name, kind, sends (every pair's shape
+    before any state), arity, receives (likewise, then one target per
+    source), guard, a new name; (7) each sugar declaration in file order,
+    expanded into core actions. Receive maps are completed with self-loops.
     """
-    extra = set(raw) - _RAW_KEYS
-    if extra:
-        raise ValidationError(f"unknown top-level keys: {sorted(extra)}")
+    if not _RAW_KEYS.issuperset(raw):
+        raise ValidationError(f"unknown top-level keys: {sorted(set(raw) - _RAW_KEYS)}")
 
-    state_names = tuple(_names(raw.get("states", []), "'states'"))
-    if not state_names:
-        raise ValidationError("protocol needs at least one state")
-    if len(set(state_names)) != len(state_names):
-        dup = next(s for i, s in enumerate(state_names) if s in state_names[:i])
-        raise ValidationError(f"duplicate state name {dup!r}")
-    index = {s: i for i, s in enumerate(state_names)}
-    identity = tuple(range(len(state_names)))
+    states = raw.get("states", [])
+    if type(states) is not list or not _STR.issuperset(map(type, states)) or not states:
+        raise (_names_fault(states, "'states'")
+               or ValidationError("protocol needs at least one state"))
+    identity = tuple(range(len(states)))
+    index = dict(zip(states, identity))
+    if len(index) != len(states):
+        raise ValidationError("duplicate state name " + repr(next(
+            s for i, s in enumerate(states) if s in states[:i])))
 
-    def state(name):
-        if name not in index:
-            raise ValidationError(f"unknown state {name!r}")
-        return index[name]
-
-    def guard(gname, what):
-        if _typed(gname, str, what, "guard") not in guards:
-            raise ValidationError(f"{what}: unknown guard {gname!r}")
-        return guards[gname]
-
-    if "init" not in raw:
-        raise ValidationError("missing init state")
-    init = state(_typed(raw["init"], str, "'init'"))
+    init = raw.get("init")
+    if type(init) is not str or init not in index:
+        raise (ValidationError("missing init state") if "init" not in raw
+               else _kind_fault(init, str, "'init'") or _unknown_fault((init,), index))
 
     prop = raw.get("property")
-    if prop is None:
-        prop = {}
-    if "target" in _typed(prop, dict, "'property'"):
-        _typed(prop["target"], str, "'property'", "target")
-    if "count" in prop:
-        _typed(prop["count"], int, "'property'", "count")
+    if prop is not None and type(prop) is not dict:
+        raise _kind_fault(prop, dict, "'property'")
+    for key, kind in (("target", str), ("count", int)) if prop else ():
+        if key in prop and type(prop[key]) is not kind:
+            raise _kind_fault(prop[key], kind, f"'property': {key!r}")
 
-    trivial = Guard(TRIVIAL_GUARD_NAME, frozenset(identity))
-    guards: dict[str, Guard] = {TRIVIAL_GUARD_NAME: trivial}
-    for gname, members in _typed(raw.get("guards", {}), dict, "'guards'").items():
+    guards = {TRIVIAL_GUARD_NAME: Guard(TRIVIAL_GUARD_NAME, frozenset(identity))}
+    declared = raw.get("guards", {})
+    if type(declared) is not dict:
+        raise _kind_fault(declared, dict, "'guards'")
+    for gname, names in declared.items():
         if gname == TRIVIAL_GUARD_NAME:
             raise ValidationError(f"{TRIVIAL_GUARD_NAME!r} is reserved for the trivial guard")
-        member_set = frozenset(state(s) for s in _names(members, f"guard {gname!r}"))
-        if not member_set:
-            raise ValidationError(f"guard {gname!r} is empty")
-        guards[gname] = Guard(gname, member_set)
+        members = _indices(names, index)
+        if not members:
+            raise (_names_fault(names, f"guard {gname!r}", index)
+                   or ValidationError(f"guard {gname!r} is empty"))
+        guards[gname] = Guard(gname, frozenset(members))
 
     actions: dict[str, Action] = {}
-
-    def add(action):
-        if action.name in actions:
-            raise ValidationError(f"duplicate action name {action.name!r}")
-        actions[action.name] = action
-
-    for i, spec in enumerate(_typed(raw.get("actions", []), list, "'actions'")):
-        what = f"actions[{i}]"
-        spec = _typed(spec, dict, what)
-        if not _ACTION_KEYS.issuperset(spec):
-            raise ValidationError(f"unknown keys {sorted(set(spec) - _ACTION_KEYS)} "
-                                  f"in action {spec.get('name')!r}")
-        name = _field(spec, "name", str, what)
-        kind = spec.get("kind", SENDER)
-        if kind not in (SENDER, MAXIMAL):
-            raise ValidationError(f"action {name!r}: unknown kind {kind!r}")
-        sends = tuple(Send(state(s), state(t))
-                      for s, t in _pairs(spec.get("sends", []), what, "sends"))
+    specs = raw.get("actions", [])
+    if type(specs) is not list:
+        raise _kind_fault(specs, list, "'actions'")
+    for i, spec in enumerate(specs):
+        if type(spec) is not dict or not _ACTION_KEYS.issuperset(spec):
+            raise _kind_fault(spec, dict, f"actions[{i}]") or ValidationError(
+                f"unknown keys {sorted(set(spec) - _ACTION_KEYS)} in action {spec.get('name')!r}")
+        name, kind = spec.get("name"), spec.get("kind", SENDER)
+        if type(name) is not str or kind not in (SENDER, MAXIMAL):
+            raise (_field_fault(spec, "name", str, f"actions[{i}]")
+                   or ValidationError(f"action {name!r}: unknown kind {kind!r}"))
+        sends = _index_pairs(spec.get("sends", []), index)
         if not sends:
-            raise ValidationError(f"action {name!r} declares no send")
-        if "arity" in spec and _field(spec, "arity", int, what) != len(sends):
-            raise ValidationError(
-                f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
-        pairs = _pairs(spec.get("receives", []), what, "receives", mapping=True)
-        rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], identity)
-        g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
-        add(Action(name, kind, sends, rmap, g))
+            raise (_pairs_fault(spec.get("sends", []), f"actions[{i}]: 'sends'", index)
+                   or ValidationError(f"action {name!r} declares no send"))
+        arity = spec.get("arity", len(sends))
+        if type(arity) is not int or arity != len(sends):
+            raise _kind_fault(arity, int, f"actions[{i}]: 'arity'") or ValidationError(
+                f"action {name!r}: declared arity {arity} but {len(sends)} sends")
+        receives = _index_pairs(spec.get("receives", []), index, mapping=True)
+        if receives is None:
+            raise _pairs_fault(spec["receives"], f"actions[{i}]: 'receives'", index, True)
+        rmap = _complete_receives(receives, identity)
+        gname = spec.get("guard", TRIVIAL_GUARD_NAME)
+        if type(gname) is not str or gname not in guards or name in actions:
+            raise (_kind_fault(gname, str, f"action {name!r}: 'guard'")
+                   or _unknown_fault((gname,), guards, f"action {name!r}: unknown guard")
+                   or ValidationError(f"duplicate action name {name!r}"))
+        actions[name] = Action(name, kind, tuple(map(_send, sends)), rmap, guards[gname])
 
-    for i, decl in enumerate(_typed(raw.get("sugar", []), list, "'sugar'")):
-        decl = _typed(decl, dict, f"sugar[{i}]")
-        produced = desugar(decl, state, guard, actions, identity)
-        if decl.get("type") == "disjunctive":
-            # replacement for an existing action, same name
-            actions[produced[0].name] = produced[0]
-        else:
-            for action in produced:
-                add(action)
+    decls = raw.get("sugar", [])
+    if type(decls) is not list:
+        raise _kind_fault(decls, list, "'sugar'")
+    for i, decl in enumerate(decls):
+        if type(decl) is not dict or decl.get("type") not in _SUGAR_TYPES:
+            raise _kind_fault(decl, dict, f"sugar[{i}]") or ValidationError(
+                f"unknown sugar type {decl.get('type')!r}")
+        kind = decl["type"]
 
-    return Protocol(state_names, init, tuple(guards.values()), tuple(actions.values()))
+        if kind == "disjunctive":
+            name = decl.get("action")
+            if type(name) is not str or name not in actions:
+                raise _field_fault(decl, "action", str, "sugar 'disjunctive'") or ValidationError(
+                    f"disjunctive guard references unknown action {name!r}")
+            witnesses = _indices(decl.get("witnesses", []), index)
+            if not witnesses:
+                raise (_names_fault(decl.get("witnesses", []),
+                                    "sugar 'disjunctive': 'witnesses'", index)
+                       or ValidationError("disjunctive guard needs at least one witness state"))
+            # each witness joins the named action as a sender along its receive entry
+            base = actions[name]
+            extra = tuple([_send((w, base.receive_map[w])) for w in witnesses])
+            actions[name] = Action(name, base.kind, base.sends + extra,
+                                   base.receive_map, base.guard)
+            continue
+
+        name = decl.get("name")
+        gname = TRIVIAL_GUARD_NAME if decl.get("guard") is None else decl["guard"]
+        if type(name) is not str or type(gname) is not str or gname not in guards:
+            what = f"sugar {kind!r}"
+            raise (_field_fault(decl, "name", str, what)
+                   or _kind_fault(gname, str, f"{what}: 'guard'")
+                   or _unknown_fault((gname,), guards, f"{what}: unknown guard"))
+        if kind == "negotiation":
+            moves = _index_pairs(decl.get("map"), index, mapping=True)
+            if not moves:
+                raise (_pairs_fault(decl.get("map"), "sugar 'negotiation': 'map'", index, True)
+                       or ValidationError("negotiation map must be non-empty"))
+            rmap = _complete_receives(moves, identity)
+            produced = [Action(f"{name}#{j}", SENDER, (_send(move),), rmap, guards[gname])
+                        for j, move in enumerate(moves, start=1)]
+        elif kind == "internal":
+            sends = _index_pairs([[decl.get("from"), decl.get("to")]], index)
+            if sends is None:
+                raise next(filter(None, (_field_fault(decl, key, str, "sugar 'internal'")
+                                         or _unknown_fault((decl[key],), index)
+                                         for key in ("from", "to"))))
+            produced = [Action(name, SENDER, (_send(sends[0]),), identity, guards[gname])]
+        else:  # pairwise / async rendezvous
+            sends = _index_pairs([decl.get("send"), decl.get("recv")], index)
+            if sends is None:
+                raise next(filter(None, (_names_fault(decl.get(key), f"sugar {kind!r}: {key!r}",
+                                                      index, pair=True)
+                                         for key in ("send", "recv"))))
+            produced = [Action(name, SENDER if kind == "pairwise" else MAXIMAL,
+                               tuple(map(_send, sends)), identity, guards[gname])]
+        for action in produced:
+            if action.name in actions:
+                raise ValidationError(f"duplicate action name {action.name!r}")
+            actions[action.name] = action
+
+    return Protocol(tuple(states), index[init], tuple(guards.values()), tuple(actions.values()))

@@ -7,12 +7,12 @@ import weakref
 
 import pytest
 
-from gspmc import model, semantics
+from gspmc import model, modelfile, semantics
 from gspmc.model import Send, ValidationError, is_internal, validate
 
 import _gen
 import _oracle
-from conftest import config, perfbench_protocols
+from conftest import FIXTURES, chain_raw, config, perfbench_protocols
 
 
 def minimal_raw(**overrides):
@@ -151,6 +151,114 @@ class TestValidate:
         raw["actions"][0]["receives"] = [["A", "C"]]
         p = validate(raw)
         assert p.actions[0].receive_map == (2, 1, 2)
+
+
+def _outcome(check, raw):
+    """``check(raw)``'s Protocol, or the type and message it raised."""
+    try:
+        return check(raw)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _edited(node, path, edit):
+    """``node`` with ``edit`` applied to its value at ``path``, copying only
+    the containers along the path."""
+    if not path:
+        return edit(node)
+    node = dict(node) if type(node) is dict else list(node)
+    node[path[0]] = _edited(node[path[0]], path[1:], edit)
+    return node
+
+
+def _paths(node, path=()):
+    """Every ``(path, value)`` inside ``node``, ``node`` itself first."""
+    yield path, node
+    if type(node) in (dict, list):
+        items = node.items() if type(node) is dict else enumerate(node)
+        for key, value in items:
+            yield from _paths(value, path + (key,))
+
+
+_JUNK = (None, True, 0, 1.5, "", [], {}, [[]], ["x"], "Nowhere", "ALL")
+
+
+def _malformed(rng, raw):
+    """``raw`` with one or two entries replaced by a value of the wrong
+    type or an unknown, known or reserved name, or with a key deleted or
+    an unknown key added."""
+    known = [*raw["states"], *(a["name"] for a in raw.get("actions", []))]
+    for _ in range(rng.choice((1, 2))):
+        entries = list(_paths(raw))
+        path, value = rng.choice(entries)
+        roll = rng.random()
+        if roll < 0.15 and path and type(dict(entries)[path[:-1]]) is dict:
+            raw = _edited(raw, path[:-1], lambda d, key=path[-1]: {
+                k: v for k, v in d.items() if k != key})
+        elif (roll < 0.25 or not path) and type(value) is dict:
+            raw = _edited(raw, path, lambda d: {**d, "extra": 1})
+        elif path:
+            junk = rng.choice(_JUNK + (rng.choice(known),))
+            raw = _edited(raw, path, lambda _, junk=junk: junk)
+    return raw
+
+
+class TestOracle:
+    """``validate`` gives what the earlier validator, ``_oracle.validate``,
+    gives: an equal Protocol, or the same error in the same check order."""
+
+    @staticmethod
+    def corpus():
+        protocols = perfbench_protocols()
+        yield from (modelfile.parse_model(path).raw
+                    for path in sorted(FIXTURES.glob("*.json")))
+        yield chain_raw(6)
+        rng = random.Random(2700)
+        for i in range(500):
+            yield _gen.random_raw(rng)
+            yield protocols.random_model(random.Random(f"validate-{i}"))
+
+    def test_valid_documents(self):
+        for raw in self.corpus():
+            p = validate(raw)
+            assert p == _oracle.validate(raw), raw
+
+    def test_malformed_documents(self):
+        rng = random.Random(2701)
+        bases = list(self.corpus())
+        sugared = [raw for raw in bases if raw.get("sugar")]
+        errors = []
+        for _ in range(5000):
+            raw = _malformed(rng, rng.choice(rng.choice((bases, sugared))))
+            got = _outcome(validate, raw)
+            assert got == _outcome(_oracle.validate, raw), raw
+            if type(got) is tuple:
+                assert got[0] is ValidationError, (raw, got)
+                errors.append(got[1])
+        # most edits break the document, in checks of every section
+        assert len(errors) > 4000 and len(set(errors)) > 300
+
+
+class TestRecords:
+    def test_immutable_values(self):
+        send, guard = Send(0, 1), model.Guard("G", frozenset({0}))
+        for record, field in ((send, "src"), (guard, "members")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert send == Send(0, 1) and hash(send) == hash(Send(0, 1))
+        assert send != Send(1, 0)
+        assert guard == model.Guard("G", frozenset({0}))
+        assert hash(guard) == hash(model.Guard("G", frozenset({0})))
+        assert guard != model.Guard("G", frozenset({1}))
+
+    def test_used_guards_drops_a_repeat(self):
+        raw = minimal_raw(states=["A", "B"], guards={"G": ["A"], "H": ["A"]})
+        raw["actions"] = [
+            {"name": n, "sends": [["A", "B"]], "guard": g}
+            for n, g in (("t", "G"), ("u", "H"), ("v", "G"))]
+        p = validate(raw)
+        assert p.used_guards() == (model.Guard("G", frozenset({0})),
+                                   model.Guard("H", frozenset({0})))
 
 
 class TestSenderTallies:

@@ -298,8 +298,14 @@ def _pairs_fault(value, what: str, index, mapping: bool = False):
 
 
 _RAW_KEYS = frozenset({"states", "init", "guards", "actions", "sugar", "property"})
+_PROPERTY_KEYS = frozenset({"target", "count"})
 _ACTION_KEYS = frozenset({"name", "kind", "arity", "sends", "receives", "guard"})
-_SUGAR_TYPES = ("internal", "pairwise", "async", "negotiation", "disjunctive")
+# per sugar type, its keys; a disjunctive declaration's name is not used
+_SUGAR_KEYS = {kind: frozenset({"type", "name", *keys}) for kind, keys in (
+    ("internal", ("from", "to", "guard")), ("pairwise", ("send", "recv", "guard")),
+    ("async", ("send", "recv", "guard")), ("negotiation", ("map", "guard")),
+    ("disjunctive", ("action", "witnesses")))}
+_SUGAR_TYPES = tuple(_SUGAR_KEYS)  # a tuple, as a declared type need not hash
 _LIST, _STR = frozenset({list}), frozenset({str})
 
 
@@ -307,11 +313,12 @@ def validate(raw: dict) -> Protocol:
     """Build a Protocol from a parsed description, checking every invariant.
 
     The first failed check raises. In order: (1) the top-level keys; (2)
-    ``states``; (3) ``init``; (4) ``property``; (5) ``guards``; (6) each
-    core action in file order: keys, name, kind, sends (every pair's shape
-    before any state), arity, receives (likewise, then one target per
-    source), guard, a new name; (7) each sugar declaration in file order,
-    expanded into core actions. Receive maps are completed with self-loops.
+    ``states``; (3) ``init``; (4) ``property``: type, keys, entries; (5)
+    ``guards``; (6) each core action in file order: keys, name, kind, sends (every
+    pair's shape before any state), arity, receives (likewise, then one
+    target per source), guard, a new name; (7) each sugar declaration in
+    file order: type, keys, fields, then its expansion into core actions.
+    Receive maps are completed with self-loops.
     """
     if not _RAW_KEYS.issuperset(raw):
         raise ValidationError(f"unknown top-level keys: {sorted(set(raw) - _RAW_KEYS)}")
@@ -332,8 +339,9 @@ def validate(raw: dict) -> Protocol:
                else _kind_fault(init, str, "'init'") or _unknown_fault((init,), index))
 
     prop = raw.get("property")
-    if prop is not None and type(prop) is not dict:
-        raise _kind_fault(prop, dict, "'property'")
+    if prop is not None and (type(prop) is not dict or not _PROPERTY_KEYS.issuperset(prop)):
+        raise _kind_fault(prop, dict, "'property'") or ValidationError(
+            f"unknown keys {sorted(set(prop) - _PROPERTY_KEYS)} in 'property'")
     for key, kind in (("target", str), ("count", int)) if prop else ():
         if key in prop and type(prop[key]) is not kind:
             raise _kind_fault(prop[key], kind, f"'property': {key!r}")
@@ -390,6 +398,9 @@ def validate(raw: dict) -> Protocol:
             raise _kind_fault(decl, dict, f"sugar[{i}]") or ValidationError(
                 f"unknown sugar type {decl.get('type')!r}")
         kind = decl["type"]
+        if not _SUGAR_KEYS[kind].issuperset(decl):
+            raise ValidationError(
+                f"unknown keys {sorted(set(decl) - _SUGAR_KEYS[kind])} in sugar {kind!r}")
 
         if kind == "disjunctive":
             name = decl.get("action")

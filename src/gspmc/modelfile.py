@@ -60,6 +60,8 @@ def loads(text: str) -> ModelFile:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise ParseError("nesting too deep") from None
+    except ValueError as e:  # an integer literal past the int-string limit
+        raise ParseError(str(e)) from None
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
     return ModelFile(raw)

@@ -192,7 +192,7 @@ def _failures(protocol, a, guards, order, reach):
     free = reach.unguarded_masks
 
     if a.kind == SENDER:
-        dests = {s.dst for s in a.sends}
+        dests = {dst for _, dst in a.sends}
         ok = order.below_common(dests)
         members = sorted(a.guard.members)
         for gp in guards:
@@ -203,12 +203,12 @@ def _failures(protocol, a, guards, order, reach):
                         yield ("C1", gp, s, t, _LEAVES_ALL), free[t] & ok, None
         return
 
-    sources = {s.src for s in a.sends}
+    sources = {src for src, _ in a.sends}
     rest = sorted(a.guard.members - sources)
-    all_dests = [s.dst for s in a.sends]
+    all_dests = [dst for _, dst in a.sends]
     ok = order.below_each(all_dests)
-    comparable = [(i, si, j, sj) for i, si in enumerate(a.sends)
-                  for j, sj in enumerate(a.sends) if order.below(si.src, sj.src)]
+    comparable = [(i, src, dst, j, dst_j) for i, (src, dst) in enumerate(a.sends)
+                  for j, (src_j, dst_j) in enumerate(a.sends) if order.below(src, src_j)]
     for gp in guards:
         in_guard_dests = [d for d in all_dests if d in gp.members]
         if in_guard_dests:
@@ -222,15 +222,15 @@ def _failures(protocol, a, guards, order, reach):
                     note = (f"{a.name}/{gp.name}: C2.1w fails only under the "
                             f"all-destinations reading (receiver {names[s]})")
                 yield ("C2.1", gp, s, t, _LEAVES_SOME), escaped, note
-        for i, si, j, sj in comparable:
-            if sj.dst not in gp.members:
+        for i, src, dst, j, dst_j in comparable:
+            if dst_j not in gp.members:
                 continue
-            if si.dst not in gp.members:
-                yield ("C2.2", gp, si.src, si.dst, _MISSES, i, j), False, None
-            t = a.receive_map[si.src]
+            if dst not in gp.members:
+                yield ("C2.2", gp, src, dst, _MISSES, i, j), False, None
+            t = a.receive_map[src]
             if t not in gp.members:
-                yield (("C2.2", gp, si.src, t, _SOURCE_LEAVES, i, j),
-                       free[t] & order.below_each((si.dst,)), None)
+                yield (("C2.2", gp, src, t, _SOURCE_LEAVES, i, j),
+                       free[t] & order.below_each((dst,)), None)
 
 
 def _c3w(a, guards, order, reach, n) -> bool:
@@ -241,7 +241,7 @@ def _c3w(a, guards, order, reach, n) -> bool:
     support stays within guard(a) plus the states below s') to some t'
     below s'; a smaller configuration can then mimic the guard change.
     """
-    src, dst = a.sends[0].src, a.sends[0].dst
+    src, dst = a.sends[0]
     if not any(src not in gp.members and dst in gp.members for gp in guards):
         return True
     below_dst = order.below_each((dst,))

@@ -43,35 +43,30 @@ u + P, whose surplus support rho_D = supp(P) the receive map sends onto
 the destinations with a nonzero deficit. Component-wise, that is all.
 With guards, b's profile may need further receivers, so a candidate
 also puts one receiver on each state of a set X of at most |guards|
-allowed states outside rho_D and outside some guard, and u + P + 1_X is
-kept when its surplus support rho = rho_D | X passes two tests: the
-successor's support supp(uplus) | R(rho), R being the receive map's
-image, has b's profile, and rho has no removable state. A state s of
-rho, t = R(s), is removable when t keeps a slot per missing process
-without s (deficit(t) < |pre(t) & rho|) and dropping s keeps the profile
-of supp(u) | rho. With no guards, X is only the empty set and both
-tests hold vacuously.
+allowed states outside rho_D and outside some guard. u + P + 1_X, whose
+surplus support is rho = rho_D | X, is kept when the successor's support
+supp(uplus) | R(rho), R being the receive map's image, has b's profile.
+With no guards, X is only the empty set and the test holds vacuously.
 
 This loses no minimal predecessor. Take any surplus support rho and its
 minimal placements: per destination with slots pre(t) & rho, every
 split of the deficit into positive parts, or one receiver per slot when
-there are more slots than the deficit. If rho has a removable state s,
-each such candidate q puts exactly one receiver on s, and q - e_s is one
-from rho - {s} with q's profile, so by induction a candidate from an
-irredundant subset of rho lies strictly below q. The successor's
-profile needs no test of its own: supp(b) lies inside
-supp(uplus) | R(rho - {s}), which lies inside supp(uplus) | R(rho), and
-the profiles of b and of the latter agree, so the middle one's does
-too. In an irredundant rho, a slot of a destination with more slots than
-its deficit d, and a state of a destination with no deficit, is the one
-state of supp(u) | rho outside some guard, a distinct guard each. So
-putting d of such a destination's slots into rho_D, one receiver each,
-and the rest into X gives |X| <= |guards|: every minimal candidate of an
-irredundant rho is some u + P + 1_X the loop keeps. A candidate it keeps
-beyond those has some rho as support and covers each destination's
-minimal placement on rho, so it lies above a candidate from the same
-rho and is never minimal: leaving it in changes no basis, and no
-provenance that a witness follows.
+there are more slots than the deficit. Call s in rho, t = R(s),
+redundant when t keeps a slot per missing process without s
+(deficit(t) < |pre(t) & rho|) and dropping s keeps the profile of
+supp(u) | rho. Each such candidate q then puts one receiver on s, and
+q - e_s is one from rho - {s} with q's profile; its successor's support
+lies between supp(b) and that of q's, so it has b's profile too. By
+induction a candidate from an irredundant subset of rho lies strictly
+below q. In an irredundant rho, a slot of a destination with more
+slots than its deficit d, and a state of a destination with no deficit,
+is the one state of supp(u) | rho outside some guard, a distinct guard
+each. So putting d of such a destination's slots into rho_D, one
+receiver each, and the rest into X gives |X| <= |guards|: every minimal
+candidate of an irredundant rho is some u + P + 1_X the loop keeps. Any
+other candidate it keeps lies strictly above one of those, with the
+same profile, so the antichain covers or evicts it within the same
+round: it reaches no frontier, nor a provenance that a witness follows.
 
 Under the component-wise order a round skips each (element b, action)
 pair whose action's entry mask, its send destinations and the images
@@ -139,8 +134,8 @@ with supp(u) inside no element, before its outcomes are built, and
 cut the allowed states to reach(u), the union of the elements that
 contain supp(u). A candidate that is no longer built puts a receiver
 outside reach(u), so its support lies inside no element containing
-supp(u), and so inside none. The profile and removability tests read rho
-and never ``allowed``, so the candidates that are built are exactly the
+supp(u), and so inside none. The profile test reads rho and never
+``allowed``, so the candidates that are built are exactly the
 unfiltered ones with rho inside reach(u). The keep test still runs, as a
 support can lie inside reach(u) and yet span two elements. Each
 candidate carries its support supp(u) | rho from where it is built into
@@ -296,21 +291,6 @@ def target_basis(protocol, wqo, target, threshold):
     return Ucs(wqo, minimize(wqo, candidates))
 
 
-def _removable(rho, usupp, deficits, premask, rmap, profile_of):
-    """Whether the surplus support ``rho`` has a removable state (module
-    docstring)."""
-    q_profile = profile_of(usupp | rho)
-    rest = rho
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        t = rmap[bit.bit_length() - 1]
-        if (deficits[t] < (premask[t] & rho).bit_count()
-                and profile_of(usupp | rho & ~bit) == q_profile):
-            return True
-    return False
-
-
 def _pred_table(action, bound):
     """The entry ``(u, uplus, supp(u), amask)`` that :func:`_action_preds`
     reads per outcome (u, uplus) of each key the action fires on, in
@@ -337,7 +317,9 @@ def _pred_table(action, bound):
         for e in bound:
             if not used & ~e:
                 reach |= e
-        if reach:  # the key of no sender has no outcome
+        # keys whose senders lie in no bound element are skipped; the key of
+        # no sender is not, and adds nothing as it has no outcome
+        if reach:
             amask = action.guardmask & ~pinned & reach
             table.extend((u, uplus, used, amask) for u, uplus in action.outcomes(key))
     return table
@@ -380,7 +362,7 @@ def _action_preds(wqo, action, b, need, table):
     (unpinned, inside the action's guard). Under an order with guards a
     candidate also takes one receiver on each of at most
     ``len(wqo.guards)`` guard-breaking states outside supp(P), kept when
-    its surplus support passes the profile and removability tests.
+    its successor's support has b's profile.
     ``need`` lists b's (state, count) pairs with a non-zero count. The
     participations come from ``table``, a :func:`_pred_table` of the
     action. A deficit with one allowed preimage goes there whole;
@@ -409,8 +391,7 @@ def _action_preds(wqo, action, b, need, table):
         else:
             if guards:
                 sent = _support(uplus)
-                deficits = [x - y if x > y else 0 for x, y in zip(b, uplus)]
-                reached_d = sum(1 << t for t, d in enumerate(deficits) if d)
+                reached_d = sum(1 << t for t, x in need if x > uplus[t])
                 breakers = [s for s in range(len(b))
                             if (amask & outside) >> s & 1]
             for choice in itertools.product(*per_dest):
@@ -430,8 +411,7 @@ def _action_preds(wqo, action, b, need, table):
                         for s in extra:
                             rho |= 1 << s
                             reached |= 1 << rmap[s]
-                        if (profile_of(reached) != profile or _removable(
-                                rho, usupp, deficits, premask, rmap, profile_of)):
+                        if profile_of(reached) != profile:
                             continue
                         qx = q[:]
                         for s in extra:
@@ -477,8 +457,8 @@ def support_bound(protocol):
     for action in protocol.actions:
         rmap = action.receive_map
         dsts = {}  # per source bit, the destinations of its send slots
-        for send in action.sends:
-            dsts[1 << send.src] = dsts.get(1 << send.src, 0) | 1 << send.dst
+        for src, dst in action.sends:
+            dsts[1 << src] = dsts.get(1 << src, 0) | 1 << dst
         steps.append((action.kind == SENDER, sum(dsts), tuple(dsts.items()),
                       action.guardmask,
                       sum(1 << s for s, t in enumerate(rmap) if s != t), rmap))

@@ -793,6 +793,9 @@ def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
     what = f"sugar {kind!r}"
     if kind not in ("internal", "pairwise", "async", "negotiation", "disjunctive"):
         raise ValidationError(f"unknown sugar type {kind!r}")
+    extra = set(decl) - _SUGAR_KEYS[kind]
+    if extra:
+        raise ValidationError(f"unknown keys {sorted(extra)} in sugar {kind!r}")
 
     if kind == "disjunctive":
         ref = _field(decl, "action", str, what)
@@ -835,6 +838,13 @@ def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
 
 _RAW_KEYS = {"states", "init", "guards", "actions", "sugar", "property"}
 _ACTION_KEYS = {"name", "kind", "arity", "sends", "receives", "guard"}
+_SUGAR_KEYS = {
+    "internal": {"type", "name", "from", "to", "guard"},
+    "pairwise": {"type", "name", "send", "recv", "guard"},
+    "async": {"type", "name", "send", "recv", "guard"},
+    "negotiation": {"type", "name", "map", "guard"},
+    "disjunctive": {"type", "name", "action", "witnesses"},
+}
 
 
 def validate(raw: dict) -> Protocol:
@@ -842,9 +852,10 @@ def validate(raw: dict) -> Protocol:
     parsed description, checking every invariant.
 
     Checks (in order): every section has its JSON type, state names
-    distinct, init known, guards non-empty and made of known states, core
-    actions structurally sound (arity, send/receive states, functional
-    receive map, unique names), then sugar declarations expanded in file
+    distinct, init known, the property's keys known, guards non-empty and
+    made of known states, core actions structurally sound (arity,
+    send/receive states, functional receive map, unique names), then
+    sugar declarations, each with the keys of its type, expanded in file
     order. Receive maps are completed with self-loops.
     """
     extra = set(raw) - _RAW_KEYS
@@ -877,7 +888,10 @@ def validate(raw: dict) -> Protocol:
     prop = raw.get("property")
     if prop is None:
         prop = {}
-    if "target" in _typed(prop, dict, "'property'"):
+    extra = set(_typed(prop, dict, "'property'")) - {"target", "count"}
+    if extra:
+        raise ValidationError(f"unknown keys {sorted(extra)} in 'property'")
+    if "target" in prop:
         _typed(prop["target"], str, "'property'", "target")
     if "count" in prop:
         _typed(prop["count"], int, "'property'", "count")

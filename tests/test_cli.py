@@ -82,6 +82,18 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"error [modelfile]: {deep}: nesting too deep\n")
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", None)
+        if limit is None or not limit():
+            pytest.skip("this interpreter has no int-string limit")
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"states": ["A"], "init": "A", "property": '
+                        '{"target": "A", "count": ' + "9" * (limit() + 1) + "}}",
+                        encoding="utf-8")
+        assert invoke("validate", str(huge))[0] == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [modelfile]: {huge}: ") and err.count("\n") == 1
+
     def test_invalid_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"states": ["A"], "init": "Z", "actions": []}',
@@ -133,6 +145,13 @@ MALFORMED = {
         {"type": "pairwise", "name": "p", "send": ["A", "B", "A"],
          "recv": ["A", "B"]}]},
         "sugar 'pairwise': 'send' must be a [from, to] pair, got 3 names"),
+    "misspelled-sugar-guard": ({"states": ["A", "B"], "init": "A",
+                                "guards": {"G": ["B"]}, "sugar": [
+        {"type": "internal", "name": "i", "from": "A", "to": "B", "gaurd": "G"}]},
+        "unknown keys ['gaurd'] in sugar 'internal'"),
+    "misspelled-property-target": ({"states": ["A"], "init": "A",
+                                    "property": {"targt": "A"}},
+                                   "unknown keys ['targt'] in 'property'"),
     "witnesses-not-a-list": ({"states": ["A", "B"], "init": "A", "actions": [
         {"name": "t", "sends": [["A", "B"]]}], "sugar": [
         {"type": "disjunctive", "action": "t", "witnesses": "A"}]},

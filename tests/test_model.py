@@ -121,6 +121,15 @@ class TestValidate:
          "sugar 'internal': unknown guard 'G9'"),
         ({"sugar": [{"type": "negotiation", "name": "n", "map": {"A": 1}}]},
          "sugar 'negotiation': 'map' entries must be a string, got an integer"),
+        # a key of another sugar type is unknown too, and checked first
+        ({"sugar": [{"type": "internal", "name": "i", "from": "A", "to": "B",
+                     "gaurd": "G9", "map": {}}]},
+         "unknown keys ['gaurd', 'map'] in sugar 'internal'"),
+        ({"sugar": [{"type": "disjunctive", "action": "t", "witnesses": ["A"],
+                     "guard": "ALL"}]},
+         "unknown keys ['guard'] in sugar 'disjunctive'"),
+        ({"property": {"targt": "B", "count": "x"}},
+         "unknown keys ['targt'] in 'property'"),
     ])
     def test_error_context_names(self, overrides, message):
         """Each error names its context exactly."""

@@ -269,8 +269,8 @@ class TestPredsByConstruction:
             assert check_preds_by_construction(p, wqo)
 
     def test_random_protocols(self):
-        # reducible surplus supports build no predecessors, so the floor
-        # needs 150 draws
+        # 150 draws check about 5,500 predecessors, those built above a
+        # minimal one included, which the antichain discards
         rng = random.Random(60)
         checked = 0
         for _ in range(150):
@@ -281,7 +281,9 @@ class TestPredsByConstruction:
 
 
 class TestPrunedPreds:
-    """Skipping reducible surplus supports loses no minimal predecessor."""
+    """Keeping only the candidates whose successor has b's profile, with at
+    most one guard-breaking receiver per guard, loses no minimal
+    predecessor."""
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixtures(self, name):
@@ -292,13 +294,39 @@ class TestPrunedPreds:
         for wqo in (COMPONENT_WISE, wqo_for(p)):
             check_preds_match_exhaustive(p, wqo, sample)
 
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_random_protocols(self, seed):
+    # the last case draws protocols whose actions use up to four guards
+    # (three or four in 7 of its 40)
+    @pytest.mark.parametrize("seed, kw", [
+        pytest.param(11, {}, id="11"), pytest.param(12, {}, id="12"),
+        pytest.param(13, dict(max_guards=4, min_guards=3, guard_bias=1.0,
+                              max_actions=6), id="13-max_guards4")])
+    def test_random_protocols(self, seed, kw):
         rng = random.Random(seed)
         for _ in range(40):
-            p = _gen.random_protocol(rng, certified_only=False, max_states=5)
+            p = _gen.random_protocol(rng, certified_only=False, max_states=5, **kw)
             for wqo in (COMPONENT_WISE, wqo_for(p)):
                 check_preds_match_exhaustive(p, wqo)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_receiver_per_guard(self, k):
+        # G_i holds S0 and every X_j but X_i, and no guard holds T, the
+        # sender's destination. Off T, only a receiver on every X_i takes
+        # a predecessor of T:1 outside every guard, so the minimal one
+        # S0 + X_0 + ... + X_(k-1) needs |X| = k
+        xs = [f"X{i}" for i in range(k)]
+        raw = {"states": ["S0", "T", *xs], "init": "S0",
+               "guards": {f"G{i}": ["S0", *(x for x in xs if x != xi)]
+                          for i, xi in enumerate(xs)},
+               "actions": [{"name": "a", "sends": [["S0", "T"]]}] + [
+                   {"name": f"g{i}", "sends": [["S0", "S0"]], "guard": f"G{i}"}
+                   for i in range(k)]}
+        p = validate(raw)
+        wqo, a, b = wqo_for(p), p.action("a"), (0, 1) + (0,) * k
+        got = minimize(wqo, wsts._action_preds(
+            wqo, a, b, _oracle.nonzero(b), _oracle.unfiltered_table(a)))
+        assert (1, 0) + (1,) * k in got
+        assert got == _oracle.LinearAntichain(
+            wqo, _oracle.exhaustive_refined_preds(wqo, a, b)).basis()
 
 
 class TestPlacements:

@@ -28,7 +28,7 @@ certifies before it applies them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gspmc import explicit, wellbehaved
 from gspmc.model import MAXIMAL, Protocol, is_internal, reachable
@@ -46,8 +46,7 @@ class PathBudgetExceeded(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One local transition: a send slot or a state-changing receive."""
 
     action: str
@@ -59,8 +58,7 @@ class Edge:
     index: int  # send slot, or receive source (disambiguates parallels)
 
 
-@dataclass(frozen=True)
-class CutoffVerdict:
+class CutoffVerdict(NamedTuple):
     """Outcome of the end-to-end cutoff pipeline for one query."""
 
     amenable: bool

@@ -12,10 +12,10 @@ labelled with the first action, in declaration order, that makes it.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gspmc import semantics
-from gspmc.model import ValidationError
+from gspmc.model import Frozen, ValidationError
 
 DEFAULT_STATE_BUDGET = 10**7
 
@@ -26,35 +26,31 @@ class StateBudgetExceeded(Exception):
         self.explored = explored
 
 
-@dataclass(frozen=True)
-class ReachQuery:
+class ReachQuery(Frozen):
     """Can at least ``threshold`` processes sit in ``target`` with ``size`` processes total?"""
 
-    target: int
-    threshold: int
-    size: int
+    _fields = ("target", "threshold", "size")
 
-    def __post_init__(self):
-        if self.threshold < 1:
+    def __init__(self, target: int, threshold: int, size: int):
+        if threshold < 1:
             raise ValidationError("threshold must be at least 1")
-        if self.size < 1:
+        if size < 1:
             raise ValidationError("system size must be at least 1")
-        if self.threshold > self.size:
+        if threshold > size:
             raise ValidationError(
-                f"threshold {self.threshold} exceeds system size {self.size}: "
+                f"threshold {threshold} exceeds system size {size}: "
                 "trivially unreachable, refusing the query")
+        vars(self).update(target=target, threshold=threshold, size=size)
 
 
-@dataclass
-class FixedResult:
+class FixedResult(NamedTuple):
     reachable: bool
     # [(None, q0), (action, q1), ...]; consecutive states related by fire
     trace: list | None
     explored: int
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     found: bool
     n: int | None
     trace: list | None

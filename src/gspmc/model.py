@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 SENDER = "sender"
@@ -40,7 +39,7 @@ class cached_property:
     """A method computed on first access and stored in the instance
     ``__dict__``, where later lookups find it before this descriptor.
     Unlike :class:`functools.cached_property` it takes no lock, and it
-    writes past a frozen dataclass's ``__setattr__``."""
+    writes past the ``__setattr__`` of a :class:`Frozen` record."""
 
     def __init__(self, func):
         self.func = func
@@ -56,6 +55,34 @@ class cached_property:
         return value
 
 
+class Frozen:
+    """A record that its ``__init__`` fills once and that refuses writes
+    after; it compares, hashes and prints as the tuple of its ``_fields``."""
+
+    _fields: tuple[str, ...]  # set by each subclass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
 class Guard(NamedTuple):
     name: str
     members: frozenset[int]
@@ -68,8 +95,8 @@ class Send(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Frozen):
+    _fields = ("name", "kind", "sends", "receive_map", "guard")
     name: str
     kind: str  # SENDER or MAXIMAL
     sends: tuple[Send, ...]
@@ -77,7 +104,7 @@ class Action:
     guard: Guard
 
     def __init__(self, name, kind, sends, receive_map, guard):
-        # past the frozen __setattr__, which a generated __init__ calls per field
+        # past Frozen.__setattr__, which refuses every write
         vars(self).update(name=name, kind=kind, sends=sends, receive_map=receive_map, guard=guard)
 
     @property
@@ -153,8 +180,7 @@ class Action:
         return sum(1 << s for s in self.guard.members)
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(NamedTuple):
     state_names: tuple[str, ...]
     init: int
     guards: tuple[Guard, ...]

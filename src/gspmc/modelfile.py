@@ -10,7 +10,7 @@ validation lives in :mod:`gspmc.model`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gspmc.model import TRIVIAL_GUARD_NAME, Protocol
 
@@ -23,8 +23,7 @@ class IoError(Exception):
     """File could not be read or written."""
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(NamedTuple):
     """A parsed protocol document, before validation."""
 
     raw: dict

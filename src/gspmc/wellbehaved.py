@@ -30,7 +30,7 @@ too, for an internal action) a violation citing the strong failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from gspmc.model import SENDER, Protocol, is_internal
 
@@ -119,8 +119,7 @@ class InternalReach:
         return reach
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed check: the condition, the guard, and the local move."""
 
     condition: str
@@ -129,8 +128,7 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ActionStatus:
+class ActionStatus(NamedTuple):
     action: str
     status: str  # "strong" | "weak" | "violation"
     condition: str | None
@@ -138,8 +136,7 @@ class ActionStatus:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GuardCompatReport:
+class GuardCompatReport(NamedTuple):
     well_behaved: bool
     actions: tuple[ActionStatus, ...]
     notes: tuple[str, ...] = ()

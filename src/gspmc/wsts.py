@@ -145,11 +145,11 @@ that test and the antichain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import le
+from typing import NamedTuple
 
 from gspmc import wellbehaved
-from gspmc.model import SENDER, Protocol, ValidationError
+from gspmc.model import SENDER, Frozen, Protocol, ValidationError
 
 
 class NotCertifiedWellBehaved(Exception):
@@ -165,18 +165,15 @@ def _support(q):
     return supp
 
 
-@dataclass(frozen=True)
-class Wqo:
+class Wqo(Frozen):
     """Ordering on counter vectors: component-wise, with the same guard
     profile on both sides; ``guards`` is empty for component-wise."""
 
-    guards: tuple[frozenset[int], ...]
-    # per guard, the bitmask of the states outside it
-    _outside: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("guards",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_outside", tuple(
-            ~sum(1 << s for s in g) for g in self.guards))
+    def __init__(self, guards: tuple[frozenset[int], ...]):
+        # _outside: per guard, the bitmask of the states outside it
+        vars(self).update(guards=guards, _outside=tuple(~sum(1 << s for s in g) for g in guards))
 
     def profile(self, q):
         """Which guards contain the support of q."""
@@ -203,8 +200,7 @@ def wqo_for(protocol: Protocol) -> Wqo:
     return Wqo(guards) if guards else COMPONENT_WISE
 
 
-@dataclass(frozen=True)
-class Ucs:
+class Ucs(NamedTuple):
     """Upward-closed set: canonical antichain basis, lexicographically sorted."""
 
     wqo: Wqo
@@ -502,8 +498,7 @@ def _inside(bound):
     return keep
 
 
-@dataclass
-class ParamVerdict:
+class ParamVerdict(NamedTuple):
     reachable: bool
     min_n: int | None
     witness: tuple[str, ...] | None  # action sequence, forward order

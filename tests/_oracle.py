@@ -36,7 +36,6 @@ the one-pass validator's protocols, messages and check order.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter, deque
 from operator import le
@@ -806,7 +805,7 @@ def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
             raise ValidationError("disjunctive guard needs at least one witness state")
         base = actions[ref]
         extra = tuple(Send(state(w), base.receive_map[state(w)]) for w in witnesses)
-        return [dataclasses.replace(base, sends=base.sends + extra)]
+        return [Action(base.name, base.kind, base.sends + extra, base.receive_map, base.guard)]
 
     name = _field(decl, "name", str, what)
     gname = decl.get("guard")

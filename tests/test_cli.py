@@ -737,6 +737,20 @@ class TestDeterminism:
         assert exc.value.code == EXIT_CLEAN
 
 
+class TestImport:
+    def test_no_code_generation_at_import(self):
+        # a fresh interpreter without site, whose start-up could load the
+        # modules itself, and writing no bytecode: importing the CLI must not
+        # pull in the dataclass machinery or inspect, whose code generation
+        # every run would pay
+        src = str(Path(cli.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import gspmc.cli; "
+                "sys.exit(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))) or None)")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def write_model(tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -168,6 +168,15 @@ def _trace_payload(trace):
     return trace and [{"action": action, "config": list(q)} for action, q in trace]
 
 
+def _state_names(protocol, mask) -> list:
+    """The sorted names of the states in the bitmask, one per set bit."""
+    names = []
+    while mask:
+        names.append(protocol.state_names[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return sorted(names)
+
+
 def _result(args, mf, protocol) -> dict:
     """The command's result, exactly as ``--json`` reports it."""
     if args.command == "validate":
@@ -215,10 +224,7 @@ def _result(args, mf, protocol) -> dict:
             "witness": None if verdict.witness is None else list(verdict.witness),
             "iterations": verdict.iterations,
             "basis": [list(b) for b in verdict.basis.basis],
-            "supports": sorted(
-                sorted(name for s, name in enumerate(protocol.state_names)
-                       if m >> s & 1)
-                for m in verdict.supports),
+            "supports": sorted(_state_names(protocol, m) for m in verdict.supports),
         }
 
     if args.command == "cutoff":

@@ -8,9 +8,10 @@ A protocol is one process template. Global actions come in two core kinds:
   is present, with min(available, declared) senders participating per
   source state; which of a state's send slots they take is a
   nondeterministic choice. :meth:`Action.outcomes` states this rule once,
-  as the senders' ``(u, uplus)`` counts, for the forward engine (memoised
-  in ``Action.packed_tables``) and the backward one, which reads it only
-  on the keys that its support bound keeps (``wsts._pred_table``).
+  as the senders' ``(u, uplus)`` counts. The forward engine reads it for
+  all but single-source senders (memoised in ``Action.packed_tables``),
+  the backward one (``wsts._pred_table``) only for kept keys that take
+  part of some source's slots; both tally the other keys themselves.
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -160,6 +161,8 @@ class Action(Frozen):
         state) of the :func:`itertools.combinations` of each source's
         slots (ascending send index). The guard is not checked here.
         ``u`` and ``uplus`` count the senders per source and destination.
+        The engines read it only where a tally needs it (module
+        docstring); the tests pin their own tallies against it.
         """
         if not any(key) or (self.kind == SENDER and key != self.caps):
             return ()

@@ -10,6 +10,8 @@ validation lives in :mod:`gspmc.model`.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from typing import NamedTuple
 
 from gspmc.model import TRIVIAL_GUARD_NAME, Protocol
@@ -49,6 +51,19 @@ def _no_duplicate_keys(pairs):
 _DECODER = json.JSONDecoder(object_pairs_hook=_no_duplicate_keys)
 
 
+def _long_integer(text: str) -> str | None:
+    """Where the first integer literal past the int-string limit is, and
+    its digit count; a float (with a fraction or exponent) has no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # a string, or a number: its integer part, then its fraction and exponent
+    for m in re.finditer(r'"[^"\\]*(?:\\.[^"\\]*)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)', text):
+        if limit and m[1] and not m[2] and len(m[1]) > limit:
+            line = text.count("\n", 0, m.start()) + 1
+            column = m.start() - text.rfind("\n", 0, m.start())
+            return (f"line {line}, column {column}: integer literal of "
+                    f"{len(m[1])} digits, more than the {limit} allowed")
+
+
 def loads(text: str) -> ModelFile:
     try:
         if text.startswith("\ufeff"):  # as json.loads refuses it
@@ -60,7 +75,7 @@ def loads(text: str) -> ModelFile:
     except RecursionError:  # the decoder recurses once per nesting level
         raise ParseError("nesting too deep") from None
     except ValueError as e:  # an integer literal past the int-string limit
-        raise ParseError(str(e)) from None
+        raise ParseError(_long_integer(text) or str(e)) from None
     if not isinstance(raw, dict):
         raise ParseError("model file must contain a JSON object")
     return ModelFile(raw)

@@ -296,10 +296,12 @@ def _pred_table(action, bound):
     sender action's key every slot. ``amask`` holds the allowed states,
     inside the guard and not pinned (below their cap), that lie in an
     element containing supp(u) (module docstring). The bound of every
-    state keeps every key whole.
+    state keeps every key whole. A key whose sources each take no slot
+    or all is tallied here; only the others read ``action.outcomes``.
     """
     guard, sources, caps = action.guard.members, action.sources, action.caps
-    counts = [(((c,) if action.kind == SENDER else range(c + 1))
+    sender, n = action.kind == SENDER, len(action.receive_map)
+    counts = [(((c,) if sender else range(c + 1))
                if s in guard else (0,)) for s, c in zip(sources, caps)]
     table = []
     for key in itertools.product(*counts):
@@ -309,15 +311,25 @@ def _pred_table(action, bound):
                 used |= 1 << s
             if k < c:
                 pinned |= 1 << s
+        # no outcome: no sender, or a sender's source outside the guard
+        if not used or sender and pinned:
+            continue
         reach = 0
         for e in bound:
             if not used & ~e:
                 reach |= e
-        # keys whose senders lie in no bound element are skipped; the key of
-        # no sender is not, and adds nothing as it has no outcome
-        if reach:
-            amask = action.guardmask & ~pinned & reach
+        if not reach:
+            continue
+        amask = action.guardmask & ~pinned & reach
+        if used & pinned:  # some source takes part of its slots
             table.extend((u, uplus, used, amask) for u, uplus in action.outcomes(key))
+            continue
+        u, uplus = [0] * n, [0] * n
+        for s, k, dsts in zip(sources, key, action._slots):
+            u[s] = k
+            for t in dsts[:k]:  # k is 0 or all of them
+                uplus[t] += 1
+        table.append((tuple(u), tuple(uplus), used, amask))
     return table
 
 
@@ -416,13 +428,6 @@ def _action_preds(wqo, action, b, need, table):
     return found
 
 
-def _entry_mask(action):
-    """The states the action moves a process into: its send destinations
-    and the images of the states its receive map moves."""
-    return sum(1 << t for t in {send.dst for send in action.sends}.union(
-        t for s, t in enumerate(action.receive_map) if s != t))
-
-
 def _insert_preds(wqo, tables, chain, frontier, provenance, keep):
     """Insert the minimal predecessors of each ``frontier`` element whose
     support passes ``keep`` into ``chain``, built from ``tables``, one
@@ -449,15 +454,27 @@ def support_bound(protocol):
     over-approximation, ascending: the support of every configuration
     reachable from the initial state, at any system size, lies inside
     one of them (module docstring)."""
-    steps = []
+    return _bound_and_entries(protocol)[0]
+
+
+def _bound_and_entries(protocol):
+    """:func:`support_bound`, and per action its entry mask (module
+    docstring), both from one pass over its sends and moved states."""
+    steps, entries = [], []
     for action in protocol.actions:
         rmap = action.receive_map
         dsts = {}  # per source bit, the destinations of its send slots
+        entry = moved = 0
         for src, dst in action.sends:
             dsts[1 << src] = dsts.get(1 << src, 0) | 1 << dst
+            entry |= 1 << dst
+        for s, t in enumerate(rmap):
+            if s != t:
+                moved |= 1 << s
+                entry |= 1 << t
+        entries.append(entry)
         steps.append((action.kind == SENDER, sum(dsts), tuple(dsts.items()),
-                      action.guardmask,
-                      sum(1 << s for s, t in enumerate(rmap) if s != t), rmap))
+                      action.guardmask, moved, rmap))
     start = 1 << protocol.init
     bound, work = {start}, [start]
     while work:
@@ -482,7 +499,7 @@ def support_bound(protocol):
             bound = {e for e in bound if e & ~succ}
             bound.add(succ)
             work.append(succ)
-    return tuple(sorted(bound))
+    return tuple(sorted(bound)), entries
 
 
 def _inside(bound):
@@ -527,14 +544,14 @@ def decide(protocol, target, threshold):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
-    supports = support_bound(protocol)
+    supports, entries = _bound_and_entries(protocol)
     keep = _inside(supports)
     start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
                   if keep(_support(q)))
     # only the rounds read the tables, and when the bound drops every
     # target-basis element no round runs; with guards no action is skipped
-    tables = ([(a, _pred_table(a, supports), -1 if wqo.guards else _entry_mask(a))
-               for a in protocol.actions] if start else ())
+    tables = ([(a, _pred_table(a, supports), -1 if wqo.guards else entry)
+               for a, entry in zip(protocol.actions, entries)] if start else ())
     provenance = dict.fromkeys(start)
     chain = Antichain(wqo, start)
     frontier = start
@@ -545,8 +562,7 @@ def decide(protocol, target, threshold):
         frontier = sorted(q for q in added if q in chain)
     fixpoint = Ucs(wqo, chain.basis())
 
-    covering = [b for b in fixpoint.basis
-                if all(c == 0 for s, c in enumerate(b) if s != protocol.init)]
+    covering = [b for b in fixpoint.basis if b[protocol.init] == sum(b)]
     if not covering:
         return ParamVerdict(False, None, None, fixpoint, iterations, supports)
     best = min(covering, key=lambda b: b[protocol.init])

@@ -23,9 +23,12 @@ packed tables built from ``Action.outcomes`` for every action are the
 reference for the single-source senders' tables built from their
 sends. The participations, ``(u, uplus, allowed)`` per outcome of every
 key of the caps box that takes no sender from outside the guard, are
-the reference for the keys ``wsts._pred_table`` enumerates, and the
-support bound stepped through every one of them is the reference for
-``wsts.support_bound``, which takes one dominating step per action.
+the reference for the keys ``wsts._pred_table`` enumerates and the
+outcomes it tallies from whole keys, and the support bound stepped
+through every one of them is the reference for ``wsts.support_bound``,
+which takes one dominating step per action. The entry mask read off
+each action's sends and receive map is the reference for the one that
+``wsts.decide`` takes from its support-bound pass.
 The compositions of a total into parts are every tuple of the box up
 to the total that sums to it, the reference for ``wsts._placements``'s
 stars and bars. ``validate`` is the earlier form of ``model.validate``,
@@ -445,6 +448,15 @@ def exhaustive_refined_preds(wqo, action, b):
     return found
 
 
+def entry_mask(action):
+    """The states the action moves a process into: its send destinations
+    and the images of the states its receive map moves. The reference
+    for the entry masks that ``wsts.decide`` takes from its support-bound
+    pass over each action."""
+    return sum(1 << t for t in {send.dst for send in action.sends}.union(
+        t for s, t in enumerate(action.receive_map) if s != t))
+
+
 def pred_basis(protocol, wqo, ucs):
     """Basis of Pred(U) united with U itself: one backward step of the
     engine, ``wsts._insert_preds`` into a ``wsts.Antichain`` with no
@@ -452,7 +464,7 @@ def pred_basis(protocol, wqo, ucs):
     component-wise order it skips the actions whose entry mask misses an
     element's support, as ``wsts.decide`` does."""
     chain = wsts.Antichain(wqo, ucs.basis)
-    tables = [(a, unfiltered_table(a), -1 if wqo.guards else wsts._entry_mask(a))
+    tables = [(a, unfiltered_table(a), -1 if wqo.guards else entry_mask(a))
               for a in protocol.actions]
     wsts._insert_preds(wqo, tables, chain, ucs.basis,
                        provenance=dict.fromkeys(ucs.basis),

@@ -91,8 +91,12 @@ class TestValidate:
                         '{"target": "A", "count": ' + "9" * (limit() + 1) + "}}",
                         encoding="utf-8")
         assert invoke("validate", str(huge))[0] == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [modelfile]: {huge}: ") and err.count("\n") == 1
+        # where the literal starts, not the interpreter's advice to raise
+        # its limit
+        column = len('{"states": ["A"], "init": "A", "property": {"target": "A", "count": ') + 1
+        assert capsys.readouterr().err == (
+            f"error [modelfile]: {huge}: line 1, column {column}: integer literal "
+            f"of {limit() + 1} digits, more than the {limit()} allowed\n")
 
     def test_invalid_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -397,6 +397,40 @@ class TestParticipations:
         # one per non-empty subset of the counting ring's k send slots
         assert len(_oracle.unfiltered_table(p.action("a"))) == 2 ** k - 1
 
+    # hand-made keys for the table's own tally of keys whose sources each
+    # take no slot or all of them, and its fall-back to ``outcomes``
+
+    @staticmethod
+    def one_action(states, action, guards=None):
+        return validate({"states": states, "init": states[0],
+                         "guards": guards or {}, "actions": [action]})
+
+    @pytest.mark.parametrize("kind", ["sender", "maximal"])
+    def test_two_slots_to_one_destination_taken_whole(self, kind):
+        p = self.one_action(["A", "B", "C"], {
+            "name": "t", "kind": kind, "sends": [["A", "B"], ["A", "B"]]})
+        self.check(p)
+        # the whole key's one outcome puts both senders on B
+        assert _oracle.unfiltered_table(p.action("t"))[-1][:2] == ((2, 0, 0), (0, 2, 0))
+
+    def test_sender_with_a_source_outside_the_guard(self):
+        p = self.one_action(["A", "B", "C"], {
+            "name": "t", "kind": "sender", "sends": [["A", "C"], ["B", "C"]],
+            "guard": "G"}, guards={"G": ["A", "C"]})
+        self.check(p)
+        assert _oracle.unfiltered_table(p.action("t")) == []
+
+    def test_whole_and_partial_source_in_one_key(self):
+        # A gives its one slot, B one of its two: the key (1, 1) has two
+        # outcomes, which only ``outcomes`` enumerates
+        p = self.one_action(["A", "B", "C", "D"], {
+            "name": "t", "kind": "maximal",
+            "sends": [["A", "C"], ["B", "C"], ["B", "D"]]})
+        self.check(p)
+        table = _oracle.unfiltered_table(p.action("t"))
+        assert [uplus for u, uplus, _, _ in table if u == (1, 1, 0, 0)] == [
+            (0, 0, 2, 0), (0, 0, 1, 1)]
+
 
 class TestDesugar:
     def test_smoke_detector_expansion(self, smoke):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -46,6 +47,22 @@ class TestLoads:
         depth = 100_000
         with pytest.raises(ParseError, match="^nesting too deep$"):
             loads('{"states": ' + "[" * depth + "]" * depth + "}")
+
+    def test_integer_past_the_digit_limit_cites_position(self):
+        limit = getattr(sys, "get_int_max_str_digits", None)
+        if limit is None or not limit():
+            pytest.skip("this interpreter has no int-string limit")
+        long = "7" * (limit() + 1)
+        # the same digits in a string, a fraction and an exponent are no
+        # integer literal; the first one is the negative count
+        text = ('{"states": ["A", "' + long + '"],\n "x": 1.' + long
+                + ', "y": 1e' + long + ', "z": ' + long + '.5,\n'
+                + '  "property": {"count": -' + long + '}, "w": ' + long + "}")
+        with pytest.raises(ParseError) as e:
+            loads(text)
+        column = len('  "property": {"count": ') + 1
+        assert str(e.value) == (f"line 3, column {column}: integer literal of "
+                                f"{limit() + 1} digits, more than the {limit()} allowed")
 
     def test_property_block(self):
         mf = loads('{"property": {"target": "T", "count": 2}}')

@@ -673,7 +673,9 @@ class TestSupportBound:
 
     def test_matches_participation_oracle(self):
         # the bound stepped once per action, on its dominating key, is
-        # the one stepped through every participation's count vectors
+        # the one stepped through every participation's count vectors;
+        # the same pass reads each action's entry mask off its sends and
+        # moved states
         protocols = [load_fixture(name) for name in FIXTURES]
         protocols += [validate(perfbench_protocols().ring_family(k, m, clocks))
                       for k, m, clocks in dict.fromkeys(
@@ -689,6 +691,8 @@ class TestSupportBound:
                       for i in range(300)]
         for p in protocols:
             assert support_bound(p) == _oracle.support_bound(p), p
+            assert wsts._bound_and_entries(p)[1] == [
+                _oracle.entry_mask(a) for a in p.actions], p
         # a maximal source of cap 2 or more has keys that take part of its
         # slots, which the dominating key must cover
         assert sum(any(a.kind == MAXIMAL and max(a.caps) >= 2

@@ -6,12 +6,12 @@ trace when the target count is reachable.
 
 The search runs on packed configurations (see :mod:`gspmc.semantics`):
 one ``int`` per configuration, ``n.bit_length()`` bits per state, and
-one call of ``semantics.successors`` per expanded configuration. Only
-the configurations of the returned trace are unpacked, each step
-labelled with the first action, in declaration order, that makes it.
+one call of ``semantics.successors`` per expanded configuration,
+expanded level by level. Only the configurations of the returned trace
+are unpacked, each step labelled with the first action, in declaration
+order, that makes it.
 """
 
-from collections import deque
 from typing import NamedTuple
 
 from gspmc import semantics
@@ -64,27 +64,34 @@ def require_budget(budget, what):
 
 
 def check_fixed(protocol, query, state_budget=DEFAULT_STATE_BUDGET):
-    """BFS from the all-in-init state; shortest trace on success."""
+    """BFS from the all-in-init state, level by level; shortest trace on
+    success. The target holds at ``code`` iff ``code & digit >= need``.
+    The configuration discovered past ``state_budget`` raises, after it
+    is tested against the target."""
     require_budget(state_budget, "state")
     packed = semantics.packed(protocol, query.size)
     start = query.size << packed.width * protocol.init  # all in init
-    shift, mask = packed.width * query.target, packed.mask
-    threshold = query.threshold
+    shift = packed.width * query.target
+    digit, need = packed.mask << shift, query.threshold << shift
     parent = {start: None}
-    if start >> shift & mask >= threshold:
+    if start & digit >= need:
         return FixedResult(True, _trace(packed, parent, start), 1)
-    frontier = deque([start])
-    while frontier:
-        q = frontier.popleft()
-        for nxt in semantics.successors(packed, q):
-            if nxt in parent:
-                continue
-            parent[nxt] = q
-            if nxt >> shift & mask >= threshold:
-                return FixedResult(True, _trace(packed, parent, nxt), len(parent))
-            if len(parent) > state_budget:
-                raise StateBudgetExceeded(len(parent), query.size)
-            frontier.append(nxt)
+    successors = semantics.successors
+    left = state_budget  # discoveries until the budget is exhausted
+    level = [start]
+    while level:
+        frontier, level = level, []
+        for q in frontier:
+            for nxt in successors(packed, q):
+                if nxt in parent:
+                    continue
+                parent[nxt] = q
+                if nxt & digit >= need:
+                    return FixedResult(True, _trace(packed, parent, nxt), len(parent))
+                left -= 1
+                if not left:
+                    raise StateBudgetExceeded(len(parent), query.size)
+                level.append(nxt)
     return FixedResult(False, None, len(parent))
 
 
@@ -92,14 +99,15 @@ def _trace(packed, parent, last):
     """The BFS tree path from the start to ``last``, unpacked, each step
     labelled with the first action that takes its parent to it."""
     path = [last]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    code = parent[last]
+    while code is not None:
+        path.append(code)
+        code = parent[code]
     path.reverse()
-    steps = [(None, semantics.unpack(packed, path[0]))]
-    for prev, cur in zip(path, path[1:]):
-        steps.append((semantics.firing_action(packed, prev, cur),
-                      semantics.unpack(packed, cur)))
-    return steps
+    mask = packed.mask
+    shifts = range(0, packed.width * packed.n_states, packed.width)
+    return list(zip([None, *semantics.step_names(packed, path)],
+                    [tuple([code >> s & mask for s in shifts]) for code in path]))
 
 
 def min_witness_size(protocol, target, threshold, n_max,

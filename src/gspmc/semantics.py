@@ -38,8 +38,9 @@ actions into the leading run of such senders, whose enabled deltas
 ``int`` operations and one dict lookup, and the rest, which it tests
 one entry at a time in declaration order.
 
-The search unpacks only its trace (:func:`unpack`); :func:`fire` runs
-one action on one counter vector through the same tables.
+The search unpacks only its trace, and names its steps with
+:func:`step_names`; :func:`fire` runs one action on one counter vector
+through the same tables.
 """
 
 import weakref
@@ -89,25 +90,36 @@ class _Deltas(dict):
 def _packed_action(action, width):
     """``(outside, field, need, moved, deltas, name)``, the action's
     tables at one width (see the module docstring), ``outside`` built
-    only for a non-trivial guard and ``moved`` only for a receive map
-    that moves someone. A cap above a digit's capacity (arity 2 at n = 1,
-    say) gives a ``need`` no digit reaches, so the action stays disabled.
-    A plain tuple: the interpreter unpacks it faster than a named one."""
+    only for a non-trivial guard. A cap above a digit's capacity (arity 2
+    at n = 1, say) gives a ``need`` no digit reaches, so the action stays
+    disabled. A plain tuple: the interpreter unpacks it faster than a
+    named one."""
     mask = (1 << width) - 1
     rmap, members, sends = action.receive_map, action.guard.members, action.sends
-    outside, moved = 0, ()
+    outside = 0
     if len(members) < len(rmap):
-        outside = sum(mask << width * s for s in range(len(rmap)) if s not in members)
-    if rmap != tuple(range(len(rmap))):
-        moved = tuple((width * s, (1 << width * r) - (1 << width * s))
-                      for s, r in enumerate(rmap) if r != s)
+        for s in range(len(rmap)):
+            if s not in members:
+                outside |= mask << width * s
+    moved = []
+    for s, r in enumerate(rmap):
+        if r != s:
+            moved.append((width * s, (1 << width * r) - (1 << width * s)))
+    moved = tuple(moved)
     s = sends[0].src
-    if action.kind == SENDER and all(send.src == s for send in sends):
-        delta = (sum(1 << width * send.dst for send in sends)
-                 - (len(sends) << width * rmap[s]))
-        return (outside, mask << width * s, len(sends) << width * s, moved,
-                (delta,), action.name)
-    field = sum(mask << width * s for s in action.sources)
+    if action.kind == SENDER:  # one delta when every send slot leaves s
+        delta = 0
+        for send in sends:
+            if send.src != s:
+                break
+            delta += 1 << width * send.dst
+        else:
+            delta -= len(sends) << width * rmap[s]
+            return (outside, mask << width * s, len(sends) << width * s, moved,
+                    (delta,), action.name)
+    field = 0
+    for s in action.sources:
+        field |= mask << width * s
     return outside, field, 0, moved, _Deltas(action, width), action.name
 
 
@@ -117,23 +129,42 @@ def _fast(table):
     return table[2] == table[1] & -table[1] and not table[3]
 
 
+class _Enabled(dict):
+    """Deltas of the ``head`` entries ``(outside, field, delta)`` enabled
+    at each nonzero-digit mask ``nz``, in declaration order, filled on
+    first lookup from the mask alone: with cap 1, an entry is enabled iff
+    ``nz & field`` (its source digit is nonzero) and not ``nz & outside``
+    (every digit outside its guard is zero)."""
+
+    __slots__ = ("head",)
+
+    def __init__(self, head):
+        self.head = head
+
+    def __missing__(self, nz):
+        out = []
+        for outside, field, delta in self.head:
+            if nz & field and not nz & outside:
+                out.append(delta)
+        self[nz] = out
+        return out
+
+
 class Packed:
     """A protocol compiled for packed configurations of ``width``-bit
     digits: the tables of each action, in declaration order, and the
     same actions as ``kernel``, a pair ``(head, rest)``: ``head`` is the
     run of :func:`_fast` tables the actions start with (maybe empty),
-    each cut down to ``(outside, field, need, delta)``, and ``rest`` the
+    each cut down to ``(outside, field, delta)``, and ``rest`` the
     tables after it.
 
-    ``memo`` maps a code's nonzero-digit mask ``(((code & low) + low) |
-    code) & high`` (digit s of ``high`` is ``1 << W-1``, of ``low`` that
-    minus 1, so no carry crosses a digit) to the deltas of the ``head``
-    entries enabled there, in declaration order. With cap 1, an entry is
-    enabled iff its source digit is nonzero and every digit outside its
-    guard is zero, which the mask alone decides."""
+    ``lookup`` is ``(low, high, enabled)``: a code's nonzero-digit mask
+    is ``(((code & low) + low) | code) & high`` (digit s of ``high`` is
+    ``1 << W-1``, of ``low`` that minus 1, so no carry crosses a digit),
+    and ``enabled`` (an :class:`_Enabled`) maps it to the deltas of the
+    ``head`` entries enabled there."""
 
-    __slots__ = ("actions", "kernel", "width", "mask", "n_states",
-                 "memo", "low", "high")
+    __slots__ = ("actions", "kernel", "width", "mask", "n_states", "lookup")
 
     def __init__(self, actions, width, n_states):
         self.actions = actions
@@ -141,15 +172,13 @@ class Packed:
         for t in actions:
             if not _fast(t):
                 break
-            head.append((t[0], t[1], t[2], t[4][0]))
+            head.append((t[0], t[1], t[4][0]))
         self.kernel = (tuple(head), actions[len(head):])
         self.width = width
         self.mask = mask = (1 << width) - 1
         self.n_states = n_states
         ones = ((1 << width * n_states) - 1) // mask
-        self.low = ones * (mask >> 1)
-        self.high = ones << width - 1
-        self.memo = {}
+        self.lookup = (ones * (mask >> 1), ones << width - 1, _Enabled(head))
 
 
 def _tables(action, width):
@@ -185,16 +214,11 @@ def successors(packed, code):
     head, rest = packed.kernel
     out = []
     if head:
-        low = packed.low
-        nz = (((code & low) + low) | code) & packed.high
-        memo = packed.memo
-        deltas = memo.get(nz)
-        if deltas is None:
-            deltas = memo[nz] = [
-                delta for outside, field, need, delta in head
-                if code & field >= need and not code & outside]
-        for delta in deltas:
+        low, high, enabled = packed.lookup
+        for delta in enabled[(((code & low) + low) | code) & high]:
             out.append(code + delta)
+        if not rest:
+            return out
     mask = packed.mask
     for outside, field, need, moved, deltas, _ in rest:
         if code & outside:
@@ -214,9 +238,10 @@ def successors(packed, code):
     return out
 
 
-# The search calls ``successors`` through the module attribute once per
-# expanded configuration, so that a wrapper put there (a profiler's) sees
-# exactly those calls; ``fire`` uses this binding instead.
+# ``explicit.check_fixed`` reads ``successors`` from this module
+# attribute once per search and calls that binding once per expanded
+# configuration, so that a wrapper put here (a profiler's) before the
+# search starts sees every expansion; ``fire`` uses this binding instead.
 _successors = successors
 
 
@@ -230,13 +255,34 @@ def fire(q, action):
     return [unpack(one, succ) for succ in _successors(one, pack(one, q))]
 
 
-def firing_action(packed, code, succ):
-    """Name of the first action, in declaration order, one of whose
-    outcomes takes ``code`` to ``succ``, each table tested as the
-    kernel tests the tables of ``rest``: a trace labels each of its
-    steps once, so no memo would pay."""
-    mask = packed.mask
-    for outside, field, need, moved, deltas, name in packed.actions:
+def step_names(packed, path):
+    """Name of the first action, in declaration order, that takes each
+    code of ``path`` to the next. A step that a ``head`` table makes is
+    named from a map, built once per call, from each head delta to the
+    head tables with it in declaration order: the first of them enabled
+    at ``code`` is that action, since head tables come first and move
+    nobody by their receive map. Any other step scans ``rest``."""
+    head, rest = packed.kernel
+    by_delta = {}
+    for t in packed.actions[:len(head)]:
+        by_delta.setdefault(t[4][0], []).append(t)
+    names = []
+    for code, succ in zip(path, path[1:]):
+        for outside, field, need, _, _, name in by_delta.get(succ - code, ()):
+            if not code & outside and code & field >= need:
+                break
+        else:
+            name = _first_firing(rest, packed.mask, code, succ)
+        names.append(name)
+    return names
+
+
+def _first_firing(tables, mask, code, succ):
+    """Name of the first of ``tables`` one of whose outcomes takes
+    ``code`` to ``succ``, each table tested as the kernel tests the
+    tables of ``rest``: a trace names each of its steps once, so no memo
+    would pay."""
+    for outside, field, need, moved, deltas, name in tables:
         if code & outside or code & field < need:
             continue
         if not need:

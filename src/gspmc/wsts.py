@@ -210,18 +210,21 @@ class Ucs(NamedTuple):
 class Antichain:
     """Minimal elements of the vectors inserted so far under one order.
 
-    Vectors are grouped by guard profile (a single group under the
-    component-wise order), and inside a group bucketed by support
-    bitmask. Two vectors are related only inside a group, and there
-    exactly when they are component-wise, which needs the smaller one's
-    support to lie inside the larger one's: an insert compares q only
-    with the buckets whose mask is a subset (could cover q) or a
-    superset (could be evicted by q) of q's support.
+    Vectors are grouped by guard profile, and inside a group bucketed by
+    support bitmask. Two vectors are related only inside a group, and
+    there exactly when they are component-wise, which needs the smaller
+    one's support to lie inside the larger one's: an insert compares q
+    only with the buckets whose mask is a subset (could cover q) or a
+    superset (could be evicted by q) of q's support. Under the
+    component-wise order every profile is the empty tuple, so there is
+    one group, ``_one``, and no profile is computed.
     """
 
     def __init__(self, wqo, vectors=()):
         self._profile = wqo.support_profile
-        self._groups = {}  # profile -> {support mask: [vectors]}
+        # profile -> {support mask: [vectors]}
+        self._one = None if wqo.guards else {}
+        self._groups = {} if wqo.guards else {(): self._one}
         for q in vectors:
             self.insert(q)
 
@@ -231,7 +234,9 @@ class Antichain:
         computed when not given."""
         if supp is None:
             supp = _support(q)
-        group = self._groups.setdefault(self._profile(supp), {})
+        group = self._one
+        if group is None:
+            group = self._groups.setdefault(self._profile(supp), {})
         for m, bucket in group.items():
             if not m & ~supp:
                 for b in bucket:
@@ -249,7 +254,10 @@ class Antichain:
     def __contains__(self, q):
         """Whether q is an element."""
         supp = _support(q)
-        return q in self._groups.get(self._profile(supp), {}).get(supp, ())
+        group = self._one
+        if group is None:
+            group = self._groups.get(self._profile(supp), {})
+        return q in group.get(supp, ())
 
     def basis(self):
         """The elements, lexicographically sorted."""

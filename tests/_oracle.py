@@ -16,9 +16,11 @@ support-bucketed antichain. The two-pass certifier (strong conditions,
 then the weak ones in a second walk, then C3w) is the earlier form of
 ``wellbehaved.certify``'s single walk; it reads the preorder matrix and
 an internal-move search of its own, not the package's ``StateOrder``
-and ``InternalReach``. The per-entry successor
-evaluation is the packed kernel's loop over ``rest``, applied to every
-table, and the reference for its nonzero-digit memo over ``head``. The
+and ``InternalReach``. The per-entry successor evaluation is the
+packed kernel's loop over ``rest``, applied to every table, and the
+reference for its nonzero-digit memo over ``head``; the same scan,
+naming the first action that makes a step, is the reference for the
+trace's step names, which a ``head`` step takes from its delta. The
 packed tables built from ``Action.outcomes`` for every action are the
 reference for the single-source senders' tables built from their
 sends. The participations, ``(u, uplus, allowed)`` per outcome of every
@@ -193,6 +195,22 @@ def per_entry_successors(packed, code):
                           for shift, step in moved)
         out += [base + delta for delta in deltas]
     return out
+
+
+def firing_action(packed, code, succ):
+    """Name of the first action, in declaration order, one of whose
+    outcomes takes ``code`` to ``succ``, every table scanned as the
+    kernel scans ``rest``: the reference for ``semantics.step_names``,
+    which names a ``head`` step from its delta."""
+    for outside, field, need, moved, deltas, name in packed.actions:
+        if code & outside or code & field < need:
+            continue
+        if not need:
+            deltas = deltas[code & field]
+        base = code + sum((code >> shift & packed.mask) * step
+                          for shift, step in moved)
+        if succ - base in deltas:
+            return name
 
 
 def packed_action(action, width):

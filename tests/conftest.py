@@ -30,16 +30,20 @@ def perfbench_protocols():
     return protocols
 
 
-def perfbench_ring_queries():
-    """``BACKWARD_RING`` of ``perfbench/workloads.py``, the benchmark's
-    (k, m, clocks, count) ring-family verify queries, read from its
-    source."""
+def perfbench_constant(name):
+    """The literal assigned to ``name`` in ``perfbench/workloads.py``,
+    read from its source."""
     tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
     (value,) = [node.value for node in tree.body
                 if isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets]
-                == ["BACKWARD_RING"]]
+                and [getattr(t, "id", None) for t in node.targets] == [name]]
     return ast.literal_eval(value)
+
+
+def perfbench_ring_queries():
+    """``BACKWARD_RING`` of ``perfbench/workloads.py``, the benchmark's
+    (k, m, clocks, count) ring-family verify queries."""
+    return perfbench_constant("BACKWARD_RING")
 
 
 def config(protocol: model.Protocol, **counts) -> tuple[int, ...]:

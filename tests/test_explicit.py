@@ -12,11 +12,12 @@ from gspmc.explicit import (
     check_fixed,
     min_witness_size,
 )
-from gspmc.model import ValidationError
+from gspmc.model import ValidationError, validate
 
 import _gen
 import _oracle
-from conftest import config, internal_ring, load_fixture
+from conftest import (config, internal_ring, load_fixture, perfbench_constant,
+                      perfbench_protocols)
 
 FIXTURES = ("smoke_detector.json", "smoke_detector_2sender.json",
             "smoke_detector_mutant.json", "cutoff_witness.json")
@@ -136,6 +137,47 @@ class TestBudgets:
             min_witness_size(smoke, smoke.init, 1, 3, state_budget=0)
 
 
+class TestBudgetCountdown:
+    """The search raises on discovering configuration ``state_budget +
+    1``, after testing it against the target."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 10, 20])
+    def test_smoke_raises_one_past_the_budget(self, smoke, budget):
+        # unreachable at n = 9: the full search discovers 21
+        query = ReachQuery(smoke.state_index("Report"), 9, 9)
+        assert check_fixed(smoke, query).explored == 21
+        with pytest.raises(StateBudgetExceeded) as exc:
+            check_fixed(smoke, query, state_budget=budget)
+        assert exc.value.explored == budget + 1
+        assert str(exc.value) == (
+            f"state budget exhausted after {budget + 1} states (n=9)")
+
+    @pytest.mark.parametrize("budget", [1, 7, 100, 1715])
+    def test_ring_raises_one_past_the_budget(self, budget):
+        p = internal_ring(8)
+        query = ReachQuery(p.state_index("dead"), 1, 6)
+        with pytest.raises(StateBudgetExceeded) as exc:
+            check_fixed(p, query, state_budget=budget)
+        assert exc.value.explored == budget + 1
+        # a budget of every configuration the search discovers holds
+        assert check_fixed(p, query, state_budget=1716).explored == 1716
+
+    @pytest.mark.parametrize("target, threshold, n", [
+        ("r5", 2, 3), ("r7", 3, 4), ("r3", 2, 6)])
+    def test_target_tested_before_the_budget(self, target, threshold, n):
+        p = internal_ring(8)
+        query = ReachQuery(p.state_index(target), threshold, n)
+        full = check_fixed(p, query)
+        assert full.reachable
+        # the configuration that meets the target is the (budget+1)-th
+        # discovered: the search returns it rather than raising
+        res = check_fixed(p, query, state_budget=full.explored - 1)
+        assert res == full
+        with pytest.raises(StateBudgetExceeded) as exc:
+            check_fixed(p, query, state_budget=full.explored - 2)
+        assert exc.value.explored == full.explored - 1
+
+
 def assert_same_search(p, target, threshold, n):
     """check_fixed and the reference BFS agree on the verdict, the
     explored count and the trace, element for element."""
@@ -169,6 +211,85 @@ class TestReferenceIdentity:
                 res = assert_same_search(p, target, threshold, n)
                 outcomes.add((res.reachable, len(res.trace or ()) > 2))
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def forward_bfs_searches():
+    """(protocol, target, threshold, n) of the ``mc`` searches of the
+    benchmark's ``forward-bfs`` shapes that reach their target: the
+    8-state internal ring at n = 10-12, and each ring-family shape at,
+    and above, its minimal size."""
+    protocols = perfbench_protocols()
+    ring = internal_ring(8)
+    for n in (10, 11, 12):
+        for pos in range(1, 8):
+            for count in range(1, 8 // pos + 1):
+                yield ring, ring.state_index(f"r{pos}"), count, n
+    for k, m, clocks in perfbench_constant("RING_KEYS"):
+        p = validate(protocols.ring_family(k, m, clocks))
+        min_n = protocols.ring_min_n(k, m, clocks, clocks)
+        for n in (min_n, min_n + 2):
+            yield p, p.state_index("s_E"), clocks, n
+
+
+def assert_steps_named_by_firing_action(p, trace, n):
+    """Each step of ``trace`` is named ``_oracle.firing_action`` of its
+    two codes, and ``semantics.step_names`` names them all so."""
+    packed = semantics.packed(p, n)
+    path = [semantics.pack(packed, q) for _, q in trace]
+    names = [_oracle.firing_action(packed, code, succ)
+             for code, succ in zip(path, path[1:])]
+    assert [name for name, _ in trace[1:]] == names
+    assert semantics.step_names(packed, path) == names
+
+
+class TestStepNames:
+    """Trace steps are named from the head's delta map or a scan of
+    ``rest``, as ``_oracle.firing_action`` names them from every table."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_traces(self, name):
+        p = load_fixture(name)
+        steps = 0
+        for target in range(p.n_states):
+            for threshold in (1, 2):
+                for n in range(threshold, threshold + 4):
+                    res = check_fixed(p, ReachQuery(target, threshold, n))
+                    if res.reachable:
+                        assert_steps_named_by_firing_action(p, res.trace, n)
+                        steps += len(res.trace) - 1
+        assert steps
+
+    def test_forward_bfs_traces(self):
+        heads = rests = 0
+        for p, target, threshold, n in forward_bfs_searches():
+            res = check_fixed(p, ReachQuery(target, threshold, n))
+            assert res.reachable
+            assert_steps_named_by_firing_action(p, res.trace, n)
+            packed = semantics.packed(p, n)
+            head = {t[5] for t in packed.actions[:len(packed.kernel[0])]}
+            for name, _ in res.trace[1:]:
+                heads += name in head
+                rests += name not in head
+        # both ways of naming a step are taken
+        assert (heads, rests) == (285, 216)
+
+    def test_first_enabled_head_entry_wins(self):
+        # t0 and t1 both move one process from A to B, so they share one
+        # delta; t0 is disabled once C is occupied, and t1 then names it
+        p = validate({
+            "states": ["A", "B", "C"], "init": "A",
+            "guards": {"AB": ["A", "B"]},
+            "actions": [
+                {"name": "t0", "kind": "sender", "sends": [["A", "B"]], "guard": "AB"},
+                {"name": "t1", "kind": "sender", "sends": [["A", "B"]]},
+                {"name": "t2", "kind": "sender", "sends": [["B", "C"]]}]})
+        packed = semantics.packed(p, 3)
+        assert len(packed.kernel[0]) == 3
+        path = [semantics.pack(packed, q) for q in
+                ((3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 1, 1))]
+        assert semantics.step_names(packed, path) == ["t0", "t2", "t1"]
+        assert [_oracle.firing_action(packed, code, succ) for code, succ
+                in zip(path, path[1:])] == ["t0", "t2", "t1"]
 
 
 class TestInternalRing:

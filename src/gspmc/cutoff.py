@@ -76,7 +76,7 @@ def _sibling_sends(protocol: Protocol) -> dict[str, set[tuple[int, int]]]:
     negotiation, however it was written); a multi-send action has none.
     """
     def key(a):
-        return (a.guard.members, a.receive_map) if len(a.sends) == 1 else a.name
+        return (a.guard.members, a.moves) if len(a.sends) == 1 else a.name
 
     by_key: dict = {}
     for a in protocol.actions:
@@ -105,9 +105,7 @@ def classify_free(protocol: Protocol) -> tuple[Edge, ...]:
                 o.src == s.src and o.dst != s.dst for o in a.sends))
             edges.append(Edge(a.name, "send", s.src, s.dst,
                               free, reason if free else None, i))
-        for src, dst in enumerate(a.receive_map):
-            if src == dst:
-                continue
+        for src, dst in a.moves:
             matched = (src, dst) in siblings[a.name]
             edges.append(Edge(a.name, "receive", src, dst, matched,
                               FREE_NEGOTIATION if matched else None, src))
@@ -131,10 +129,8 @@ def check_lemma1(protocol: Protocol) -> bool:
     siblings = _sibling_sends(protocol)
 
     def shaped(a):
-        moves = {(src, dst) for src, dst in enumerate(a.receive_map)
-                 if src != dst}
-        return (len(a.sends) == 1 and (a.sends[0].src, a.sends[0].dst) in moves
-                and moves <= siblings[a.name])
+        moves = set(a.moves)
+        return len(a.sends) == 1 and a.sends[0] in moves and moves <= siblings[a.name]
 
     return all(is_internal(a) or shaped(a) for a in protocol.actions)
 

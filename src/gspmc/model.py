@@ -15,7 +15,8 @@ A protocol is one process template. Global actions come in two core kinds:
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
-self-loops during validation). Derived primitives — internal steps,
+self-loops during validation); ``Action.moves``, its pairs that move a
+state, is what every layer reads. Derived primitives — internal steps,
 pairwise/asynchronous rendezvous, negotiations, disjunctive guards — are
 rewritten into core actions by :func:`validate`.
 """
@@ -103,10 +104,17 @@ class Action(Frozen):
     sends: tuple[Send, ...]
     receive_map: tuple[int, ...]  # total: source state index -> target index
     guard: Guard
+    # not a field: the ``(s, receive_map[s])`` pairs that move s, ascending s
+    moves: tuple[tuple[int, int], ...]
 
     def __init__(self, name, kind, sends, receive_map, guard):
+        moves = []
+        for s, r in enumerate(receive_map):
+            if s != r:
+                moves.append((s, r))
         # past Frozen.__setattr__, which refuses every write
-        vars(self).update(name=name, kind=kind, sends=sends, receive_map=receive_map, guard=guard)
+        vars(self).update(name=name, kind=kind, sends=sends, receive_map=receive_map,
+                          guard=guard, moves=tuple(moves))
 
     @property
     def arity(self) -> int:
@@ -221,13 +229,12 @@ class Protocol(NamedTuple):
 
 
 def is_internal(action: Action) -> bool:
-    """Structural test: arity 1 and identity receive map.
+    """Structural test: arity 1 and identity receive map (no moves).
 
     Internal steps move one process and leave everyone else in place, so
     this shape is definitive regardless of how the action was authored.
     """
-    identity = tuple(range(len(action.receive_map)))
-    return len(action.sends) == 1 and action.receive_map == identity
+    return len(action.sends) == 1 and not action.moves
 
 
 def tally(n_states: int, states) -> tuple[int, ...]:
@@ -250,12 +257,14 @@ def reachable(adj, start: int) -> set[int]:
     return seen
 
 
-def _complete_receives(pairs, identity):
-    """Receive index pairs -> total map, self-loops on missing sources."""
+def _complete_receives(pairs, identity, states, what: str, name: str):
+    """Receive index pairs of the ``what`` named ``name`` -> total map,
+    self-loops on missing sources."""
     targets = dict(pairs)
     if len(targets) < len(pairs):
         src = next(s for j, (s, _) in enumerate(pairs) if s in dict(pairs[:j]))
-        raise ValidationError(f"two receive targets declared for one source state (index {src})")
+        raise ValidationError(
+            f"{what} {name!r}: two receive targets declared for state {states[src]!r}")
     return tuple(map(targets.get, identity, identity))
 
 
@@ -411,7 +420,7 @@ def validate(raw: dict) -> Protocol:
         receives = _index_pairs(spec.get("receives", []), index, mapping=True)
         if receives is None:
             raise _pairs_fault(spec["receives"], f"actions[{i}]: 'receives'", index, True)
-        rmap = _complete_receives(receives, identity)
+        rmap = _complete_receives(receives, identity, states, "action", name)
         gname = spec.get("guard", TRIVIAL_GUARD_NAME)
         if type(gname) is not str or gname not in guards or name in actions:
             raise (_kind_fault(gname, str, f"action {name!r}: 'guard'")
@@ -460,7 +469,7 @@ def validate(raw: dict) -> Protocol:
             if not moves:
                 raise (_pairs_fault(decl.get("map"), "sugar 'negotiation': 'map'", index, True)
                        or ValidationError("negotiation map must be non-empty"))
-            rmap = _complete_receives(moves, identity)
+            rmap = _complete_receives(moves, identity, states, "negotiation", name)
             produced = [Action(f"{name}#{j}", SENDER, (_send(move),), rmap, guards[gname])
                         for j, move in enumerate(moves, start=1)]
         elif kind == "internal":

@@ -125,9 +125,7 @@ def core_document(protocol: Protocol, property_block: dict | None = None) -> dic
             "kind": a.kind,
             "arity": a.arity,
             "sends": [[names[s.src], names[s.dst]] for s in a.sends],
-            "receives": [[names[src], names[dst]]
-                         for src, dst in enumerate(a.receive_map)
-                         if src != dst],
+            "receives": [[names[src], names[dst]] for src, dst in a.moves],
         }
         if a.guard.name != TRIVIAL_GUARD_NAME:
             entry["guard"] = a.guard.name

@@ -14,8 +14,8 @@ For that width each action has a tuple of tables (kept in
 ``Action.packed_tables`` per W, so all sizes of one width share them):
 ``outside`` masks the digits of the states outside the guard (the guard
 holds iff ``code & outside`` is 0), ``field`` masks the digits of its
-``sources``, and ``moved`` holds ``(W*s, B[r] - B[s])`` per state the
-receive map moves, B[s] being ``1 << W*s``. A successor is ``code +
+``sources``, and ``moved`` holds ``(W*s, B[r] - B[s])`` per pair (s, r)
+of ``Action.moves``, B[s] being ``1 << W*s``. A successor is ``code +
 sum(digit_s * (B[r] - B[s])) + delta``: the receive map applied to
 every process, then one delta per outcome ``(u, uplus)``, which moves
 the ``u`` senders from where the receive map put them to ``uplus``.
@@ -95,16 +95,15 @@ def _packed_action(action, width):
     disabled. A plain tuple: the interpreter unpacks it faster than a
     named one."""
     mask = (1 << width) - 1
-    rmap, members, sends = action.receive_map, action.guard.members, action.sends
+    members, sends, n = action.guard.members, action.sends, len(action.receive_map)
     outside = 0
-    if len(members) < len(rmap):
-        for s in range(len(rmap)):
+    if len(members) < n:
+        for s in range(n):
             if s not in members:
                 outside |= mask << width * s
     moved = []
-    for s, r in enumerate(rmap):
-        if r != s:
-            moved.append((width * s, (1 << width * r) - (1 << width * s)))
+    for s, r in action.moves:
+        moved.append((width * s, (1 << width * r) - (1 << width * s)))
     moved = tuple(moved)
     s = sends[0].src
     if action.kind == SENDER:  # one delta when every send slot leaves s
@@ -114,7 +113,7 @@ def _packed_action(action, width):
                 break
             delta += 1 << width * send.dst
         else:
-            delta -= len(sends) << width * rmap[s]
+            delta -= len(sends) << width * action.receive_map[s]
             return (outside, mask << width * s, len(sends) << width * s, moved,
                     (delta,), action.name)
     field = 0

@@ -470,19 +470,17 @@ def _bound_and_entries(protocol):
     docstring), both from one pass over its sends and moved states."""
     steps, entries = [], []
     for action in protocol.actions:
-        rmap = action.receive_map
         dsts = {}  # per source bit, the destinations of its send slots
         entry = moved = 0
         for src, dst in action.sends:
             dsts[1 << src] = dsts.get(1 << src, 0) | 1 << dst
             entry |= 1 << dst
-        for s, t in enumerate(rmap):
-            if s != t:
-                moved |= 1 << s
-                entry |= 1 << t
+        for s, t in action.moves:
+            moved |= 1 << s
+            entry |= 1 << t
         entries.append(entry)
         steps.append((action.kind == SENDER, sum(dsts), tuple(dsts.items()),
-                      action.guardmask, moved, rmap))
+                      action.guardmask, moved, action.receive_map))
     start = 1 << protocol.init
     bound, work = {start}, [start]
     while work:

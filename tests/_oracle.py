@@ -734,15 +734,16 @@ def two_pass_certify(protocol) -> GuardCompatReport:
     return GuardCompatReport(all(s.status != "violation" for s in statuses),
                              tuple(statuses), tuple(notes))
 
-def _complete_receives(pairs, identity):
-    """Receive pairs -> total map, self-loops on missing sources."""
+def _complete_receives(named, state, identity, what: str):
+    """Receive pairs of state names -> total map, self-loops on missing
+    sources. Every name is resolved before a repeated source is reported,
+    by ``what`` (the declaration) and its state's name."""
+    pairs = [(state(s), state(t)) for s, t in named]
     rmap = list(identity)
     seen = set()
-    for src, dst in pairs:
+    for (name, _), (src, dst) in zip(named, pairs):
         if src in seen:
-            raise ValidationError(
-                f"two receive targets declared for one source state (index {src})"
-            )
+            raise ValidationError(f"{what}: two receive targets declared for state {name!r}")
         seen.add(src)
         rmap[src] = dst
     return tuple(rmap)
@@ -851,7 +852,7 @@ def desugar(decl: dict, state, guard, actions: dict, identity) -> list[Action]:
         if not items:
             raise ValidationError("negotiation map must be non-empty")
         pairs = [(state(s), state(t)) for s, t in items]
-        rmap = _complete_receives(pairs, identity)
+        rmap = _complete_receives(items, state, identity, f"negotiation {name!r}")
         return [
             Action(f"{name}#{i}", SENDER, (Send(src, dst),), rmap, g)
             for i, (src, dst) in enumerate(pairs, start=1)
@@ -960,7 +961,7 @@ def validate(raw: dict) -> Protocol:
             raise ValidationError(
                 f"action {name!r}: declared arity {spec['arity']} but {len(sends)} sends")
         pairs = _pairs(spec.get("receives", []), what, "receives", mapping=True)
-        rmap = _complete_receives([(state(s), state(t)) for s, t in pairs], identity)
+        rmap = _complete_receives(pairs, state, identity, f"action {name!r}")
         g = guard(spec.get("guard", TRIVIAL_GUARD_NAME), f"action {name!r}")
         add(Action(name, kind, sends, rmap, g))
 

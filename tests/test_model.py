@@ -143,10 +143,19 @@ class TestValidate:
             validate(raw)
 
     def test_duplicate_receive_source(self):
-        raw = minimal_raw()
-        raw["actions"][0]["receives"] = [["A", "B"], ["A", "A"]]
-        with pytest.raises(ValidationError, match="two receive targets"):
-            validate(raw)
+        # the error names the declaration and the state, in a core action
+        # and in a negotiation map, and the earlier validator agrees
+        core = minimal_raw()
+        core["actions"][0]["receives"] = [["A", "B"], ["A", "A"]]
+        negotiation = minimal_raw(states=["A", "B", "C"], sugar=[
+            {"type": "negotiation", "name": "n", "map": [["C", "A"], ["B", "A"], ["B", "C"]]}])
+        for raw, message in (
+                (core, "action 't': two receive targets declared for state 'A'"),
+                (negotiation, "negotiation 'n': two receive targets declared for state 'B'")):
+            for check in (validate, _oracle.validate):
+                with pytest.raises(ValidationError) as info:
+                    check(raw)
+                assert str(info.value) == message
 
     def test_receives_as_mapping(self):
         raw = minimal_raw()
@@ -305,6 +314,46 @@ class TestRecords:
         p = validate(raw)
         assert p.used_guards() == (model.Guard("G", frozenset({0})),
                                    model.Guard("H", frozenset({0})))
+
+
+class TestMoves:
+    """``Action.moves`` is the receive map's non-identity entries, and
+    ``is_internal`` the arity-1, identity-map definition, on the fixtures
+    and on draws from both random generators."""
+
+    @staticmethod
+    def actions():
+        for path in sorted(FIXTURES.glob("*.json")):
+            yield from validate(modelfile.parse_model(path).raw).actions
+        rng = random.Random(3200)
+        random_model = perfbench_protocols().random_model
+        for i in range(300):
+            yield from _gen.random_protocol(rng, certified_only=False).actions
+            yield from validate(random_model(random.Random(f"moves-{i}"))).actions
+
+    def test_moves_and_is_internal(self):
+        internal = moving = 0
+        for a in self.actions():
+            identity = tuple(range(len(a.receive_map)))
+            assert a.moves == tuple((s, r) for s, r in zip(identity, a.receive_map)
+                                    if s != r), a
+            assert is_internal(a) is (len(a.sends) == 1 and a.receive_map == identity), a
+            internal += is_internal(a)
+            moving += bool(a.moves)
+        # both shapes occur often enough to be tested
+        assert internal > 50 and moving > 500
+
+    def test_moves_is_not_a_field(self):
+        fields = ("t", model.SENDER, (Send(1, 2),), (2, 1, 2), model.Guard("ALL", frozenset({0, 1, 2})))
+        a, b = model.Action(*fields), model.Action(*fields)
+        assert a.moves == ((0, 2),)
+        assert a is not b and a == b and hash(a) == hash(b) == hash(fields)
+        assert repr(a) == (
+            "Action(name='t', kind='sender', sends=(Send(src=1, dst=2),), "
+            "receive_map=(2, 1, 2), guard=Guard(name='ALL', members=frozenset({0, 1, 2})))")
+        with pytest.raises(AttributeError):
+            a.moves = ()
+        assert model.Action(*fields[:3], (0, 1, 2), fields[4]) != a
 
 
 class TestSenderTallies:

@@ -311,8 +311,10 @@ def run(argv=None, out=None) -> int:
               file=sys.stderr)
         return EXIT_ERROR
 
+    # the report is written in one call: one that stdout cannot encode
+    # fails before any of it is written
     if args.json:
-        lines = [_REPORT_JSON.encode({
+        report = _REPORT_JSON.encode({
             "command": args.command,
             "model": args.model,
             "digest": {"states": protocol.n_states,
@@ -320,14 +322,17 @@ def run(argv=None, out=None) -> int:
                        "guards": len(protocol.guards) - 1},
             "result": result,
             "duration_s": round(time.monotonic() - started, 6),
-        })]
+        })
     else:
-        lines = _text(args.command, result, protocol.state_names)
+        report = "\n".join(_text(args.command, result, protocol.state_names))
     try:
-        for line in lines:
-            out.write(line + "\n")
+        out.write(report + "\n")
     except BrokenPipeError:
         pass  # the reader is gone; the verdict and its exit code stand
+    except UnicodeEncodeError as e:
+        print(f"error [cli]: cannot write the report to stdout: {e}",
+              file=sys.stderr)
+        return EXIT_ERROR
     return _exit_code(result)
 
 

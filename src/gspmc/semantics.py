@@ -256,38 +256,24 @@ def fire(q, action):
 
 def step_names(packed, path):
     """Name of the first action, in declaration order, that takes each
-    code of ``path`` to the next. A step that a ``head`` table makes is
-    named from a map, built once per call, from each head delta to the
-    head tables with it in declaration order: the first of them enabled
-    at ``code`` is that action, since head tables come first and move
-    nobody by their receive map. Any other step scans ``rest``."""
-    head, rest = packed.kernel
-    by_delta = {}
-    for t in packed.actions[:len(head)]:
-        by_delta.setdefault(t[4][0], []).append(t)
+    code of ``path`` to the next (None if none does). One scan of
+    ``packed.actions`` names each step, every table tested as the kernel
+    tests the tables of ``rest``: a trace names each of its steps once,
+    so no memo (a map from head deltas to tables, say) would pay."""
+    mask = packed.mask
     names = []
     for code, succ in zip(path, path[1:]):
-        for outside, field, need, _, _, name in by_delta.get(succ - code, ()):
-            if not code & outside and code & field >= need:
+        for outside, field, need, moved, deltas, name in packed.actions:
+            if code & outside or code & field < need:
+                continue
+            if not need:
+                deltas = deltas[code & field]
+            base = code
+            for shift, step in moved:
+                base += (code >> shift & mask) * step
+            if succ - base in deltas:
                 break
         else:
-            name = _first_firing(rest, packed.mask, code, succ)
+            name = None
         names.append(name)
     return names
-
-
-def _first_firing(tables, mask, code, succ):
-    """Name of the first of ``tables`` one of whose outcomes takes
-    ``code`` to ``succ``, each table tested as the kernel tests the
-    tables of ``rest``: a trace names each of its steps once, so no memo
-    would pay."""
-    for outside, field, need, moved, deltas, name in tables:
-        if code & outside or code & field < need:
-            continue
-        if not need:
-            deltas = deltas[code & field]
-        base = code
-        for shift, step in moved:
-            base += (code >> shift & mask) * step
-        if succ - base in deltas:
-            return name

@@ -90,32 +90,30 @@ class InternalReach:
     ``bound`` (so the moves stay enabled while the configuration's
     support is contained in ``bound``). ``unguarded_masks`` is the
     special case bound = all states, i.e. only trivially guarded
-    internal transitions qualify.
+    internal transitions qualify, computed once since every failure
+    reads it. Any other bound is computed afresh on each call: only C3w
+    asks for one, and too rarely twice for a cache to pay.
     """
 
     def __init__(self, protocol: Protocol):
         self._n = protocol.n_states
         self._edges = tuple((a.sends[0].src, a.sends[0].dst, a.guard.members)
                             for a in protocol.actions if is_internal(a))
-        self._cache: dict[frozenset[int], list[int]] = {}
         self.unguarded_masks = self.closure(frozenset(range(self._n)))
 
     def closure(self, bound: frozenset[int]) -> list[int]:
         """Per state s, the bitmask of the states internal moves enabled
         under ``bound`` reach from s."""
-        reach = self._cache.get(bound)
-        if reach is None:
-            edges = [(src, dst) for src, dst, members in self._edges
-                     if bound <= members]
-            reach = [1 << s for s in range(self._n)]
-            changed = bool(edges)
-            while changed:
-                changed = False
-                for src, dst in edges:
-                    if reach[dst] & ~reach[src]:
-                        reach[src] |= reach[dst]
-                        changed = True
-            self._cache[bound] = reach
+        edges = [(src, dst) for src, dst, members in self._edges
+                 if bound <= members]
+        reach = [1 << s for s in range(self._n)]
+        changed = bool(edges)
+        while changed:
+            changed = False
+            for src, dst in edges:
+                if reach[dst] & ~reach[src]:
+                    reach[src] |= reach[dst]
+                    changed = True
         return reach
 
 

@@ -509,16 +509,10 @@ def _bound_and_entries(protocol):
 
 
 def _inside(bound):
-    """Whether a support bitmask lies inside an element of ``bound``,
-    memoised per mask."""
-    memo = {}
-
-    def keep(supp):
-        hit = memo.get(supp)
-        if hit is None:
-            hit = memo[supp] = any(not supp & ~e for e in bound)
-        return hit
-    return keep
+    """The test whether a support bitmask lies inside an element of
+    ``bound``. It keeps no memo: a support recurs too rarely, and a hit
+    would save only a scan of the few elements of ``bound``."""
+    return lambda supp: any(not supp & ~e for e in bound)
 
 
 class ParamVerdict(NamedTuple):

@@ -20,10 +20,9 @@ and ``InternalReach``. The per-entry successor evaluation is the
 packed kernel's loop over ``rest``, applied to every table, and the
 reference for its nonzero-digit memo over ``head``; the same scan,
 naming the first action that makes a step, is the reference for the
-trace's step names, which a ``head`` step takes from its delta. The
-packed tables built from ``Action.outcomes`` for every action are the
-reference for the single-source senders' tables built from their
-sends. The participations, ``(u, uplus, allowed)`` per outcome of every
+trace's step names. The packed tables built from ``Action.outcomes``
+for every action are the reference for the single-source senders'
+tables built from their sends. The participations, ``(u, uplus, allowed)`` per outcome of every
 key of the caps box that takes no sender from outside the guard, are
 the reference for the keys ``wsts._pred_table`` enumerates and the
 outcomes it tallies from whole keys, and the support bound stepped
@@ -200,8 +199,7 @@ def per_entry_successors(packed, code):
 def firing_action(packed, code, succ):
     """Name of the first action, in declaration order, one of whose
     outcomes takes ``code`` to ``succ``, every table scanned as the
-    kernel scans ``rest``: the reference for ``semantics.step_names``,
-    which names a ``head`` step from its delta."""
+    kernel scans ``rest``: the reference for ``semantics.step_names``."""
     for outside, field, need, moved, deltas, name in packed.actions:
         if code & outside or code & field < need:
             continue

@@ -440,6 +440,32 @@ class TestClosedStdout:
         assert proc.stderr == b""
 
 
+class TestUnencodableReport:
+    """A report that stdout cannot encode is one ``error [cli]`` line and
+    exit 2, with nothing of it written, not a traceback that exits 1."""
+
+    @pytest.mark.parametrize("encoding, state, argv", [
+        ("ascii", "Ä", ["mc", "--n", "1", "--target", "B", "--count", "1"]),
+        ("ascii", "Ä", ["validate", "--json"]),
+        ("ascii", "Ä", ["sweep", "--max", "2", "--target", "B", "--count", "1"]),
+        ("utf-8", "\ud800", ["validate", "--json"]),
+        ("utf-8", "\ud800", ["verify", "--target", "B", "--count", "1", "--json"]),
+    ])
+    def test_error_line_and_no_output(self, tmp_path, capsys, encoding, state, argv):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"states": [state, "B"], "init": state, "actions": [
+            {"name": "t", "sends": [[state, "B"]]}]}), encoding="ascii")
+        raw = io.BytesIO()
+        out = io.TextIOWrapper(raw, encoding=encoding, errors="strict")
+        assert run([argv[0], str(path), *argv[1:]], out=out) == EXIT_ERROR
+        out.flush()
+        assert raw.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error [cli]: cannot write the report to stdout: ")
+        assert "can't encode character" in err
+
+
 class TestMc:
     def test_refuted_uses_property_block(self):
         code, report = invoke_json("mc", SMOKE, "--n", "3")

@@ -243,8 +243,9 @@ def assert_steps_named_by_firing_action(p, trace, n):
 
 
 class TestStepNames:
-    """Trace steps are named from the head's delta map or a scan of
-    ``rest``, as ``_oracle.firing_action`` names them from every table."""
+    """Trace steps are named by one scan of the tables, as
+    ``_oracle.firing_action`` names them, on steps that ``head`` and
+    ``rest`` entries make."""
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_fixture_traces(self, name):
@@ -270,7 +271,7 @@ class TestStepNames:
             for name, _ in res.trace[1:]:
                 heads += name in head
                 rests += name not in head
-        # both ways of naming a step are taken
+        # steps of both kinds are named
         assert (heads, rests) == (285, 216)
 
     def test_first_enabled_head_entry_wins(self):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gspmc import wellbehaved
-from gspmc.model import validate
+from gspmc.model import is_internal, validate
 from gspmc.wellbehaved import (
     InternalReach,
     StateOrder,
@@ -179,6 +179,43 @@ class TestInternalReach:
         # under bound {C, D} the guarded step C -> D becomes usable
         bounded = reach.closure(frozenset({idx("C"), idx("D")}))
         assert bounded[idx("C")] >> idx("D") & 1
+
+    def test_closure_matches_oracle(self, monkeypatch):
+        # the all-states bound, the bound C3w builds for every internal
+        # action, and every bound ``certify`` asks for, each asked twice
+        # (the repeat calls a cache would serve)
+        asked = []
+        closure = InternalReach.closure
+
+        def recorded(self, bound):
+            asked.append(bound)
+            return closure(self, bound)
+        monkeypatch.setattr(InternalReach, "closure", recorded)
+        rng = random.Random(3300)
+        random_model = perfbench_protocols().random_model
+        protocols = [load_fixture(name) for name in FIXTURES]
+        for i in range(200):
+            protocols.append(_gen.random_protocol(rng, certified_only=False))
+            protocols.append(validate(random_model(random.Random(f"reach-{i}"))))
+        c3w = 0
+        for p in protocols:
+            asked.clear()
+            certify(p)
+            bounds = {frozenset(range(p.n_states)), *asked}
+            c3w += max(len(asked) - 1, 0)
+            order = StateOrder(p)
+            for a in p.actions:
+                if is_internal(a):
+                    below = order.below_each((a.sends[0].dst,))
+                    bounds.add(a.guard.members.union(
+                        t for t in range(p.n_states) if below >> t & 1))
+            reach = InternalReach(p)
+            for bound in bounds:
+                want = [sum(1 << t for t in seen)
+                        for seen in _oracle.internal_reach(p, bound)]
+                assert reach.closure(bound) == want, (p.state_names, bound)
+                assert reach.closure(bound) == want, (p.state_names, bound)
+        assert c3w  # certify asked for some C3w bound
 
 
 class TestStrongConditions:

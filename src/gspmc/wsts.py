@@ -124,6 +124,14 @@ witness chain, which covers a configuration reached from the initial
 vector. The basis is the unpruned basis's kept elements, and the loop
 stops no later.
 
+Every target-basis element puts the threshold on the target, so the
+target lies in its support. When the target lies in no bound element,
+the bound drops the whole target basis, no round runs and the basis is
+empty: :func:`decide` returns that verdict before it builds the target
+basis. Otherwise the threshold on the target alone is a minimal
+target-basis element whose support, the target, lies in a bound
+element, so the rounds always start from a kept element.
+
 Most dropped predecessors are never built. A candidate through a
 participation (u, uplus, allowed) lies above u and is positive on every
 state it puts a receiver on, so its support is supp(u) | rho, rho being
@@ -534,7 +542,11 @@ def decide(protocol, target, threshold):
     certified first and refused when certification fails.
     Iterates the backward closure, pruned to the vectors whose support
     lies inside an element of :func:`support_bound`, to the full
-    fixpoint so the returned minimal witness size is exact.
+    fixpoint so the returned minimal witness size is exact. A target
+    in no bound element is answered from the bound alone, with the
+    empty basis and no iteration that the pruned fixpoint gives it
+    (module docstring); a bad threshold and a failed certification are
+    still reported first.
     """
     wqo = wqo_for(protocol)
     # a bad threshold is left for target_basis to report, without building
@@ -546,12 +558,15 @@ def decide(protocol, target, threshold):
 
     supports, entries = _bound_and_entries(protocol)
     keep = _inside(supports)
+    # a target in no bound element is in the support of no run: the bound
+    # drops every target-basis element, and no round runs
+    if threshold >= 1 and not keep(1 << target):
+        return ParamVerdict(False, None, None, Ucs(wqo, ()), 0, supports)
     start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
                   if keep(_support(q)))
-    # only the rounds read the tables, and when the bound drops every
-    # target-basis element no round runs; with guards no action is skipped
-    tables = ([(a, _pred_table(a, supports), -1 if wqo.guards else entry)
-               for a, entry in zip(protocol.actions, entries)] if start else ())
+    # with guards no action is skipped
+    tables = [(a, _pred_table(a, supports), -1 if wqo.guards else entry)
+              for a, entry in zip(protocol.actions, entries)]
     provenance = dict.fromkeys(start)
     chain = Antichain(wqo, start)
     frontier = start

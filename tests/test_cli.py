@@ -588,6 +588,26 @@ class TestVerify:
         assert "Unreachable for every system size" in text
         assert "1 iteration(s)" in text
 
+    def test_target_no_action_enters(self, tmp_path, capsys):
+        # C lies in no support-bound element: answered from the bound,
+        # with an empty basis and no round, while a bad count still fails
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "states": ["A", "B", "C"], "init": "A",
+            "actions": [{"name": "t", "kind": "sender",
+                         "sends": [["A", "B"]]}]}))
+        code, report = invoke_json("verify", str(path), "--target", "C",
+                                   "--count", "1")
+        assert code == EXIT_CLEAN
+        res = report["result"]
+        assert (res["reachable"], res["basis"], res["iterations"]) == (
+            False, [], 0)
+        assert res["supports"] == [["A", "B"]]
+        code = invoke("verify", str(path), "--target", "C", "--count", "0")[0]
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error [model]: threshold must be at least 1\n")
+
 
 class TestQueryErrors:
     @pytest.mark.parametrize("argv, message", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspmc import semantics, wsts
+from gspmc import semantics, wellbehaved, wsts
 from gspmc.explicit import ReachQuery, check_fixed, min_witness_size
 from gspmc.model import MAXIMAL, ValidationError, validate
 from gspmc.wsts import (
@@ -634,6 +634,90 @@ class TestDecide:
         assert agreements == 30
 
 
+def certified_or_unguarded(protocol):
+    """Whether ``decide`` runs on the protocol rather than refusing it."""
+    return protocol.is_unguarded or wellbehaved.certify(protocol,
+                                                        verdict_only=True)
+
+
+class TestUnoccupiedTarget:
+    """A target that lies in no support-bound element is answered from the
+    bound, with the verdict the full path gives: every target-basis
+    element has the target in its support, so the bound drops them all
+    and no round runs."""
+
+    @staticmethod
+    def check_all(protocols):
+        """Checks every non-initial target and counts 1-3 of each certified
+        or unguarded protocol; returns how many queries the bound answered."""
+        answered = 0
+        for p in filter(certified_or_unguarded, protocols):
+            bound, wqo = support_bound(p), wqo_for(p)
+            keep = wsts._inside(bound)
+            for target in range(p.n_states):
+                if target == p.init:
+                    continue
+                unoccupied = not any(e >> target & 1 for e in bound)
+                for count in (1, 2, 3):
+                    kept = [q for q in target_basis(p, wqo, target, count).basis
+                            if keep(wsts._support(q))]
+                    assert unoccupied == (not kept), (p, target, count)
+                    if not unoccupied:
+                        continue
+                    v = decide(p, target, count)
+                    assert v == (False, None, None, Ucs(wqo, ()), 0, bound)
+                    assert _oracle.from_scratch_fixpoint(
+                        p, target, count, supports=bound) == ((), 0, None, None)
+                    answered += 1
+        return answered
+
+    def test_fixtures(self):
+        # every fixture state lies in a bound element
+        assert self.check_all(load_fixture(name) for name in FIXTURES) == 0
+
+    def test_ring_family(self):
+        assert self.check_all(
+            validate(perfbench_protocols().ring_family(k, m, clocks))
+            for k, m, clocks in dict.fromkeys(
+                q[:3] for q in perfbench_ring_queries())) == 0
+
+    def test_random_protocols(self):
+        rng = random.Random(3400)
+        protocols = [_gen.random_protocol(rng, certified_only=False,
+                                          max_states=6) for _ in range(150)]
+        protocols += [_gen.unguarded_protocol(rng, max_states=6)
+                      for _ in range(150)]
+        assert self.check_all(protocols) > 500
+
+    def test_benchmark_random_models(self):
+        # the guarded-mix corpus, where most certified draws have a state
+        # no run occupies, and 300 more draws
+        random_model = perfbench_protocols().random_model
+        assert self.check_all(
+            validate(random_model(random.Random(f"{prefix}-{i}")))
+            for prefix in ("guarded-mix", "exit") for i in range(300)) > 1000
+
+    def test_errors_come_first(self):
+        # a bad count and a failed certification are reported as before,
+        # for a target the bound would answer
+        p = validate(perfbench_protocols().random_model(
+            random.Random("guarded-mix-4")))
+        target = p.state_index("S1")
+        assert not any(e >> target & 1 for e in support_bound(p))
+        assert not certified_or_unguarded(p)
+        with pytest.raises(NotCertifiedWellBehaved):
+            decide(p, target, 1)
+        # no action enters C
+        unguarded = validate({
+            "states": ["A", "B", "C"], "init": "A",
+            "actions": [{"name": "t", "kind": "sender", "sends": [["A", "B"]]}]})
+        assert decide(unguarded, 2, 1).basis.basis == ()
+        for q, t in ((p, target), (unguarded, 2)):
+            with pytest.raises(ValidationError,
+                               match="threshold must be at least 1"):
+                decide(q, t, 0)
+
+
 def reached_configs(protocol, n):
     """Every configuration the packed search reaches from n processes in
     the initial state, unpacked."""
@@ -727,6 +811,45 @@ class TestSupportBound:
         assert time.perf_counter() - start < 10
         assert (v.reachable, v.min_n) == (True, 2)
         replay_witness(p, v.min_n, v.witness, target, 2)
+
+
+def top_counts(protocol, sizes):
+    """Per system size, the largest count each state reaches."""
+    return {n: [max(c) for c in zip(*reached_configs(protocol, n))]
+            for n in sizes}
+
+
+class TestMonotoneInN:
+    """On a certified or unguarded protocol a count reachable with n
+    processes is reachable with n + 1: ``decide``'s "reachable for every
+    n >= min_n" rests on it."""
+
+    def test_random_protocols(self):
+        rng = random.Random(3401)
+        protocols = [_gen.random_protocol(rng, max_states=6) for _ in range(150)]
+        protocols += [_gen.unguarded_protocol(rng, max_states=6)
+                      for _ in range(150)]
+        random_model = perfbench_protocols().random_model
+        protocols += filter(certified_or_unguarded, (
+            validate(random_model(random.Random(f"guarded-mix-{i}")))
+            for i in range(300)))
+        reached = 0
+        for p in protocols:
+            top = top_counts(p, range(1, 8))
+            for n in range(1, 7):
+                for target, count in itertools.product(range(p.n_states), (1, 2)):
+                    if top[n][target] >= count:
+                        assert top[n + 1][target] >= count, (p, n, target, count)
+                        reached += 1
+        assert reached > 5000
+
+    def test_uncertified_counterexample(self):
+        # without the certificate monotonicity can fail: one process alone
+        # reaches S7, and every larger system is stuck before it
+        p = validate(perfbench_protocols().random_model(random.Random("x-321")))
+        assert not certified_or_unguarded(p)
+        assert [check_fixed(p, ReachQuery(7, 1, n)).reachable
+                for n in range(1, 8)] == [True] + [False] * 6
 
 
 def check_certificate(protocol, v):

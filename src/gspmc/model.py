@@ -7,11 +7,11 @@ A protocol is one process template. Global actions come in two core kinds:
 - ``maximal`` (k-maximal): fires as soon as at least one potential sender
   is present, with min(available, declared) senders participating per
   source state; which of a state's send slots they take is a
-  nondeterministic choice. :meth:`Action.outcomes` states this rule once,
-  as the senders' ``(u, uplus)`` counts. The forward engine reads it for
-  all but single-source senders (memoised in ``Action.packed_tables``),
-  the backward one (``wsts._pred_table``) only for kept keys that take
-  part of some source's slots; both tally the other keys themselves.
+  nondeterministic choice. :meth:`Action.outcomes` states and tallies
+  this rule once, as the senders' ``(u, uplus)`` counts. The forward
+  engine reads it for all but single-source senders (memoised in
+  ``Action.packed_tables``), the backward one (``wsts._pred_table``) for
+  every key it keeps, with no tally of its own.
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -169,20 +169,33 @@ class Action(Frozen):
         state) of the :func:`itertools.combinations` of each source's
         slots (ascending send index). The guard is not checked here.
         ``u`` and ``uplus`` count the senders per source and destination.
-        The engines read it only where a tally needs it (module
-        docstring); the tests pin their own tallies against it.
+        A source that gives all of its slots is counted once into a base
+        that every outcome shares, and the product runs only over the
+        sources that give part of theirs. Every engine tally but a
+        single-source sender's comes from here (module docstring).
         """
         if not any(key) or (self.kind == SENDER and key != self.caps):
             return ()
         n = len(self.receive_map)
-        u = [0] * n
-        for s, k in zip(self.sources, key):
-            u[s] = k
+        u, base = [0] * n, [0] * n
+        partial = []
+        for s, k, dsts in zip(self.sources, key, self._slots):
+            if k:
+                u[s] = k
+                if k == len(dsts):
+                    for t in dsts:
+                        base[t] += 1
+                else:
+                    partial.append(itertools.combinations(dsts, k))
         u = tuple(u)
-        uplus = dict.fromkeys(
-            tally(n, itertools.chain.from_iterable(taken))
-            for taken in itertools.product(
-                *map(itertools.combinations, self._slots, key)))
+        if not partial:
+            return ((u, tuple(base)),)
+        uplus = {}
+        for taken in itertools.product(*partial):
+            x = base[:]
+            for t in itertools.chain.from_iterable(taken):
+                x[t] += 1
+            uplus[tuple(x)] = None
         return tuple((u, x) for x in uplus)
 
     @cached_property
@@ -235,14 +248,6 @@ def is_internal(action: Action) -> bool:
     this shape is definitive regardless of how the action was authored.
     """
     return len(action.sends) == 1 and not action.moves
-
-
-def tally(n_states: int, states) -> tuple[int, ...]:
-    """Count vector of the given state indices."""
-    counts = [0] * n_states
-    for s in states:
-        counts[s] += 1
-    return tuple(counts)
 
 
 def reachable(adj, start: int) -> set[int]:

@@ -100,11 +100,12 @@ destinations ``sent`` lie inside dsts(used). The bound is the set of
 maximal elements of the one downward-closed set that holds {init} and
 is closed under every key's step, whatever the order of the steps, so
 the dominated steps change no element. The step is monotone in M, so
-an evicted element's successors lie inside its evictor's, and keeping
-only maximal elements loses nothing. The exact set can be exponential
-where the bound is not: on a cycle of 24 internal steps every subset
-of the cycle is a reachable support, and the bound is the one mask of
-the whole cycle.
+an evicted element's successors lie inside its evictor's: keeping only
+maximal elements loses nothing, and an element stepped after it is
+evicted adds only masks that the evictor's steps cover. The exact set
+can be exponential where the bound is not: on a cycle of 24 internal
+steps every subset of the cycle is a reachable support, and the bound
+is the one mask of the whole cycle.
 
 :func:`decide` drops every target-basis element and predecessor whose
 support lies inside no bound element, before it reaches the antichain
@@ -308,15 +309,15 @@ def _pred_table(action, bound):
     reads per outcome (u, uplus) of each key the action fires on, in
     :func:`itertools.product` order over the sources, with supp(u)
     inside an element of the support bitmasks ``bound``, and none for
-    the other keys. A key takes no sender from outside the guard, and a
-    sender action's key every slot. ``amask`` holds the allowed states,
-    inside the guard and not pinned (below their cap), that lie in an
-    element containing supp(u) (module docstring). The bound of every
-    state keeps every key whole. A key whose sources each take no slot
-    or all is tallied here; only the others read ``action.outcomes``.
+    the other keys. A key takes no sender from outside the guard; every
+    entry comes from ``action.outcomes``, which tallies it and gives
+    none to a key with no sender, nor to a sender action's key below its
+    caps. ``amask`` holds the allowed states, inside the guard and not
+    pinned (below their cap), that lie in an element containing supp(u)
+    (module docstring). The bound of every state keeps every key whole.
     """
     guard, sources, caps = action.guard.members, action.sources, action.caps
-    sender, n = action.kind == SENDER, len(action.receive_map)
+    sender = action.kind == SENDER
     counts = [(((c,) if sender else range(c + 1))
                if s in guard else (0,)) for s, c in zip(sources, caps)]
     table = []
@@ -327,9 +328,6 @@ def _pred_table(action, bound):
                 used |= 1 << s
             if k < c:
                 pinned |= 1 << s
-        # no outcome: no sender, or a sender's source outside the guard
-        if not used or sender and pinned:
-            continue
         reach = 0
         for e in bound:
             if not used & ~e:
@@ -337,15 +335,8 @@ def _pred_table(action, bound):
         if not reach:
             continue
         amask = action.guardmask & ~pinned & reach
-        if used & pinned:  # some source takes part of its slots
-            table.extend((u, uplus, used, amask) for u, uplus in action.outcomes(key))
-            continue
-        u, uplus = [0] * n, [0] * n
-        for s, k, dsts in zip(sources, key, action._slots):
-            u[s] = k
-            for t in dsts[:k]:  # k is 0 or all of them
-                uplus[t] += 1
-        table.append((tuple(u), tuple(uplus), used, amask))
+        for u, uplus in action.outcomes(key):
+            table.append((u, uplus, used, amask))
     return table
 
 
@@ -493,8 +484,6 @@ def _bound_and_entries(protocol):
     bound, work = {start}, [start]
     while work:
         m = work.pop()
-        if m not in bound:
-            continue  # evicted: its successors lie inside the evictor's
         for sender, sources, dsts, guard, moved, rmap in steps:
             live = m & guard
             # a sender needs every source live, a maximal action one
@@ -545,14 +534,13 @@ def decide(protocol, target, threshold):
     fixpoint so the returned minimal witness size is exact. A target
     in no bound element is answered from the bound alone, with the
     empty basis and no iteration that the pruned fixpoint gives it
-    (module docstring); a bad threshold and a failed certification are
-    still reported first.
+    (module docstring). A threshold below 1 is refused first, then a
+    failed certification.
     """
+    if threshold < 1:
+        raise ValidationError("threshold must be at least 1")
     wqo = wqo_for(protocol)
-    # a bad threshold is left for target_basis to report, without building
-    # a target basis that a certification failure would throw away
-    if (wqo.guards and threshold >= 1
-            and not wellbehaved.certify(protocol, verdict_only=True)):
+    if wqo.guards and not wellbehaved.certify(protocol, verdict_only=True):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
@@ -560,7 +548,7 @@ def decide(protocol, target, threshold):
     keep = _inside(supports)
     # a target in no bound element is in the support of no run: the bound
     # drops every target-basis element, and no round runs
-    if threshold >= 1 and not keep(1 << target):
+    if not keep(1 << target):
         return ParamVerdict(False, None, None, Ucs(wqo, ()), 0, supports)
     start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
                   if keep(_support(q)))

@@ -22,10 +22,13 @@ reference for its nonzero-digit memo over ``head``; the same scan,
 naming the first action that makes a step, is the reference for the
 trace's step names. The packed tables built from ``Action.outcomes``
 for every action are the reference for the single-source senders'
-tables built from their sends. The participations, ``(u, uplus, allowed)`` per outcome of every
+tables built from their sends. The generic firing rule, a product of
+every source's slot combinations with a tally of its own, is the
+reference for ``Action.outcomes``, which counts whole sources into one
+base. The participations, ``(u, uplus, allowed)`` per outcome of every
 key of the caps box that takes no sender from outside the guard, are
 the reference for the keys ``wsts._pred_table`` enumerates and the
-outcomes it tallies from whole keys, and the support bound stepped
+outcomes it reads from ``Action.outcomes``, and the support bound stepped
 through every one of them is the reference for ``wsts.support_bound``,
 which takes one dominating step per action. The entry mask read off
 each action's sends and receive map is the reference for the one that
@@ -234,6 +237,35 @@ def packed_action(action, width):
         return outside, field, cap << width * s, tuple(moved), (delta,), action.name
     return (outside, field, 0, tuple(moved), semantics._Deltas(action, width),
             action.name)
+
+
+def reference_outcomes(action, key):
+    """``Action.outcomes`` by its generic formula, read off ``sends``
+    alone: one tally per element of the :func:`itertools.product` over
+    every source (ascending state) of the :func:`itertools.combinations`
+    of its slots (ascending send index), whole sources included, the
+    first of each distinct ``uplus`` kept; none for the zero key, nor
+    for a sender action's key below some source's slot count."""
+    slots = {}
+    for send in action.sends:
+        slots.setdefault(send.src, []).append(send.dst)
+    sources = sorted(slots)
+    if not any(key) or (action.kind == SENDER and list(key) != [
+            len(slots[s]) for s in sources]):
+        return ()
+    n = len(action.receive_map)
+    u = [0] * n
+    for s, k in zip(sources, key):
+        u[s] = k
+    out = {}
+    for taken in itertools.product(*(itertools.combinations(slots[s], k)
+                                     for s, k in zip(sources, key))):
+        uplus = [0] * n
+        for slot_dsts in taken:
+            for t in slot_dsts:
+                uplus[t] += 1
+        out.setdefault(tuple(uplus))
+    return tuple((tuple(u), uplus) for uplus in out)
 
 
 def participations(action):

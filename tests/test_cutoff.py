@@ -365,13 +365,18 @@ L2_SPLIT_SLOTS = {
 
 def lifts_by_bfs(p, target, count):
     """Whether L1 or L2 decides the query; if so, assert that BFS agrees
-    with its verdict at every n from the cutoff m to m + 3."""
+    with its verdict at every n from the cutoff m to m + 3, and that
+    ``decide``, which covers every n, agrees too: a verdict that holds
+    needs a witness of size at most m, one that does not needs none."""
     v = certified_cutoff_check(p, target, count)
     if v.lemma not in ("L1", "L2"):
         return False
     for n in range(v.cutoff, v.cutoff + 4):
         got = check_fixed(p, ReachQuery(target, count, n)).reachable
         assert got == v.holds, (p.state_names, v.lemma, target, count, n)
+    d = decide(p, target, count)
+    assert (d.reachable and d.min_n <= v.cutoff if v.holds
+            else not d.reachable), (p.state_names, v.lemma, target, count)
     return True
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -11,7 +12,7 @@ from gspmc.model import Send, ValidationError, is_internal, validate
 
 import _gen
 import _oracle
-from conftest import FIXTURES, chain_raw, config, perfbench_protocols
+from conftest import FIXTURES, chain_raw, config, load_fixture, perfbench_protocols
 
 
 def minimal_raw(**overrides):
@@ -381,8 +382,82 @@ class TestSenderTallies:
                                   model.Guard("ALL", frozenset(range(states))))
             assert sum(action.caps) == len(sends)
             [(u, uplus)] = action.outcomes(action.caps)
-            assert u == model.tally(states, (s.src for s in sends))
+            assert u == tuple(sum(s.src == t for s in sends) for t in range(states))
             assert sum(uplus) == len(sends)
+
+
+class TestOutcomes:
+    """``Action.outcomes`` is the generic firing rule,
+    ``_oracle.reference_outcomes``, in value and in order, on every key
+    of the caps box."""
+
+    @staticmethod
+    def check(actions):
+        for a in actions:
+            for key in itertools.product(*(range(c + 1) for c in a.caps)):
+                assert a.outcomes(key) == _oracle.reference_outcomes(a, key), (
+                    a.name, key)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_fixtures(self, name):
+        self.check(load_fixture(name).actions)
+
+    @pytest.mark.parametrize("k, m, clocks",
+                             [(2, 2, 1), (3, 4, 6), (4, 4, 2), (5, 2, 3)])
+    def test_ring_family(self, k, m, clocks):
+        self.check(validate(perfbench_protocols().ring_family(k, m, clocks)).actions)
+
+    def test_random_protocols(self):
+        rng = random.Random(3500)
+        for _ in range(300):
+            self.check(_gen.random_protocol(rng, certified_only=False, max_arity=4).actions)
+
+    def test_benchmark_random_models(self):
+        random_model = perfbench_protocols().random_model
+        for i in range(300):
+            self.check(validate(random_model(random.Random(f"x-{i}"))).actions)
+
+    @staticmethod
+    def one_action(states, action, guards=None):
+        p = validate({"states": states, "init": states[0],
+                      "guards": guards or {}, "actions": [action]})
+        return p.action(action["name"])
+
+    @pytest.mark.parametrize("sends", [
+        [["A", "C"], ["A", "C"], ["B", "C"]],
+        [["A", "C"], ["A", "C"], ["B", "C"], ["B", "D"]],
+        [["B", "D"], ["A", "C"], ["B", "C"], ["A", "C"]],
+        [["A", "D"], ["B", "D"], ["B", "D"], ["C", "D"]],
+        [["A", "B"], ["A", "C"], ["A", "B"], ["B", "A"]],
+    ])
+    def test_whole_and_partial_sources_with_repeated_destinations(self, sends):
+        a = self.one_action(["A", "B", "C", "D"], {
+            "name": "t", "kind": "maximal", "sends": sends})
+        # two sources, one with two slots or more: some key of the box
+        # takes every slot of one source and part of the other's
+        assert len(a.caps) >= 2 and max(a.caps) >= 2
+        self.check([a])
+
+    def test_whole_source_is_shared_by_every_outcome(self):
+        a = self.one_action(["A", "B", "C", "D"], {
+            "name": "t", "kind": "maximal",
+            "sends": [["A", "C"], ["A", "C"], ["B", "C"], ["B", "D"]]})
+        # A gives both slots to C; B's one sender goes to C or to D
+        assert a.outcomes((2, 1)) == (((2, 1, 0, 0), (0, 0, 3, 0)),
+                                      ((2, 1, 0, 0), (0, 0, 2, 1)))
+        # one of A's two slots to C, twice: one outcome per B's choice
+        assert a.outcomes((1, 1)) == (((1, 1, 0, 0), (0, 0, 2, 0)),
+                                      ((1, 1, 0, 0), (0, 0, 1, 1)))
+        assert a.outcomes((2, 2)) == (((2, 2, 0, 0), (0, 0, 3, 1)),)
+
+    def test_sender_with_a_source_outside_its_guard(self):
+        # the guard is not checked here: the full key still fires
+        a = self.one_action(["A", "B", "C"], {
+            "name": "t", "kind": "sender", "sends": [["A", "C"], ["B", "C"]],
+            "guard": "G"}, guards={"G": ["A", "C"]})
+        self.check([a])
+        assert a.outcomes((1, 1)) == (((1, 1, 0), (0, 0, 2)),)
+        assert a.outcomes((1, 0)) == ()
 
 
 class TestCompiledFields:
@@ -446,8 +521,9 @@ class TestParticipations:
         # one per non-empty subset of the counting ring's k send slots
         assert len(_oracle.unfiltered_table(p.action("a"))) == 2 ** k - 1
 
-    # hand-made keys for the table's own tally of keys whose sources each
-    # take no slot or all of them, and its fall-back to ``outcomes``
+    # hand-made keys whose sources each take no slot or all of them, which
+    # ``outcomes`` tallies from one base, and a key that mixes a whole
+    # source with a partial one, which it runs through its product
 
     @staticmethod
     def one_action(states, action, guards=None):
@@ -471,7 +547,7 @@ class TestParticipations:
 
     def test_whole_and_partial_source_in_one_key(self):
         # A gives its one slot, B one of its two: the key (1, 1) has two
-        # outcomes, which only ``outcomes`` enumerates
+        # outcomes, one per slot of B
         p = self.one_action(["A", "B", "C", "D"], {
             "name": "t", "kind": "maximal",
             "sends": [["A", "C"], ["B", "C"], ["B", "D"]]})

@@ -28,7 +28,7 @@ certifies before it applies them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from gspmc import explicit, wellbehaved
 from gspmc.model import MAXIMAL, Protocol, is_internal, reachable
@@ -46,27 +46,24 @@ class PathBudgetExceeded(Exception):
         self.budget = budget
 
 
-class Edge(NamedTuple):
-    """One local transition: a send slot or a state-changing receive."""
+class Edge(namedtuple("Edge", "action role src dst free reason index")):
+    """One local transition: a send slot or a state-changing receive.
 
-    action: str
-    role: str  # "send" | "receive"
-    src: int
-    dst: int
-    free: bool
-    reason: str | None  # set when free
-    index: int  # send slot, or receive source (disambiguates parallels)
+    ``role`` is "send" or "receive"; ``reason`` is set when ``free``;
+    ``index`` is the send slot, or the receive source (disambiguates
+    parallels)."""
+
+    __slots__ = ()
 
 
-class CutoffVerdict(NamedTuple):
-    """Outcome of the end-to-end cutoff pipeline for one query."""
+class CutoffVerdict(namedtuple(
+        "CutoffVerdict", "amenable lemma cutoff holds result witness")):
+    """Outcome of the end-to-end cutoff pipeline for one query.
 
-    amenable: bool
-    lemma: str | None
-    cutoff: int | None
-    holds: bool | None  # the lifted verdict, valid for every n >= cutoff
-    result: explicit.FixedResult | None
-    witness: str | None
+    ``holds`` is the lifted verdict, valid for every n >= ``cutoff``;
+    ``result`` is the ``explicit.FixedResult`` it lifts."""
+
+    __slots__ = ()
 
 
 def _sibling_sends(protocol: Protocol) -> dict[str, set[tuple[int, int]]]:

@@ -12,7 +12,7 @@ are unpacked, each step labelled with the first action, in declaration
 order, that makes it.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from gspmc import semantics
 from gspmc.model import Frozen, ValidationError
@@ -43,18 +43,18 @@ class ReachQuery(Frozen):
         vars(self).update(target=target, threshold=threshold, size=size)
 
 
-class FixedResult(NamedTuple):
-    reachable: bool
-    # [(None, q0), (action, q1), ...]; consecutive states related by fire
-    trace: list | None
-    explored: int
+class FixedResult(namedtuple("FixedResult", "reachable trace explored")):
+    """A fixed-size verdict; ``trace`` is ``[(None, q0), (action, q1),
+    ...]``, consecutive states related by firing, or None."""
+
+    __slots__ = ()
 
 
-class SweepResult(NamedTuple):
-    found: bool
-    n: int | None
-    trace: list | None
-    searched_up_to: int
+class SweepResult(namedtuple("SweepResult", "found n trace searched_up_to")):
+    """A minimal-witness sweep's verdict: the smallest size ``n`` that
+    reaches the target, with its trace, or None."""
+
+    __slots__ = ()
 
 
 def require_budget(budget, what):

@@ -9,9 +9,11 @@ A protocol is one process template. Global actions come in two core kinds:
   source state; which of a state's send slots they take is a
   nondeterministic choice. :meth:`Action.outcomes` states and tallies
   this rule once, as the senders' ``(u, uplus)`` counts. The forward
-  engine reads it for all but single-source senders (memoised in
-  ``Action.packed_tables``), the backward one (``wsts._pred_table``) for
-  every key it keeps, with no tally of its own.
+  engine reads it for all but single-source senders (memoised per
+  source-digit key in the tables of ``semantics.packed``), the backward
+  one (``wsts._pred_table``) for every key it keeps, with no tally of
+  its own. Each engine keeps its compiled tables in one bounded memo
+  keyed by the protocol's value (:data:`MEMO_SIZE` entries).
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -25,12 +27,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 SENDER = "sender"
 MAXIMAL = "maximal"
 
 TRIVIAL_GUARD_NAME = "ALL"
+
+# The most entries that each engine's memo of compiled tables keeps
+# (``semantics.packed``, ``wsts.decide``), least recently used evicted
+# first: more than the distinct protocols of any benchmark workload.
+MEMO_SIZE = 1024
 
 
 class ValidationError(Exception):
@@ -85,16 +92,16 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class Guard(NamedTuple):
-    name: str
-    members: frozenset[int]
+class Guard(namedtuple("Guard", "name members")):
+    """A named guard; ``members`` is the frozenset of its state indices."""
+
+    __slots__ = ()
 
 
-class Send(NamedTuple):
+class Send(namedtuple("Send", "src dst")):
     """One send index: the sender moves from ``src`` to ``dst``."""
 
-    src: int
-    dst: int
+    __slots__ = ()
 
 
 class Action(Frozen):
@@ -142,12 +149,6 @@ class Action(Frozen):
         for s, r in enumerate(self.receive_map):
             masks[r] |= 1 << s
         return tuple(masks)
-
-    @cached_property
-    def packed_tables(self) -> dict:
-        """Per digit width, the action's tables for packed configurations,
-        filled by :mod:`gspmc.semantics` on first use of that width."""
-        return {}
 
     @cached_property
     def _slots(self) -> tuple[tuple[int, ...], ...]:
@@ -204,11 +205,11 @@ class Action(Frozen):
         return sum(1 << s for s in self.guard.members)
 
 
-class Protocol(NamedTuple):
-    state_names: tuple[str, ...]
-    init: int
-    guards: tuple[Guard, ...]
-    actions: tuple[Action, ...]
+class Protocol(namedtuple("Protocol", "state_names init guards actions")):
+    """A validated protocol: its state names, the index of its initial
+    state, its guards and its core actions, each a tuple."""
+
+    __slots__ = ()
 
     @property
     def n_states(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from gspmc.model import TRIVIAL_GUARD_NAME, Protocol
 
@@ -25,10 +25,10 @@ class IoError(Exception):
     """File could not be read or written."""
 
 
-class ModelFile(NamedTuple):
+class ModelFile(namedtuple("ModelFile", "raw")):
     """A parsed protocol document, before validation."""
 
-    raw: dict
+    __slots__ = ()
 
     @property
     def property_block(self) -> dict | None:

@@ -10,8 +10,7 @@ There is one forward firing path, over packed configurations: with n
 processes, each state's count is one digit of W = ``n.bit_length()``
 bits, state s at bit W*s. A count is at most n < 2**W, so a
 configuration is one ``int`` whose digits never carry into each other.
-For that width each action has a tuple of tables (kept in
-``Action.packed_tables`` per W, so all sizes of one width share them):
+For that width each action has a tuple of tables:
 ``outside`` masks the digits of the states outside the guard (the guard
 holds iff ``code & outside`` is 0), ``field`` masks the digits of its
 ``sources``, and ``moved`` holds ``(W*s, B[r] - B[s])`` per pair (s, r)
@@ -40,12 +39,23 @@ one entry at a time in declaration order.
 
 The search unpacks only its trace, and names its steps with
 :func:`step_names`; :func:`fire` runs one action on one counter vector
-through the same tables.
+through the same tables, built for that call.
+
+:func:`packed` keeps one :class:`Packed` per protocol and digit width in
+a bounded memo keyed by the validated protocol's value, so every size of
+one width, every query and every equal protocol object (each query
+validates its own) share its tables and the ``_Enabled`` and ``_Deltas``
+memos on them. That is sound because the tables are a function of the
+protocol's value and the width alone: the state names, guards, actions
+and receive maps that the key compares. The entry holds the first
+protocol object seen with that value, whose actions the tables read; a
+process that answers one query, such as one ``gspmc`` command, builds
+every table it uses once either way and gains nothing from the memo.
 """
 
-import weakref
+import functools
 
-from gspmc.model import SENDER
+from gspmc.model import MEMO_SIZE, SENDER
 
 
 class _Deltas(dict):
@@ -59,10 +69,7 @@ class _Deltas(dict):
     __slots__ = ("action", "width", "sources", "caps", "receive_map")
 
     def __init__(self, action, width):
-        # weak: the action owns this table through ``packed_tables``, and
-        # a strong reference back would leave a cycle per action for the
-        # garbage collector
-        self.action = weakref.ref(action)
+        self.action = action
         self.width = width
         self.sources = action.sources
         self.caps = action.caps
@@ -83,7 +90,7 @@ class _Deltas(dict):
         out = self[key] = tuple(
             sum(c << w * t for t, c in enumerate(uplus))
             - sum(u[s] << w * self.receive_map[s] for s in self.sources)
-            for u, uplus in self.action().outcomes(tuple(offered)))
+            for u, uplus in self.action.outcomes(tuple(offered)))
         return out
 
 
@@ -180,19 +187,18 @@ class Packed:
         self.lookup = (ones * (mask >> 1), ones << width - 1, _Enabled(head))
 
 
-def _tables(action, width):
-    """The action's packed tables at one width, from its cache."""
-    t = action.packed_tables.get(width)
-    if t is None:
-        t = action.packed_tables[width] = _packed_action(action, width)
-    return t
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _compiled(protocol, width):
+    """The protocol's :class:`Packed` at one digit width, built once per
+    protocol value (module docstring)."""
+    return Packed(tuple(_packed_action(a, width) for a in protocol.actions),
+                  width, protocol.n_states)
 
 
 def packed(protocol, n):
-    """The protocol's packed tables for configurations of n processes."""
-    width = n.bit_length()
-    return Packed(tuple(_tables(a, width) for a in protocol.actions),
-                  width, protocol.n_states)
+    """The protocol's packed tables for configurations of n processes,
+    shared by every size of the same digit width."""
+    return _compiled(protocol, n.bit_length())
 
 
 def pack(packed, q):
@@ -250,7 +256,7 @@ def fire(q, action):
     width = sum(q).bit_length()
     if not width:
         raise ValueError("global state has no processes")
-    one = Packed((_tables(action, width),), width, len(q))
+    one = Packed((_packed_action(action, width),), width, len(q))
     return [unpack(one, succ) for succ in _successors(one, pack(one, q))]
 
 

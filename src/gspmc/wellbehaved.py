@@ -30,7 +30,7 @@ too, for an internal action) a violation citing the strong failures.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from gspmc.model import SENDER, Protocol, is_internal
 
@@ -117,27 +117,27 @@ class InternalReach:
         return reach
 
 
-class Violation(NamedTuple):
+class Violation(namedtuple("Violation", "condition guard transition detail",
+                           defaults=("",))):
     """One failed check: the condition, the guard, and the local move."""
 
-    condition: str
-    guard: str
-    transition: tuple[str, str]
-    detail: str = ""
+    __slots__ = ()
 
 
-class ActionStatus(NamedTuple):
-    action: str
-    status: str  # "strong" | "weak" | "violation"
-    condition: str | None
-    violations: tuple[Violation, ...] = ()
-    notes: tuple[str, ...] = ()
+class ActionStatus(namedtuple("ActionStatus",
+                              "action status condition violations notes",
+                              defaults=((), ()))):
+    """One action's certification: ``status`` is "strong", "weak" or
+    "violation"."""
+
+    __slots__ = ()
 
 
-class GuardCompatReport(NamedTuple):
-    well_behaved: bool
-    actions: tuple[ActionStatus, ...]
-    notes: tuple[str, ...] = ()
+class GuardCompatReport(namedtuple("GuardCompatReport", "well_behaved actions notes",
+                                   defaults=((),))):
+    """The certification report: the verdict and each action's status."""
+
+    __slots__ = ()
 
 
 _LEAVES_ALL = "receiver {src} leaves {guard} while all send destinations lie inside it"

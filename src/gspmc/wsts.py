@@ -149,16 +149,36 @@ unfiltered ones with rho inside reach(u). The keep test still runs, as a
 support can lie inside reach(u) and yet span two elements. Each
 candidate carries its support supp(u) | rho from where it is built into
 that test and the antichain.
+
+The bound, the entry masks and the :func:`_pred_table` of each action
+are built once per protocol value and kept in one bounded memo keyed by
+the validated protocol (:func:`_compiled`), which compares and hashes by
+its state names, initial state, guards and actions, each action by its
+name, kind, sends, receive map and guard. Keying by value is sound
+because every one of those tables is a function of that value alone:
+two equal protocols, each validated by its own query, have the same
+bound, masks and tables, and an action's name, the one thing a witness
+reads of it, is part of the key. The entry holds the first protocol
+object seen with that value, so the actions that the tables read have
+their compiled fields (``premasks`` and the rest) filled already. The
+bound is built when the entry is made, the tables only when rounds
+first run, so a query that the bound alone answers costs no more than
+with no memo. Certification, the target basis and the rounds still run
+on every query, and no verdict is kept. A process that answers one
+query, such as one ``gspmc`` command, builds the tables once either way
+and gains nothing from the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import namedtuple
 from operator import le
-from typing import NamedTuple
 
 from gspmc import wellbehaved
-from gspmc.model import SENDER, Frozen, Protocol, ValidationError
+from gspmc.model import (MEMO_SIZE, SENDER, Frozen, Protocol, ValidationError,
+                         cached_property)
 
 
 class NotCertifiedWellBehaved(Exception):
@@ -209,11 +229,10 @@ def wqo_for(protocol: Protocol) -> Wqo:
     return Wqo(guards) if guards else COMPONENT_WISE
 
 
-class Ucs(NamedTuple):
+class Ucs(namedtuple("Ucs", "wqo basis")):
     """Upward-closed set: canonical antichain basis, lexicographically sorted."""
 
-    wqo: Wqo
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 class Antichain:
@@ -461,7 +480,7 @@ def support_bound(protocol):
     over-approximation, ascending: the support of every configuration
     reachable from the initial state, at any system size, lies inside
     one of them (module docstring)."""
-    return _bound_and_entries(protocol)[0]
+    return _compiled(protocol).supports
 
 
 def _bound_and_entries(protocol):
@@ -512,15 +531,40 @@ def _inside(bound):
     return lambda supp: any(not supp & ~e for e in bound)
 
 
-class ParamVerdict(NamedTuple):
-    reachable: bool
-    min_n: int | None
-    witness: tuple[str, ...] | None  # action sequence, forward order
-    basis: Ucs  # fixpoint basis, pruned to ``supports``
-    iterations: int
-    # :func:`support_bound` of the protocol; with ``basis``, the
-    # unreachability certificate
-    supports: tuple[int, ...]
+class _Compiled:
+    """What :func:`decide` reads of a protocol alone: the first protocol
+    object seen with its value, whose actions every table reads, its
+    :func:`support_bound` and each action's entry mask, both built at
+    once, and ``tables``, built on first use."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.supports, self.entries = _bound_and_entries(protocol)
+
+    @cached_property
+    def tables(self):
+        """Per action, the ``(action, _pred_table, mask)`` triple that
+        :func:`_insert_preds` reads; with guards no action is skipped."""
+        guarded = bool(self.protocol.used_guards())
+        return tuple((a, _pred_table(a, self.supports), -1 if guarded else entry)
+                     for a, entry in zip(self.protocol.actions, self.entries))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _compiled(protocol):
+    """The protocol's :class:`_Compiled` tables, built once per protocol
+    value (module docstring)."""
+    return _Compiled(protocol)
+
+
+class ParamVerdict(namedtuple(
+        "ParamVerdict", "reachable min_n witness basis iterations supports")):
+    """A parameterized verdict. ``witness`` is the action sequence in
+    forward order, ``basis`` the fixpoint basis (a :class:`Ucs`) pruned
+    to ``supports``, and ``supports`` the :func:`support_bound` of the
+    protocol; with ``basis``, the unreachability certificate."""
+
+    __slots__ = ()
 
 
 def decide(protocol, target, threshold):
@@ -544,7 +588,8 @@ def decide(protocol, target, threshold):
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 
-    supports, entries = _bound_and_entries(protocol)
+    compiled = _compiled(protocol)
+    supports = compiled.supports
     keep = _inside(supports)
     # a target in no bound element is in the support of no run: the bound
     # drops every target-basis element, and no round runs
@@ -552,9 +597,7 @@ def decide(protocol, target, threshold):
         return ParamVerdict(False, None, None, Ucs(wqo, ()), 0, supports)
     start = tuple(q for q in target_basis(protocol, wqo, target, threshold).basis
                   if keep(_support(q)))
-    # with guards no action is skipped
-    tables = [(a, _pred_table(a, supports), -1 if wqo.guards else entry)
-              for a, entry in zip(protocol.actions, entries)]
+    tables = compiled.tables
     provenance = dict.fromkeys(start)
     chain = Antichain(wqo, start)
     frontier = start

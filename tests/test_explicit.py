@@ -322,24 +322,33 @@ class TestWidthBoundaries:
         assert_same_search(p, p.state_index("r7"), n, n)
 
     def test_sweep_across_widths(self):
-        # n = 3..9 spans the widths 2, 3 and 4
+        # n = 3..9 spans the widths 2, 3 and 4: the sweep builds one
+        # Packed per width, which the other sizes of that width reuse
         smoke = load_fixture("smoke_detector.json")
         report = smoke.state_index("Report")
+        semantics._compiled.cache_clear()
         res = min_witness_size(smoke, report, 3, 9)
         assert not res.found and res.searched_up_to == 9
-        assert all(set(a.packed_tables) == {2, 3, 4} for a in smoke.actions)
+        info = semantics._compiled.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 4, 3)
+        assert [semantics.packed(smoke, n).width for n in (3, 4, 8)] == [2, 3, 4]
+        assert semantics._compiled.cache_info().currsize == 3
 
     def test_ring_fires_from_one_delta_per_action(self):
         # a single-source sender has one outcome: its width-4 table holds
         # that delta and the sender count it needs, with no per-code memo,
-        # and the ring's eight actions fire as one run
+        # and the ring's eight actions fire as one run; the search's tables
+        # are the one width-4 Packed that every equal ring shares
         p = internal_ring(8)
+        semantics._compiled.cache_clear()
         res = check_fixed(p, ReachQuery(p.state_index("dead"), 1, 10))
         assert res.explored == math.comb(17, 7)
-        for a in p.actions:
+        packed = semantics.packed(internal_ring(8), 8)
+        assert semantics._compiled.cache_info()[:2] == (1, 1)  # hits, misses
+        for a, table in zip(p.actions, packed.actions, strict=True):
             (s,), to = a.sources, a.sends[0].dst
-            assert set(a.packed_tables) == {4}
-            _, field, need, moved, deltas, _ = a.packed_tables[4]
+            _, field, need, moved, deltas, name = table
+            assert name == a.name
             assert field == 15 << 4 * s and need == 1 << 4 * s
             assert moved == ()
             assert type(deltas) is tuple

@@ -469,22 +469,32 @@ class TestCompiledFields:
             a.sources = ()
 
     def test_tables_hold_no_cycle(self):
-        # the packed tables must not keep their action alive: it goes
-        # with its last reference, before any garbage collection
-        p = validate({"states": ["A", "B"], "init": "A", "actions": [
-            {"name": "m", "kind": "maximal", "sends": [["A", "B"]]}]})
-        a = p.action("m")
-        semantics.successors(semantics.packed(p, 3), 3)
-        assert semantics.fire((1, 0), a) == [(0, 1)]
-        assert set(a.packed_tables) == {1, 2}
-        assert all(deltas for _, _, _, _, deltas, _ in a.packed_tables.values())
-        gone = weakref.ref(a)
-        gc.disable()
-        try:
-            del p, a
-            assert gone() is None
-        finally:
-            gc.enable()
+        # each engine's memo keeps an entry's tables and actions alive,
+        # and nothing else does: clearing the one that holds them last
+        # frees them, before any garbage collection
+        memos = (semantics._compiled, wsts._compiled)
+        for last in memos:
+            p = validate({"states": ["A", "B"], "init": "A", "actions": [
+                {"name": "m", "kind": "maximal", "sends": [["A", "B"]]}]})
+            a = p.action("m")
+            packed = semantics.packed(p, 3)
+            assert semantics.successors(packed, 3) == [2 + (1 << 2)]
+            assert semantics.fire((1, 0), a) == [(0, 1)]
+            assert packed.actions[0][4]  # the maximal action's deltas memo
+            assert wsts.decide(p, 1, 1).reachable
+            assert wsts._compiled(p).tables[0][0] is a
+            gone = weakref.ref(a)
+            gc.disable()
+            try:
+                del p, a, packed
+                for memo in memos:
+                    assert gone() is not None
+                    if memo is not last:
+                        memo.cache_clear()
+                last.cache_clear()
+                assert gone() is None
+            finally:
+                gc.enable()
 
 
 class TestParticipations:

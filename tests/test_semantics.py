@@ -255,13 +255,18 @@ class TestPacked:
                 _gen.random_protocol(rng, certified_only=False))
 
     def test_tables_are_kept_per_width(self):
-        # n = 4..7 share a width, n = 8 has a wider one
+        # n = 4..7 share a width, n = 8 has a wider one; an equal protocol,
+        # validated again, finds the same Packed by its value
         smoke = load_fixture("smoke_detector.json")
+        semantics._compiled.cache_clear()
         four, seven, eight = (semantics.packed(smoke, n) for n in (4, 7, 8))
-        assert four.actions == seven.actions
-        assert all(a is b for a, b in zip(four.actions, seven.actions))
+        assert four is seven and four is not eight
         assert not any(a is b for a, b in zip(four.actions, eight.actions))
-        assert all(set(a.packed_tables) == {3, 4} for a in smoke.actions)
+        copy = load_fixture("smoke_detector.json")
+        assert copy is not smoke and copy == smoke
+        assert semantics.packed(copy, 5) is four
+        assert semantics.packed(copy, 15) is eight
+        assert semantics._compiled.cache_info().currsize == 2
         q = config(smoke, Env=2, Ask=2)
         assert (semantics.unpack(eight, semantics.successors(
                     eight, semantics.pack(eight, q))[0])
@@ -385,6 +390,6 @@ class TestPackedTables:
                         senders += 1
                     else:
                         assert type(got[4]) is semantics._Deltas
-                        assert (got[4].action(), got[4].width) == (a, width)
+                        assert (got[4].action, got[4].width) == (a, width)
                         assert not got[4]
         assert senders >= 4000

@@ -290,7 +290,7 @@ def certified_cutoff_check(protocol: Protocol, target: int, threshold: int, *,
     query = explicit.ReachQuery(target, threshold, threshold)
     explicit.require_budget(state_budget, "state")
     explicit.require_budget(path_budget, "path")
-    if not wellbehaved.certify(protocol, verdict_only=True):
+    if not wellbehaved.certify(protocol).well_behaved:
         return CutoffVerdict(False, None, None, None, None,
                              "protocol is not certified well-behaved")
     if check_lemma1(protocol):

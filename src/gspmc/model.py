@@ -12,8 +12,7 @@ A protocol is one process template. Global actions come in two core kinds:
   engine reads it for all but single-source senders (memoised per
   source-digit key in the tables of ``semantics.packed``), the backward
   one (``wsts._pred_table``) for every key it keeps, with no tally of
-  its own. Each engine keeps its compiled tables in one bounded memo
-  keyed by the protocol's value (:data:`MEMO_SIZE` entries).
+  its own.
 
 Every process that is not a sender reacts through the action's receive
 map, a total function on states (missing entries are completed as
@@ -21,6 +20,28 @@ self-loops during validation); ``Action.moves``, its pairs that move a
 state, is what every layer reads. Derived primitives — internal steps,
 pairwise/asynchronous rendezvous, negotiations, disjunctive guards — are
 rewritten into core actions by :func:`validate`.
+
+Four memos are keyed by the protocol's value, each a bounded
+:func:`functools.lru_cache` of :data:`MEMO_SIZE` entries:
+
+- ``_interned``: :func:`validate` returns the first protocol equal to
+  the one it built that this memo has seen, so a document validated
+  again, a model file parsed again and the core form of a sugared model
+  all give one shared object;
+- ``semantics._compiled``: one ``Packed`` per protocol and digit width;
+- ``wsts._compiled``: the support bound, entry masks and predecessor
+  tables;
+- ``wellbehaved.certify``: one certification report.
+
+Keying by value is sound because a protocol compares and hashes by its
+state names, initial state, guards and actions, each action by its name,
+kind, sends, receive map and guard, and what each memo holds is a
+function of that value alone: the state, guard and action names that
+witnesses and reports print are part of the value. Since every query
+validates its protocol to the interned object, the other three memos
+find it by identity and hold that one object. Parse and validate still
+run on every query, and no query's verdict, basis, trace or JSON report
+is kept.
 """
 
 from __future__ import annotations
@@ -34,9 +55,10 @@ MAXIMAL = "maximal"
 
 TRIVIAL_GUARD_NAME = "ALL"
 
-# The most entries that each engine's memo of compiled tables keeps
-# (``semantics.packed``, ``wsts.decide``), least recently used evicted
-# first: more than the distinct protocols of any benchmark workload.
+# The most entries that each of the four memos keyed by a protocol's value
+# keeps (``model._interned``, ``semantics._compiled``, ``wsts._compiled``,
+# ``wellbehaved.certify``), least recently used evicted first: more than
+# the distinct protocols of any benchmark workload.
 MEMO_SIZE = 1024
 
 
@@ -111,8 +133,10 @@ class Action(Frozen):
     sends: tuple[Send, ...]
     receive_map: tuple[int, ...]  # total: source state index -> target index
     guard: Guard
-    # not a field: the ``(s, receive_map[s])`` pairs that move s, ascending s
+    # not fields: the ``(s, receive_map[s])`` pairs that move s, ascending s,
+    # and the hash of the fields
     moves: tuple[tuple[int, int], ...]
+    _hash: int
 
     def __init__(self, name, kind, sends, receive_map, guard):
         moves = []
@@ -121,7 +145,23 @@ class Action(Frozen):
                 moves.append((s, r))
         # past Frozen.__setattr__, which refuses every write
         vars(self).update(name=name, kind=kind, sends=sends, receive_map=receive_map,
-                          guard=guard, moves=tuple(moves))
+                          guard=guard, moves=tuple(moves),
+                          _hash=hash((name, kind, sends, receive_map, guard)))
+
+    # An action is hashed once, and compared field by field with no key
+    # tuples: every memo lookup of its protocol (:func:`validate`) does both.
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Action:
+            return NotImplemented
+        return (self.name == other.name and self.kind == other.kind
+                and self.sends == other.sends and self.receive_map == other.receive_map
+                and self.guard == other.guard)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -362,7 +402,9 @@ def validate(raw: dict) -> Protocol:
     pair's shape before any state), arity, receives (likewise, then one
     target per source), guard, a new name; (7) each sugar declaration in
     file order: type, keys, fields, then its expansion into core actions.
-    Receive maps are completed with self-loops.
+    Receive maps are completed with self-loops. What it returns is the
+    interned protocol, the first equal one that its memo has seen
+    (module docstring).
     """
     if not _RAW_KEYS.issuperset(raw):
         raise ValidationError(f"unknown top-level keys: {sorted(set(raw) - _RAW_KEYS)}")
@@ -498,4 +540,12 @@ def validate(raw: dict) -> Protocol:
                 raise ValidationError(f"duplicate action name {action.name!r}")
             actions[action.name] = action
 
-    return Protocol(tuple(states), index[init], tuple(guards.values()), tuple(actions.values()))
+    return _interned(Protocol(tuple(states), index[init], tuple(guards.values()),
+                              tuple(actions.values())))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _interned(protocol: Protocol) -> Protocol:
+    """The first protocol equal to ``protocol`` that this memo has seen
+    (module docstring)."""
+    return protocol

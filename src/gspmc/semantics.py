@@ -42,15 +42,13 @@ The search unpacks only its trace, and names its steps with
 through the same tables, built for that call.
 
 :func:`packed` keeps one :class:`Packed` per protocol and digit width in
-a bounded memo keyed by the validated protocol's value, so every size of
-one width, every query and every equal protocol object (each query
-validates its own) share its tables and the ``_Enabled`` and ``_Deltas``
-memos on them. That is sound because the tables are a function of the
-protocol's value and the width alone: the state names, guards, actions
-and receive maps that the key compares. The entry holds the first
-protocol object seen with that value, whose actions the tables read; a
-process that answers one query, such as one ``gspmc`` command, builds
-every table it uses once either way and gains nothing from the memo.
+a bounded memo keyed by the validated protocol's value, for the reason
+that ``gspmc.model``'s docstring gives for all of its memos, so every
+size of one width, every query and every equal protocol share its tables
+and the ``_Enabled`` and ``_Deltas`` memos on them. The entry holds the
+interned protocol object, whose actions the tables read; a process that
+answers one query, such as one ``gspmc`` command, builds every table it
+uses once either way and gains nothing from the memo.
 """
 
 import functools

@@ -30,9 +30,10 @@ too, for an internal action) a violation citing the strong failures.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
-from gspmc.model import SENDER, Protocol, is_internal
+from gspmc.model import MEMO_SIZE, SENDER, Protocol, is_internal
 
 
 class StateOrder:
@@ -245,20 +246,8 @@ def _c3w(a, guards, order, reach, n) -> bool:
     return all(reach_from[t] & below_dst for t in a.guard.members)
 
 
-def _weak_condition(protocol, a, failures, guards, order, reach):
-    """The weak condition that forgives every one of the action's strong
-    ``failures`` (read only up to the first that does not escape), or
-    None: its weak variant when every failure escapes, else C3w for an
-    internal action that meets it."""
-    if all(escaped for _, escaped, _ in failures):
-        return "C1w" if a.kind == SENDER else "C2.1w∧C2.2w"
-    if is_internal(a) and _c3w(a, guards, order, reach, protocol.n_states):
-        return "C3w"
-    return None
-
-
-def certify(protocol: Protocol, *,
-            verdict_only: bool = False) -> GuardCompatReport | bool:
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def certify(protocol: Protocol) -> GuardCompatReport:
     """Certify every action, preferring the strongest passing condition.
 
     One walk per action lists the failures of its strong condition. With
@@ -268,19 +257,14 @@ def certify(protocol: Protocol, *,
     violation and the report cites its strong violations. The protocol
     is well-behaved iff no action ends in violation.
 
-    With ``verdict_only`` the same walk stops at the first action in
-    violation, builds no report and returns only the flag, ``certify(p,
-    verdict_only=True) == certify(p).well_behaved``.
+    The report is a function of the protocol's value alone, so one is
+    kept per protocol value in a bounded memo (``gspmc.model``'s
+    docstring), with neither the state order nor the internal reach.
     """
     order = StateOrder(protocol)
     guards = order.guards
     # with no used guard no action can fail, and nothing reads the reach
     reach = InternalReach(protocol) if guards else None
-    if verdict_only:
-        return all(_weak_condition(protocol, a,
-                                   _failures(protocol, a, guards, order, reach),
-                                   guards, order, reach)
-                   for a in protocol.actions)
     statuses = []
     notes = []
     for a in protocol.actions:
@@ -292,9 +276,11 @@ def certify(protocol: Protocol, *,
         # a note only comes with a failure that does not escape
         action_notes = tuple(note for _, _, note in failures if note)
         notes.extend(action_notes)
-        weak = _weak_condition(protocol, a, failures, guards, order, reach)
-        if weak:
-            statuses.append(ActionStatus(a.name, "weak", weak))
+        if all(escaped for _, escaped, _ in failures):
+            statuses.append(ActionStatus(
+                a.name, "weak", "C1w" if a.kind == SENDER else "C2.1w∧C2.2w"))
+        elif is_internal(a) and _c3w(a, guards, order, reach, protocol.n_states):
+            statuses.append(ActionStatus(a.name, "weak", "C3w"))
         else:
             statuses.append(ActionStatus(
                 a.name, "violation", None,

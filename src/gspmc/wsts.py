@@ -152,21 +152,16 @@ that test and the antichain.
 
 The bound, the entry masks and the :func:`_pred_table` of each action
 are built once per protocol value and kept in one bounded memo keyed by
-the validated protocol (:func:`_compiled`), which compares and hashes by
-its state names, initial state, guards and actions, each action by its
-name, kind, sends, receive map and guard. Keying by value is sound
-because every one of those tables is a function of that value alone:
-two equal protocols, each validated by its own query, have the same
-bound, masks and tables, and an action's name, the one thing a witness
-reads of it, is part of the key. The entry holds the first protocol
-object seen with that value, so the actions that the tables read have
+the validated protocol (:func:`_compiled`), for the reason that
+``gspmc.model``'s docstring gives for all of its memos. The entry holds
+the interned protocol object, so the actions that the tables read have
 their compiled fields (``premasks`` and the rest) filled already. The
 bound is built when the entry is made, the tables only when rounds
 first run, so a query that the bound alone answers costs no more than
-with no memo. Certification, the target basis and the rounds still run
-on every query, and no verdict is kept. A process that answers one
-query, such as one ``gspmc`` command, builds the tables once either way
-and gains nothing from the memo.
+with no memo. The target basis and the rounds run on every query, and
+no verdict is kept. A process that answers one query, such as one
+``gspmc`` command, builds the tables once either way and gains nothing
+from the memo.
 """
 
 from __future__ import annotations
@@ -584,7 +579,7 @@ def decide(protocol, target, threshold):
     if threshold < 1:
         raise ValidationError("threshold must be at least 1")
     wqo = wqo_for(protocol)
-    if wqo.guards and not wellbehaved.certify(protocol, verdict_only=True):
+    if wqo.guards and not wellbehaved.certify(protocol).well_behaved:
         raise NotCertifiedWellBehaved(
             "guarded protocol failed guard-compatibility certification")
 

@@ -293,11 +293,15 @@ class TestRecords:
         assert getattr(record, field) is value
 
     def test_equal_across_validations(self):
-        # two validations build distinct records that compare and hash
+        # a second validation gives the interned protocol; with the intern
+        # memo cleared it builds distinct records that compare and hash
         # alike, with the hash of the tuple of their fields
         for path in sorted(FIXTURES.glob("*.json")):
             raw = modelfile.parse_model(path).raw
-            p, q = validate(raw), validate(raw)
+            p = validate(raw)
+            assert validate(raw) is p
+            model._interned.cache_clear()
+            q = validate(raw)
             assert p == q and hash(p) == hash(q)
             for a, b in zip(p.actions, q.actions, strict=True):
                 assert a is not b and a == b and hash(a) == hash(b)
@@ -469,10 +473,11 @@ class TestCompiledFields:
             a.sources = ()
 
     def test_tables_hold_no_cycle(self):
-        # each engine's memo keeps an entry's tables and actions alive,
-        # and nothing else does: clearing the one that holds them last
-        # frees them, before any garbage collection
-        memos = (semantics._compiled, wsts._compiled)
+        # each memo keyed by the protocol's value keeps its actions alive
+        # (each engine's memo with its tables), and nothing else does:
+        # clearing the one that holds them last frees them, before any
+        # garbage collection
+        memos = (model._interned, semantics._compiled, wsts._compiled, wellbehaved.certify)
         for last in memos:
             p = validate({"states": ["A", "B"], "init": "A", "actions": [
                 {"name": "m", "kind": "maximal", "sends": [["A", "B"]]}]})
@@ -483,6 +488,7 @@ class TestCompiledFields:
             assert packed.actions[0][4]  # the maximal action's deltas memo
             assert wsts.decide(p, 1, 1).reachable
             assert wsts._compiled(p).tables[0][0] is a
+            assert wellbehaved.certify(p).well_behaved
             gone = weakref.ref(a)
             gc.disable()
             try:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from gspmc.model import validate
-from gspmc import semantics
+from gspmc import model, semantics
 from gspmc.semantics import fire
 
 import _gen
@@ -256,12 +256,14 @@ class TestPacked:
 
     def test_tables_are_kept_per_width(self):
         # n = 4..7 share a width, n = 8 has a wider one; an equal protocol,
-        # validated again, finds the same Packed by its value
+        # validated again with the intern memo cleared, finds the same
+        # Packed by its value
         smoke = load_fixture("smoke_detector.json")
         semantics._compiled.cache_clear()
         four, seven, eight = (semantics.packed(smoke, n) for n in (4, 7, 8))
         assert four is seven and four is not eight
         assert not any(a is b for a, b in zip(four.actions, eight.actions))
+        model._interned.cache_clear()
         copy = load_fixture("smoke_detector.json")
         assert copy is not smoke and copy == smoke
         assert semantics.packed(copy, 5) is four

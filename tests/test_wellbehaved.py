@@ -200,6 +200,7 @@ class TestInternalReach:
         c3w = 0
         for p in protocols:
             asked.clear()
+            certify.cache_clear()  # a kept report would ask for no bound
             certify(p)
             bounds = {frozenset(range(p.n_states)), *asked}
             c3w += max(len(asked) - 1, 0)
@@ -484,12 +485,12 @@ class TestCertify:
         def refuse(protocol):
             raise AssertionError("InternalReach built without a used guard")
         monkeypatch.setattr(wellbehaved, "InternalReach", refuse)
+        certify.cache_clear()  # a kept report would build nothing either way
         for p in (validate(chain_raw(200)),
                   _gen.unguarded_protocol(random.Random(8))):
             report = certify(p)
             assert report.well_behaved and not report.notes
             assert all(s.status == "strong" for s in report.actions)
-            assert certify(p, verdict_only=True)
 
     def test_builds_order_and_reach_once(self, monkeypatch):
         # the walk and the C3w check of every action share them
@@ -500,6 +501,7 @@ class TestCertify:
                     built.append(name)
                     super().__init__(protocol)
             monkeypatch.setattr(wellbehaved, cls.__name__, Counted)
+        certify.cache_clear()  # a kept report would build nothing
         report = certify(validate(entering_internal_raw(wide_guard=True)))
         assert {s.condition for s in report.actions} >= {"C3w"}
         assert sorted(built) == ["InternalReach", "StateOrder"]
@@ -509,6 +511,7 @@ class TestCertify:
         and C3w check run one after the other, on the fixtures, the
         hand-written protocols and seeded random corpora."""
         statuses = set()
+        certify.cache_clear()  # the walk's reports, not those of earlier tests
         for p in certify_corpus():
             report, oracle = certify(p), _oracle.two_pass_certify(p)
             assert report.well_behaved == oracle.well_behaved
@@ -518,10 +521,3 @@ class TestCertify:
         # the corpus reaches every outcome of the walk
         assert {("weak", "C1w"), ("weak", "C2.1w∧C2.2w"), ("weak", "C3w"),
                 ("violation", None)} <= statuses
-
-    def test_verdict_only_matches_report(self):
-        """The walk that stops at the first violation gives the full
-        report's flag on the whole oracle corpus, both ways."""
-        verdicts = [certify(p, verdict_only=True) for p in certify_corpus()]
-        assert verdicts == [certify(p).well_behaved for p in certify_corpus()]
-        assert True in verdicts and False in verdicts

@@ -636,8 +636,7 @@ class TestDecide:
 
 def certified_or_unguarded(protocol):
     """Whether ``decide`` runs on the protocol rather than refusing it."""
-    return protocol.is_unguarded or wellbehaved.certify(protocol,
-                                                        verdict_only=True)
+    return protocol.is_unguarded or wellbehaved.certify(protocol).well_behaved
 
 
 class TestUnoccupiedTarget:
